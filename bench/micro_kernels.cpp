@@ -1,6 +1,7 @@
 // Throughput micro-benchmarks (google-benchmark) for the computational
 // kernels behind every experiment: logic simulation, packed fault
-// simulation, STA, leakage evaluation, observability and justification.
+// simulation, STA, leakage evaluation, observability, scan-shift power
+// evaluation and justification.
 
 #include <benchmark/benchmark.h>
 #include <sys/stat.h>
@@ -37,6 +38,8 @@
 #include "power/leakage_model.hpp"
 #include "power/observability.hpp"
 #include "power/packed_leakage.hpp"
+#include "scan/add_mux.hpp"
+#include "scan/scan_sim.hpp"
 #include "sim/simulator.hpp"
 #include "techmap/techmap.hpp"
 #include "timing/sta.hpp"
@@ -624,6 +627,56 @@ void BM_DontCareFill(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DontCareFill)->Unit(benchmark::kMillisecond)->Arg(0)->Arg(1);
+
+// Scan-shift power evaluation, the kernel behind every Table-I column:
+// ScanPowerEvaluator::evaluate over 64 seeded random patterns, with
+// traditional scan (no controls) or the proposed method's controls
+// (AddMUX plan + FindControlledInputPattern + min-leakage fill, computed
+// once outside the timed loop). Items are observed shift cycles.
+void BM_ScanPowerEval(benchmark::State& state, const std::string& profile,
+                      bool proposed) {
+  const Netlist& nl = circuit(profile);
+  const LeakageModel model;
+  const DelayModel delay;
+  constexpr int kPatterns = 64;
+  Rng rng(0x5ca9);
+  TestSet tests;
+  for (int i = 0; i < kPatterns; ++i) {
+    tests.patterns.push_back(random_pattern(nl, rng));
+  }
+  std::vector<Logic> pi_control;
+  std::vector<Logic> mux_control;
+  if (proposed) {
+    const MuxPlan plan = plan_muxes(nl, delay);
+    FindPatternResult pat =
+        find_controlled_input_pattern(nl, plan, delay.caps());
+    fill_dont_cares_min_leakage(nl, model, pat.pi_pattern, pat.mux_pattern,
+                                plan.multiplexed);
+    pi_control = pat.pi_pattern;
+    mux_control = pat.mux_pattern;
+  }
+  ScanPowerEvaluator eval(nl, model, delay.caps());
+  std::size_t cycles = 0;
+  for (auto _ : state) {
+    const ScanPowerResult r = eval.evaluate(tests, pi_control, mux_control);
+    cycles = r.cycles;
+    benchmark::DoNotOptimize(r.dynamic_per_hz_uw);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(cycles));
+}
+[[maybe_unused]] const bool kScanPowerEvalRegistered = [] {
+  for (const char* profile : {"s1423", "s5378", "s9234"}) {
+    for (bool proposed : {false, true}) {
+      const std::string name = std::string("BM_ScanPowerEval/") + profile +
+                               (proposed ? "/proposed" : "/traditional");
+      benchmark::RegisterBenchmark(name.c_str(), BM_ScanPowerEval,
+                                   std::string(profile), proposed)
+          ->Unit(benchmark::kMillisecond);
+    }
+  }
+  return true;
+}();
 
 void BM_Justify(benchmark::State& state) {
   const Netlist& nl = circuit("s344");

@@ -432,6 +432,7 @@ FillResult ScanSession::fill(std::vector<Logic>& pi_pattern,
 ScanPowerResult ScanSession::power_report(const TestSet& tests,
                                           std::span<const Logic> pi_control,
                                           std::span<const Logic> mux_control) {
+  TraceSpan span(&telemetry_, "scan_power.report", 0);
   ScanPowerEvaluator eval(nl(), leakage_model(), opts_.delay.caps(), opts_.power);
   return eval.evaluate(capped_tests(tests, opts_.max_power_patterns),
                        pi_control, mux_control, opts_.scan);
@@ -481,10 +482,13 @@ ScanPowerResult ScanSession::run_proposed(const TestSet& tests,
   }
 
   // --- evaluation ---------------------------------------------------------
-  ScanPowerEvaluator eval(tuned, leakage_model(), caps, opts_.power);
-  const TestSet eval_tests = capped_tests(tests, opts_.max_power_patterns);
-  const ScanPowerResult power =
-      eval.evaluate(eval_tests, pat.pi_pattern, pat.mux_pattern, opts_.scan);
+  ScanPowerResult power;
+  {
+    TraceSpan span(&telemetry_, "scan_power.proposed", 0);
+    ScanPowerEvaluator eval(tuned, leakage_model(), caps, opts_.power);
+    power = eval.evaluate(capped_tests(tests, opts_.max_power_patterns),
+                          pat.pi_pattern, pat.mux_pattern, opts_.scan);
+  }
 
   if (details) {
     details->mux_plan = plan;
@@ -515,6 +519,7 @@ FlowResult ScanSession::run_flow() {
 
   // --- traditional scan -------------------------------------------------
   {
+    TraceSpan span(&telemetry_, "scan_power.traditional", 0);
     ScanPowerEvaluator eval(nl(), leakage_model(), caps, opts_.power);
     res.traditional = eval.evaluate(eval_tests, {}, {}, opts_.scan);
   }
@@ -536,6 +541,7 @@ FlowResult ScanSession::run_flow() {
     }
     fill_dont_cares_min_leakage(nl(), leakage_model(), pat.pi_pattern, pat.mux_pattern,
                                 no_mux.multiplexed, fill_opts);
+    TraceSpan span(&telemetry_, "scan_power.input_control", 0);
     ScanPowerEvaluator eval(nl(), leakage_model(), caps, opts_.power);
     res.input_control =
         eval.evaluate(eval_tests, pat.pi_pattern, {}, opts_.scan);

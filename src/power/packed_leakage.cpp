@@ -101,6 +101,7 @@ void PackedLeakageEvaluator::eval(const TernaryBlockSimulator& sim,
   SP_CHECK(leak.size() >= lanes, "packed leakage: output buffer too small");
   for (std::size_t i = 0; i < lanes; ++i) leak[i] = 0.0;
 
+  const SimKernels& kern = sim_kernels(resolve_backend(backend_, W));
   std::vector<Logic> ins;  // fallback scratch (wide gates only)
   for (GateId id = 0; id < nl.num_gates(); ++id) {
     if (tables.leakless(id)) continue;
@@ -110,9 +111,11 @@ void PackedLeakageEvaluator::eval(const TernaryBlockSimulator& sim,
     const double* xtbl = tables.xtable(id);
     SP_CHECK(k <= 20, "packed leakage: gate too wide");
     for (int w = 0; w < W; ++w) {
-      // Per fanin: definite-one and X masks for this word.
-      PatternWord v[20];
-      PatternWord x[20];
+      // Per fanin: definite-one masks in src[0, k), X masks in src[k, 2k)
+      // -- together the (state, xmask) index of the expected table.
+      PatternWord src[40];
+      PatternWord* const v = src;
+      PatternWord* const x = src + k;
       PatternWord any_x = 0;
       for (int j = 0; j < k; ++j) {
         const PatternWord b1 = sim.p1(fans[j])[w];
@@ -122,14 +125,15 @@ void PackedLeakageEvaluator::eval(const TernaryBlockSimulator& sim,
         any_x |= x[j];
       }
       double* out = leak.data() + static_cast<std::size_t>(w) * 64;
+      // Table gathers through the backend kernel, one add per lane. The
+      // expected table's X-free entries are the state table's doubles, so
+      // both gathers give each lane exactly the scalar walk's addend.
       if (any_x == 0 && tbl != nullptr) {
-        for (int i = 0; i < 64; ++i) {
-          unsigned state = 0;
-          for (int j = 0; j < k; ++j) {
-            state |= static_cast<unsigned>((v[j] >> i) & 1) << j;
-          }
-          out[i] += tbl[state];
-        }
+        kern.leak_gather(tbl, 0, v, k, out);
+        continue;
+      }
+      if (xtbl != nullptr) {
+        kern.leak_gather(xtbl, 0, src, 2 * k, out);
         continue;
       }
       for (int i = 0; i < 64; ++i) {
@@ -141,10 +145,9 @@ void PackedLeakageEvaluator::eval(const TernaryBlockSimulator& sim,
         }
         if (xmask == 0 && tbl != nullptr) {
           out[i] += tbl[state];
-        } else if (xtbl != nullptr) {
-          out[i] += xtbl[state | (xmask << k)];
         } else {
-          // Wide gate: defer to the scalar expected-leakage walk.
+          // Wider than the expected tables: the scalar expected-leakage
+          // walk.
           ins.resize(static_cast<std::size_t>(k));
           for (int j = 0; j < k; ++j) {
             ins[static_cast<std::size_t>(j)] =

@@ -11,18 +11,29 @@ PowerEstimator::PowerEstimator(const Netlist& nl, const LeakageModel& leakage,
     : nl_(&nl),
       leakage_(&leakage),
       config_(config),
-      toggles_(caps.load_vector(nl)) {}
+      weights_(caps.load_vector(nl)) {}
 
 void PowerEstimator::observe(std::span<const Logic> values) {
   SP_CHECK(values.size() == nl_->num_gates(),
            "PowerEstimator::observe: size mismatch");
-  toggles_.observe(values);
-  const double cycle_cap = toggles_.total() - last_total_;
-  last_total_ = toggles_.total();
+  const double cap =
+      leakage_samples_ ? weighted_toggles(prev_, values, weights_) : 0.0;
+  prev_.assign(values.begin(), values.end());
+  fold_cycle(cap, leakage_->circuit_leakage_na(*nl_, values));
+}
+
+void PowerEstimator::fold_cycle(double toggled_cap_ff, double leakage_na) {
+  if (leakage_samples_) {
+    toggle_total_ff_ += toggled_cap_ff;
+    ++transitions_;
+  }
+  // The peak is the step of the running total, not the raw per-cycle
+  // sum; the two can differ in the last bit.
+  const double cycle_cap = toggle_total_ff_ - last_total_;
+  last_total_ = toggle_total_ff_;
   peak_cap_ff_ = std::max(peak_cap_ff_, cycle_cap);
-  const double leak = leakage_->circuit_leakage_na(*nl_, values);
-  peak_leakage_na_ = std::max(peak_leakage_na_, leak);
-  leakage_sum_na_ += leak;
+  peak_leakage_na_ = std::max(peak_leakage_na_, leakage_na);
+  leakage_sum_na_ += leakage_na;
   ++leakage_samples_;
 }
 
@@ -47,7 +58,9 @@ double PowerEstimator::static_uw() const {
 }
 
 void PowerEstimator::reset() {
-  toggles_.reset();
+  prev_.clear();
+  toggle_total_ff_ = 0.0;
+  transitions_ = 0;
   leakage_sum_na_ = 0.0;
   leakage_samples_ = 0;
   peak_cap_ff_ = 0.0;

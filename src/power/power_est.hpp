@@ -2,9 +2,11 @@
 // Combined dynamic + static power estimation over a sequence of circuit
 // states (eq. (1) of the paper for dynamic, the leakage tables for static).
 //
-// Protocol: the caller (scan-shift simulator, functional simulation, ...)
-// feeds every per-cycle value vector into observe(). The estimator
-// accumulates
+// Protocol: the caller feeds every per-cycle value vector into observe(),
+// or -- when it computes a cycle's toggles and leakage itself, as the
+// packed scan-shift evaluator does -- the two per-cycle figures into
+// fold_cycle(). observe() is fold_cycle() over a scalar walk, so both
+// paths produce the same doubles. The estimator accumulates
 //   - weighted toggles: sum over cycles of sum(C_L over toggled gates)
 //   - leakage samples : per-cycle total leakage current
 // and reports
@@ -38,9 +40,18 @@ class PowerEstimator {
   /// contributes one leakage sample.
   void observe(std::span<const Logic> values);
 
+  /// Records one clock cycle from its precomputed figures:
+  /// `toggled_cap_ff` is the weighted toggle sum against the previous
+  /// observed cycle (as weighted_toggles computes it; ignored for the
+  /// first cycle) and `leakage_na` the cycle's circuit leakage.
+  void fold_cycle(double toggled_cap_ff, double leakage_na);
+
   /// Mean toggled load capacitance per cycle (fF). Zero until two
   /// observations have been made.
-  double mean_toggled_cap_ff() const { return toggles_.per_cycle(); }
+  double mean_toggled_cap_ff() const {
+    return transitions_ ? toggle_total_ff_ / static_cast<double>(transitions_)
+                        : 0.0;
+  }
 
   /// Worst single-cycle toggled capacitance (fF) -- the peak-power proxy
   /// (cf. [Sankaralingam & Touba], reference [6] of the paper).
@@ -63,18 +74,24 @@ class PowerEstimator {
 
   std::size_t cycles_observed() const { return leakage_samples_; }
 
+  /// Per-gate load capacitance (fF) that weighs each toggle.
+  std::span<const double> weights() const { return weights_; }
+
   void reset();
 
  private:
   const Netlist* nl_;
   const LeakageModel* leakage_;
   PowerConfig config_;
-  ToggleAccumulator toggles_;
+  std::vector<double> weights_;  ///< per-gate load capacitance (fF)
+  std::vector<Logic> prev_;      ///< previous observe() state
+  double toggle_total_ff_ = 0.0;
+  std::size_t transitions_ = 0;  ///< observed cycles after the first
   double leakage_sum_na_ = 0.0;
   std::size_t leakage_samples_ = 0;
   double peak_cap_ff_ = 0.0;
   double peak_leakage_na_ = 0.0;
-  double last_total_ = 0.0;  ///< toggle total at the previous observation
+  double last_total_ = 0.0;  ///< toggle total at the previous cycle
 };
 
 }  // namespace scanpower

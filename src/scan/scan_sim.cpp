@@ -1,42 +1,294 @@
 #include "scan/scan_sim.hpp"
 
-#include "sim/simulator.hpp"
+#include <algorithm>
+#include <bit>
+
+#include "power/packed_leakage.hpp"
 #include "util/assert.hpp"
 
 namespace scanpower {
 
+ShiftProtocol::ShiftProtocol(const ScanChainOrder& order, int num_chains)
+    : order_(&order), k_(static_cast<std::size_t>(num_chains)) {
+  SP_CHECK(num_chains >= 1, "shift protocol: num_chains must be >= 1");
+  SP_CHECK(order.is_permutation(), "shift protocol: invalid chain order");
+  const std::size_t len = order.order.size();
+  cycles_ = (len + k_ - 1) / k_;
+}
+
+void ShiftProtocol::build_stream(std::span<const Logic> ppi,
+                                 std::span<const Logic> prev,
+                                 std::vector<Logic>& stream) const {
+  const std::size_t len = order_->order.size();
+  SP_CHECK(ppi.size() == len && prev.size() == len,
+           "shift protocol: chain size mismatch");
+  const std::size_t padded = cycles_ * k_;
+  stream.assign(padded + len, Logic::Zero);
+  for (std::size_t pos = 0; pos < len; ++pos) {
+    stream[pos] = ppi[order_->order[pos]];
+    stream[padded + pos] = prev[pos];
+  }
+}
+
 std::vector<Logic> simulate_chain_loading(const ScanChainOrder& order,
                                           std::span<const Logic> ppi,
                                           int num_chains, Logic initial) {
-  SP_CHECK(num_chains >= 1, "simulate_chain_loading: num_chains must be >= 1");
-  SP_CHECK(order.order.size() == ppi.size() && order.is_permutation(),
-           "simulate_chain_loading: invalid order");
-  const std::size_t len = ppi.size();
-  const std::size_t k = static_cast<std::size_t>(num_chains);
-  const std::size_t lmax = len == 0 ? 0 : (len + k - 1) / k;
-  std::vector<Logic> chain(len, initial);
-  for (std::size_t t = 0; t < lmax; ++t) {
-    for (std::size_t c = 0; c < k; ++c) {
-      const std::size_t lc = c < len ? (len - c + k - 1) / k : 0;
-      if (lc == 0) continue;
-      for (std::size_t j = lc; j-- > 1;) {
-        chain[c + j * k] = chain[c + (j - 1) * k];
+  const ShiftProtocol shift(order, num_chains);
+  std::vector<Logic> stream;
+  shift.build_stream(ppi, std::vector<Logic>(ppi.size(), initial), stream);
+  stream.resize(ppi.size());  // the window after the last shift: offset 0
+  return stream;
+}
+
+namespace {
+
+/// Writes `v` into one lane of a source's ternary planes (both planes
+/// cleared beforehand).
+inline void put_lane(PatternWord* p1, PatternWord* p0, std::size_t lane,
+                     Logic v) {
+  const PatternWord bit = PatternWord{1} << (lane % 64);
+  if (v != Logic::Zero) p1[lane / 64] |= bit;
+  if (v != Logic::One) p0[lane / 64] |= bit;
+}
+
+/// Words per sweep; the W = 1, 2, 4 timings are in BENCH_scan.json
+/// ("sweep_width"). W = 4 is fastest or tied from 592 cycles up (the
+/// 8-pattern s1423 session, where the three widths are within 5%, to
+/// BM_ScanPowerEval's 64 patterns on s1423, s5378 and s9234). A session
+/// of 128 cycles or fewer takes the narrowest width that holds it: at 74
+/// cycles W = 4 runs twice as long as W <= 2, three quarters padding.
+int sweep_words(std::size_t cycles) {
+  int words = 1;
+  while (words < 4 && static_cast<std::size_t>(words) * 64 < cycles) words *= 2;
+  return words;
+}
+
+/// One scan-shift session evaluated as packed lanes; see scan_sim.hpp.
+class PackedShiftSession {
+ public:
+  PackedShiftSession(const Netlist& nl, const GateLeakageTables& tables,
+                     std::span<const double> loads, const TestSet& tests,
+                     const ShiftProtocol& shift,
+                     std::span<const Logic> pi_control,
+                     std::span<const Logic> mux_control,
+                     const ScanSimOptions& opts)
+      : nl_(nl),
+        loads_(loads),
+        tests_(tests),
+        shift_(shift),
+        order_(opts.chain_order),
+        initial_(opts.initial_state),
+        per_pattern_(shift.cycles() + (opts.include_capture_cycles ? 1 : 0)),
+        sim_(nl, sweep_words(tests.patterns.size() * per_pattern_)),
+        leak_eval_(nl, tables),
+        pi_control_(pi_control),
+        mux_control_(mux_control) {}
+
+  void run(PowerEstimator& power) {
+    const std::size_t total = tests_.patterns.size() * per_pattern_;
+    if (total == 0) return;
+    capture_responses();
+    const std::size_t lanes = sim_.lanes();
+    std::vector<double> leak(lanes);
+    std::vector<double> toggled(lanes);
+    // Each gate's value in the previous block's last lane. Block 0 starts
+    // from zero planes: its lane 0 is the first observed cycle, whose
+    // toggles the fold ignores.
+    carry1_.assign(nl_.num_gates(), 0);
+    carry0_.assign(nl_.num_gates(), 0);
+    for (std::size_t first = 0; first < total; first += lanes) {
+      const std::size_t used = std::min(lanes, total - first);
+      load_cycles(first, used);
+      sim_.eval();
+      leak_eval_.eval(sim_, leak);
+      toggles(toggled);
+      for (std::size_t lane = 0; lane < used; ++lane) {
+        power.fold_cycle(toggled[lane], leak[lane]);
       }
-      const std::size_t pad = lmax - lc;
-      chain[c] = t >= pad ? ppi[order.order[c + (lc - 1 - (t - pad)) * k]]
-                          : Logic::Zero;
     }
   }
-  return chain;
+
+ private:
+  std::size_t chain_len() const { return nl_.dffs().size(); }
+  GateId cell_at(std::size_t pos) const {
+    return nl_.dffs()[order_->order[pos]];
+  }
+
+  /// Empties every source lane, ready for put_lane().
+  void clear_sources() {
+    const int words = sim_.words();
+    for (const std::vector<GateId>* ids : {&nl_.inputs(), &nl_.dffs()}) {
+      for (GateId id : *ids) {
+        std::fill_n(sim_.p1(id), words, PatternWord{0});
+        std::fill_n(sim_.p0(id), words, PatternWord{0});
+      }
+    }
+  }
+
+  /// Applies pattern `n` (PIs and cell-indexed PPIs) to lane `lane`: the
+  /// state of its capture cycle.
+  void put_capture(std::size_t n, std::size_t lane) {
+    const TestPattern& t = tests_.patterns[n];
+    for (std::size_t i = 0; i < t.pi.size(); ++i) {
+      const GateId id = nl_.inputs()[i];
+      put_lane(sim_.p1(id), sim_.p0(id), lane, t.pi[i]);
+    }
+    for (std::size_t d = 0; d < t.ppi.size(); ++d) {
+      const GateId id = nl_.dffs()[d];
+      put_lane(sim_.p1(id), sim_.p0(id), lane, t.ppi[d]);
+    }
+  }
+
+  /// Captured response of every pattern but the last (whose response is
+  /// never shifted out), cell-indexed, one pattern per lane.
+  void capture_responses() {
+    const std::size_t len = chain_len();
+    const std::size_t count = tests_.patterns.size() - 1;
+    responses_.assign(count * len, Logic::X);
+    if (len == 0) return;
+    const std::size_t lanes = sim_.lanes();
+    for (std::size_t first = 0; first < count; first += lanes) {
+      const std::size_t used = std::min(lanes, count - first);
+      clear_sources();
+      for (std::size_t lane = 0; lane < used; ++lane) {
+        put_capture(first + lane, lane);
+      }
+      sim_.eval();
+      for (std::size_t d = 0; d < len; ++d) {
+        const GateId next = nl_.fanin_span(nl_.dffs()[d])[0];
+        for (std::size_t lane = 0; lane < used; ++lane) {
+          responses_[(first + lane) * len + d] =
+              sim_.lane_value(next, lane);
+        }
+      }
+    }
+  }
+
+  /// Switches the shift-cycle state to pattern `n`: the chain stream
+  /// (pattern n shifted in over the previous response) and the PI values
+  /// held during its shift.
+  void enter_pattern(std::size_t n) {
+    const std::size_t len = chain_len();
+    prev_.assign(len, initial_);
+    if (n > 0) {
+      const Logic* r = responses_.data() + (n - 1) * len;
+      for (std::size_t pos = 0; pos < len; ++pos) {
+        prev_[pos] = r[order_->order[pos]];
+      }
+    }
+    shift_.build_stream(tests_.patterns[n].ppi, prev_, stream_);
+    const std::size_t num_pi = nl_.inputs().size();
+    shift_pi_.assign(num_pi, Logic::Zero);
+    for (std::size_t i = 0; i < num_pi; ++i) {
+      const Logic ctrl = pi_control_.empty() ? Logic::X : pi_control_[i];
+      if (ctrl != Logic::X) {
+        shift_pi_[i] = ctrl;
+      } else if (n > 0) {
+        shift_pi_[i] = tests_.patterns[n - 1].pi[i];
+      }
+    }
+    pattern_ = n;
+  }
+
+  /// Source planes of observed cycles [first, first + used) as lanes.
+  void load_cycles(std::size_t first, std::size_t used) {
+    clear_sources();
+    const std::size_t len = chain_len();
+    for (std::size_t lane = 0; lane < used; ++lane) {
+      const std::size_t cycle = first + lane;
+      const std::size_t n = cycle / per_pattern_;
+      const std::size_t t = cycle % per_pattern_;
+      if (t == shift_.cycles()) {  // capture cycle: muxes transparent
+        put_capture(n, lane);
+        continue;
+      }
+      if (n != pattern_) enter_pattern(n);
+      for (std::size_t i = 0; i < shift_pi_.size(); ++i) {
+        const GateId id = nl_.inputs()[i];
+        put_lane(sim_.p1(id), sim_.p0(id), lane, shift_pi_[i]);
+      }
+      const Logic* window = stream_.data() + shift_.offset(t + 1);
+      for (std::size_t pos = 0; pos < len; ++pos) {
+        const Logic mux =
+            mux_control_.empty() ? Logic::X : mux_control_[order_->order[pos]];
+        const GateId id = cell_at(pos);
+        put_lane(sim_.p1(id), sim_.p0(id), lane,
+                 mux == Logic::X ? window[pos] : mux);
+      }
+    }
+  }
+
+  /// toggled[lane] = weighted toggles of the lane against the previous
+  /// lane, gates summed in ascending id as weighted_toggles does.
+  void toggles(std::span<double> toggled) {
+    std::fill(toggled.begin(), toggled.end(), 0.0);
+    const int words = sim_.words();
+    for (GateId id = 0; id < nl_.num_gates(); ++id) {
+      const PatternWord* a1 = sim_.p1(id);
+      const PatternWord* a0 = sim_.p0(id);
+      PatternWord c1 = carry1_[id];
+      PatternWord c0 = carry0_[id];
+      carry1_[id] = static_cast<std::uint8_t>(a1[words - 1] >> 63);
+      carry0_[id] = static_cast<std::uint8_t>(a0[words - 1] >> 63);
+      const double full = loads_[id];
+      if (full == 0.0) continue;  // adds nothing to any lane
+      const double half = 0.5 * full;
+      for (int w = 0; w < words; ++w) {
+        const PatternWord b1 = (a1[w] << 1) | c1;
+        const PatternWord b0 = (a0[w] << 1) | c0;
+        c1 = a1[w] >> 63;
+        c0 = a0[w] >> 63;
+        const PatternWord diff = (a1[w] ^ b1) | (a0[w] ^ b0);
+        if (diff == 0) continue;
+        const PatternWord x = (a1[w] & a0[w]) | (b1 & b0);
+        double* out = toggled.data() + static_cast<std::size_t>(w) * 64;
+        for (PatternWord m = diff & ~x; m != 0; m &= m - 1) {
+          out[std::countr_zero(m)] += full;
+        }
+        for (PatternWord m = diff & x; m != 0; m &= m - 1) {
+          out[std::countr_zero(m)] += half;
+        }
+      }
+    }
+  }
+
+  const Netlist& nl_;
+  std::span<const double> loads_;
+  const TestSet& tests_;
+  const ShiftProtocol& shift_;
+  const ScanChainOrder* order_;
+  Logic initial_;
+  std::size_t per_pattern_;  ///< observed cycles per pattern
+  TernaryBlockSimulator sim_;
+  PackedLeakageEvaluator leak_eval_;
+  std::span<const Logic> pi_control_;
+  std::span<const Logic> mux_control_;
+  std::vector<Logic> responses_;  ///< pattern-major, cell-indexed
+  std::vector<std::uint8_t> carry1_;
+  std::vector<std::uint8_t> carry0_;
+  std::size_t pattern_ = static_cast<std::size_t>(-1);
+  std::vector<Logic> prev_;
+  std::vector<Logic> stream_;
+  std::vector<Logic> shift_pi_;
+};
+
+/// Checked before the leakage tables walk the netlist.
+const Netlist& require_finalized(const Netlist& nl) {
+  SP_CHECK(nl.finalized(), "ScanPowerEvaluator requires a finalized netlist");
+  return nl;
 }
+
+}  // namespace
 
 ScanPowerEvaluator::ScanPowerEvaluator(const Netlist& nl,
                                        const LeakageModel& leakage,
                                        const CapacitanceModel& caps,
                                        PowerConfig config)
-    : nl_(&nl), leakage_(&leakage), caps_(&caps), config_(config) {
-  SP_CHECK(nl.finalized(), "ScanPowerEvaluator requires a finalized netlist");
-}
+    : nl_(&require_finalized(nl)),
+      leakage_(&leakage),
+      caps_(&caps),
+      config_(config),
+      tables_(nl, leakage) {}
 
 ScanPowerResult ScanPowerEvaluator::evaluate(const TestSet& tests,
                                              std::span<const Logic> pi_control,
@@ -49,102 +301,23 @@ ScanPowerResult ScanPowerEvaluator::evaluate(const TestSet& tests,
            "evaluate: pi_control size mismatch");
   SP_CHECK(mux_control.empty() || mux_control.size() == chain_len,
            "evaluate: mux_control size mismatch");
-
-  Simulator sim(nl);
-  PowerEstimator power(nl, *leakage_, *caps_, config_);
-
   // Chain position -> dffs() index. Default: netlist order (the paper's
   // "no scan cell reordering" configuration).
-  ScanChainOrder default_order = ScanChainOrder::identity(chain_len);
-  const ScanChainOrder& order =
-      opts.chain_order ? *opts.chain_order : default_order;
-  SP_CHECK(order.order.size() == chain_len && order.is_permutation(),
-           "evaluate: invalid chain order");
-
-  // Chain state indexed by chain *position*. Scan-in enters at position 0
-  // and moves toward the tail.
-  std::vector<Logic> chain(chain_len, opts.initial_state);
-  // PI values held from the previously applied test (traditional scan).
-  std::vector<Logic> held_pi(num_pi, Logic::Zero);
-
-  auto cell_at = [&](std::size_t pos) { return nl.dffs()[order.order[pos]]; };
-  auto mux_value = [&](std::size_t pos) -> Logic {
-    return mux_control.empty() ? Logic::X : mux_control[order.order[pos]];
-  };
-
-  std::size_t observed_cycles = 0;
-  auto observe = [&]() {
-    power.observe(sim.values());
-    if (opts.cycle_observer) {
-      opts.cycle_observer(observed_cycles, sim.values());
-    }
-    ++observed_cycles;
-  };
-
-  auto drive_shift_cycle = [&]() {
-    // What the combinational logic sees during this shift cycle.
-    for (std::size_t k = 0; k < num_pi; ++k) {
-      const Logic ctrl = pi_control.empty() ? Logic::X : pi_control[k];
-      sim.set_input(nl.inputs()[k], ctrl == Logic::X ? held_pi[k] : ctrl);
-    }
-    for (std::size_t pos = 0; pos < chain_len; ++pos) {
-      const Logic mv = mux_value(pos);
-      sim.set_state(cell_at(pos), mv == Logic::X ? chain[pos] : mv);
-    }
-    sim.eval_incremental();
-    observe();
-  };
-
-  // Multi-chain layout: position p belongs to chain p % k at in-chain
-  // index p / k; all chains shift together for ceil(L/k) cycles, shorter
-  // chains padded with leading zeros so every cell lands on its bit.
-  const std::size_t k = static_cast<std::size_t>(opts.num_chains);
-  SP_CHECK(opts.num_chains >= 1, "evaluate: num_chains must be >= 1");
-  const std::size_t lmax = chain_len == 0 ? 0 : (chain_len + k - 1) / k;
-  auto chain_length = [&](std::size_t c) {
-    return c < chain_len ? (chain_len - c + k - 1) / k : 0;
-  };
-
+  const ScanChainOrder default_order = ScanChainOrder::identity(chain_len);
+  ScanSimOptions resolved = opts;
+  if (resolved.chain_order == nullptr) resolved.chain_order = &default_order;
+  SP_CHECK(resolved.chain_order->order.size() == chain_len,
+           "evaluate: chain order size mismatch");
+  const ShiftProtocol shift(*resolved.chain_order, opts.num_chains);
   for (const TestPattern& test : tests.patterns) {
     SP_CHECK(test.pi.size() == num_pi && test.ppi.size() == chain_len,
              "evaluate: pattern size mismatch");
-    // ---- shift phase: ceil(L/k) cycles ---------------------------------
-    for (std::size_t t = 0; t < lmax; ++t) {
-      for (std::size_t c = 0; c < k; ++c) {
-        const std::size_t lc = chain_length(c);
-        if (lc == 0) continue;
-        for (std::size_t j = lc; j-- > 1;) {
-          chain[c + j * k] = chain[c + (j - 1) * k];
-        }
-        const std::size_t pad = lmax - lc;
-        Logic incoming = Logic::Zero;
-        if (t >= pad) {
-          const std::size_t idx = lc - 1 - (t - pad);
-          incoming = test.ppi[order.order[c + idx * k]];
-        }
-        chain[c] = incoming;
-      }
-      drive_shift_cycle();
-    }
-    // After the shifts: chain[pos] == test.ppi[order[pos]].
-    // ---- capture cycle -------------------------------------------------
-    // Shift-enable drops: muxes go transparent, PIs take the test values,
-    // the response is captured into the cells.
-    for (std::size_t k = 0; k < num_pi; ++k) {
-      sim.set_input(nl.inputs()[k], test.pi[k]);
-      held_pi[k] = test.pi[k];
-    }
-    for (std::size_t pos = 0; pos < chain_len; ++pos) {
-      sim.set_state(cell_at(pos), chain[pos]);
-    }
-    sim.eval_incremental();
-    if (opts.include_capture_cycles) observe();
-    // Captured response becomes the chain content for the next scan-out.
-    for (std::size_t pos = 0; pos < chain_len; ++pos) {
-      chain[pos] = sim.next_state(cell_at(pos));
-      // An X response bit (possible when patterns carry X) shifts out as X.
-    }
   }
+
+  PowerEstimator power(nl, *leakage_, *caps_, config_);
+  PackedShiftSession(nl, tables_, power.weights(), tests, shift, pi_control,
+                     mux_control, resolved)
+      .run(power);
 
   ScanPowerResult res;
   res.dynamic_per_hz_uw = power.dynamic_per_hz_uw();

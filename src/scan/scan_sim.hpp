@@ -4,10 +4,22 @@
 // Protocol (full scan, one chain, no reordering -- as in the paper's
 // experiments): for each test vector, L shift cycles move the stimulus in
 // while the previous response moves out; one capture cycle follows. The
-// combinational part is re-evaluated at every shift cycle and fed to a
+// combinational part is evaluated at every shift cycle and folded into a
 // PowerEstimator, yielding exactly the two Table-I quantities: dynamic
 // power per Hz and static (leakage) power, both for the combinational
 // logic.
+//
+// Evaluation is packed. Once the chain contents are known, shift cycles
+// do not depend on each other: every pattern's capture response comes
+// from one ternary sweep (one pattern per lane), and then 64*W
+// consecutive observed cycles are the lanes of one TernaryBlockSimulator
+// sweep, streamed block by block. Per lane, leakage comes from
+// PackedLeakageEvaluator's 3-valued path and toggled capacitance from an
+// XOR of the lane's planes against the previous lane (the first lane of
+// a block against the previous block's last lane). Each lane sums gates
+// in ascending id and cycles fold in cycle order through
+// PowerEstimator::fold_cycle, so every result is bit-identical to a
+// cycle-by-cycle scalar simulation through PowerEstimator::observe.
 //
 // Scan-mode input control is expressed per method:
 //  - traditional scan  : PIs hold the previous test's values; every cell's
@@ -17,8 +29,8 @@
 //  - proposed          : PIs driven with the found pattern AND muxed cells
 //    present constants to the logic during shift.
 
-#include <functional>
 #include <span>
+#include <vector>
 
 #include "atpg/pattern.hpp"
 #include "netlist/netlist.hpp"
@@ -54,18 +66,45 @@ struct ScanSimOptions {
   /// for ceil(L / num_chains) cycles per pattern, shorter chains padded
   /// with leading zero bits. 1 = the paper's single-chain setup.
   int num_chains = 1;
-  /// Optional per-cycle observer (waveform dumps, custom metrics): called
-  /// with the cycle index and the settled value vector for every observed
-  /// cycle. Not part of the power accounting.
-  std::function<void(std::size_t cycle, std::span<const Logic> values)>
-      cycle_observer;
+};
+
+/// The multi-chain shift protocol as a function of time. Chain position p
+/// belongs to chain p % k at in-chain index p / k; all k chains shift
+/// together for cycles() = ceil(L/k) cycles, shorter chains padded with
+/// leading zero bits so every cell lands on its bit. After s shifts,
+/// position p holds
+///   prev[p - s*k]            when p >= s*k (old content moving on), else
+///   image[p + (L' - s)*k]    with L' = cycles(), 0 past the chain end,
+/// where prev is the chain content before the first shift and image the
+/// fully loaded chain. Both cases read one per-pattern stream -- image
+/// zero-padded to L'*k positions, then prev -- so shift cycle s sees the
+/// window of L positions starting at offset(s).
+class ShiftProtocol {
+ public:
+  /// `order` must outlive the protocol.
+  ShiftProtocol(const ScanChainOrder& order, int num_chains);
+
+  /// Shift cycles per pattern.
+  std::size_t cycles() const { return cycles_; }
+  /// Stream offset of the window seen after `s` shifts, 1 <= s <= cycles().
+  std::size_t offset(std::size_t s) const { return (cycles_ - s) * k_; }
+
+  /// Fills `stream` for shifting `ppi` (cell-indexed, dffs() order) into
+  /// a chain holding `prev` (position-indexed): size cycles()*k + L.
+  void build_stream(std::span<const Logic> ppi, std::span<const Logic> prev,
+                    std::vector<Logic>& stream) const;
+
+ private:
+  const ScanChainOrder* order_;
+  std::size_t k_;
+  std::size_t cycles_;
 };
 
 /// Pure chain-register model of the multi-chain shift protocol: starting
 /// from `initial`, shifts `ppi` (cell-indexed, remapped through `order`)
 /// into `num_chains` parallel chains for ceil(L/num_chains) cycles and
-/// returns the final position-indexed chain state. Exposed for protocol
-/// tests; the power evaluator follows exactly this sequence.
+/// returns the final position-indexed chain state. A view over
+/// ShiftProtocol, the sequence the power evaluator drives.
 std::vector<Logic> simulate_chain_loading(const ScanChainOrder& order,
                                           std::span<const Logic> ppi,
                                           int num_chains,
@@ -73,6 +112,8 @@ std::vector<Logic> simulate_chain_loading(const ScanChainOrder& order,
 
 class ScanPowerEvaluator {
  public:
+  /// Builds the netlist's GateLeakageTables; `nl` and the models must
+  /// outlive the evaluator.
   ScanPowerEvaluator(const Netlist& nl, const LeakageModel& leakage,
                      const CapacitanceModel& caps, PowerConfig config = {});
 
@@ -92,6 +133,7 @@ class ScanPowerEvaluator {
   const LeakageModel* leakage_;
   const CapacitanceModel* caps_;
   PowerConfig config_;
+  GateLeakageTables tables_;
 };
 
 }  // namespace scanpower

@@ -23,20 +23,4 @@ double weighted_toggles(std::span<const Logic> before,
   return sum;
 }
 
-void ToggleAccumulator::observe(std::span<const Logic> state) {
-  if (has_prev_) {
-    total_ += weighted_toggles(prev_, state, weights_);
-    ++cycles_;
-  }
-  prev_.assign(state.begin(), state.end());
-  has_prev_ = true;
-}
-
-void ToggleAccumulator::reset() {
-  prev_.clear();
-  total_ = 0.0;
-  cycles_ = 0;
-  has_prev_ = false;
-}
-
 }  // namespace scanpower

@@ -3,12 +3,11 @@
 //
 // Dynamic power per eq.(1) of the paper is f * 1/2 * VDD^2 * sum_i a_i*C_i;
 // under a zero-delay model the switching activity contribution of one
-// clock cycle is the set of gates whose output value changed. The counter
-// accumulates sum(C_i over toggled gates) so the caller can average over
-// cycles and apply the voltage/frequency factors.
+// clock cycle is the set of gates whose output value changed.
+// weighted_toggles() returns sum(C_i over toggled gates); PowerEstimator
+// averages it over cycles and applies the voltage/frequency factors.
 
 #include <span>
-#include <vector>
 
 #include "netlist/netlist.hpp"
 #include "sim/logic.hpp"
@@ -21,29 +20,5 @@ namespace scanpower {
 double weighted_toggles(std::span<const Logic> before,
                         std::span<const Logic> after,
                         std::span<const double> weights);
-
-/// Convenience accumulator for per-cycle series.
-class ToggleAccumulator {
- public:
-  explicit ToggleAccumulator(std::vector<double> weights)
-      : weights_(std::move(weights)) {}
-
-  /// Records the first state without counting, then accumulates toggles
-  /// against the previous state.
-  void observe(std::span<const Logic> state);
-
-  double total() const { return total_; }
-  std::size_t cycles() const { return cycles_; }
-  /// Mean weighted toggles per observed transition (cycle).
-  double per_cycle() const { return cycles_ ? total_ / static_cast<double>(cycles_) : 0.0; }
-  void reset();
-
- private:
-  std::vector<double> weights_;
-  std::vector<Logic> prev_;
-  double total_ = 0.0;
-  std::size_t cycles_ = 0;
-  bool has_prev_ = false;
-};
 
 }  // namespace scanpower

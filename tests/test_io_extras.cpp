@@ -1,5 +1,4 @@
-// Tests for the auxiliary I/O paths: test-set files, VCD dumps and the
-// scan evaluator's per-cycle observer hook.
+// Tests for test-set file I/O.
 
 #include <gtest/gtest.h>
 
@@ -8,11 +7,8 @@
 #include "atpg/pattern.hpp"
 #include "atpg/tpg.hpp"
 #include "benchgen/benchgen.hpp"
-#include "scan/scan_sim.hpp"
-#include "sim/vcd.hpp"
 #include "techmap/techmap.hpp"
 #include "util/assert.hpp"
-#include "util/rng.hpp"
 
 namespace scanpower {
 namespace {
@@ -51,86 +47,6 @@ TEST(TestSetIo, RejectsInconsistentWidths) {
 TEST(TestSetIo, RejectsMalformedStats) {
   std::istringstream in("stats 1 2\n");
   EXPECT_THROW(load_test_set(in), Error);
-}
-
-TEST(Vcd, HeaderAndChangesWritten) {
-  const Netlist nl = make_s27();
-  std::ostringstream out;
-  VcdWriter vcd(out, nl, "s27");
-  std::vector<Logic> v0(nl.num_gates(), Logic::Zero);
-  std::vector<Logic> v1 = v0;
-  v1[nl.inputs()[0]] = Logic::One;
-  vcd.sample(0, v0);
-  const std::size_t after_first = vcd.changes_written();
-  vcd.sample(1, v1);
-  EXPECT_EQ(vcd.changes_written(), after_first + 1);  // one signal changed
-  const std::string text = out.str();
-  EXPECT_NE(text.find("$enddefinitions"), std::string::npos);
-  EXPECT_NE(text.find("$dumpvars"), std::string::npos);
-  EXPECT_NE(text.find("#1"), std::string::npos);
-  // Every net declared.
-  for (GateId id = 0; id < nl.num_gates(); ++id) {
-    EXPECT_NE(text.find(" " + nl.gate_name(id) + " $end"), std::string::npos);
-  }
-}
-
-TEST(Vcd, NoTimestepWhenNothingChanges) {
-  const Netlist nl = make_s27();
-  std::ostringstream out;
-  VcdWriter vcd(out, nl, "s27");
-  std::vector<Logic> v(nl.num_gates(), Logic::X);
-  vcd.sample(0, v);
-  vcd.sample(1, v);  // identical: no #1 section
-  EXPECT_EQ(out.str().find("#1"), std::string::npos);
-}
-
-TEST(Vcd, SignalSubsetRespected) {
-  const Netlist nl = make_s27();
-  std::ostringstream out;
-  VcdWriter vcd(out, nl, "s27", {nl.inputs()[0], nl.dffs()[0]});
-  std::vector<Logic> v(nl.num_gates(), Logic::Zero);
-  vcd.sample(0, v);
-  EXPECT_EQ(vcd.changes_written(), 2u);
-}
-
-TEST(CycleObserver, CalledOncePerObservedCycle) {
-  const Netlist nl = map_to_nand_nor_inv(make_s27());
-  const LeakageModel leak;
-  const CapacitanceModel caps;
-  Rng rng(99);
-  TestSet ts;
-  for (int i = 0; i < 3; ++i) ts.patterns.push_back(random_pattern(nl, rng));
-  ScanPowerEvaluator eval(nl, leak, caps);
-  std::size_t calls = 0;
-  std::size_t last_cycle = 0;
-  ScanSimOptions so;
-  so.cycle_observer = [&](std::size_t cycle, std::span<const Logic> values) {
-    EXPECT_EQ(values.size(), nl.num_gates());
-    last_cycle = cycle;
-    ++calls;
-  };
-  const ScanPowerResult r = eval.evaluate(ts, {}, {}, so);
-  EXPECT_EQ(calls, r.cycles);
-  EXPECT_EQ(last_cycle + 1, r.cycles);
-}
-
-TEST(CycleObserver, DrivesVcdDump) {
-  const Netlist nl = map_to_nand_nor_inv(make_s27());
-  const LeakageModel leak;
-  const CapacitanceModel caps;
-  Rng rng(101);
-  TestSet ts;
-  for (int i = 0; i < 2; ++i) ts.patterns.push_back(random_pattern(nl, rng));
-  std::ostringstream out;
-  VcdWriter vcd(out, nl, "scan");
-  ScanSimOptions so;
-  so.cycle_observer = [&](std::size_t cycle, std::span<const Logic> values) {
-    vcd.sample(cycle, values);
-  };
-  ScanPowerEvaluator eval(nl, leak, caps);
-  eval.evaluate(ts, {}, {}, so);
-  EXPECT_GT(vcd.changes_written(), nl.num_gates());  // initial dump + activity
-  EXPECT_NE(out.str().find("$dumpvars"), std::string::npos);
 }
 
 }  // namespace

@@ -76,7 +76,7 @@ TEST(GateTables, XTableMatchesExpectedLeakage) {
 
 // Acceptance: on every benchgen profile and every block width, every
 // lane's packed leakage must equal the scalar circuit_leakage_na of the
-// same vector within 1e-9 relative tolerance.
+// same vector exactly (same table doubles, same gate-ascending adds).
 TEST(PackedLeakage, PerLaneMatchesScalarOnEveryProfile) {
   const LeakageModel model;
   for (const SynthProfile& profile : iscas89_profiles()) {
@@ -119,7 +119,7 @@ TEST(PackedLeakage, PerLaneMatchesScalarOnEveryProfile) {
         }
         scalar.eval_incremental();
         const double ref = model.circuit_leakage_na(nl, scalar.values());
-        EXPECT_NEAR(leak[lane], ref, std::abs(ref) * 1e-9)
+        EXPECT_EQ(leak[lane], ref)
             << profile.name << " W=" << words << " lane=" << lane;
       }
     }
@@ -164,8 +164,7 @@ TEST(PackedLeakage, TernaryMatchesScalarWithXSources) {
       }
       // ...and so must the X-aware expected leakage.
       const double ref = model.circuit_leakage_na(nl, scalar.values());
-      EXPECT_NEAR(leak[lane], ref, std::abs(ref) * 1e-9)
-          << name << " lane=" << lane;
+      EXPECT_EQ(leak[lane], ref) << name << " lane=" << lane;
     }
   }
 }

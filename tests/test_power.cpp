@@ -205,6 +205,73 @@ TEST(PowerEstimator, DynamicScalesWithVddSquared) {
   EXPECT_NEAR(e2.dynamic_per_hz_uw(), 4.0 * e1.dynamic_per_hz_uw(), 1e-15);
 }
 
+TEST(PowerEstimator, FoldSkipsFirstCycleAndAveragesPerTransition) {
+  const Netlist nl = map_to_nand_nor_inv(make_s27());
+  const LeakageModel leakage;
+  const CapacitanceModel caps;
+  PowerEstimator est(nl, leakage, caps);
+  est.fold_cycle(99.0, 10.0);  // first cycle: its toggle figure is ignored
+  est.fold_cycle(2.0, 20.0);
+  est.fold_cycle(1.0, 30.0);
+  EXPECT_EQ(est.cycles_observed(), 3u);
+  EXPECT_EQ(est.mean_toggled_cap_ff(), 1.5);
+  EXPECT_EQ(est.peak_toggled_cap_ff(), 2.0);
+  EXPECT_EQ(est.mean_leakage_na(), 20.0);
+  EXPECT_EQ(est.peak_leakage_na(), 30.0);
+
+  est.reset();
+  EXPECT_EQ(est.cycles_observed(), 0u);
+  EXPECT_EQ(est.mean_toggled_cap_ff(), 0.0);
+  EXPECT_EQ(est.peak_toggled_cap_ff(), 0.0);
+  EXPECT_EQ(est.mean_leakage_na(), 0.0);
+  EXPECT_EQ(est.peak_leakage_na(), 0.0);
+  est.fold_cycle(7.0, 5.0);  // first cycle again after reset()
+  EXPECT_EQ(est.mean_toggled_cap_ff(), 0.0);
+  EXPECT_EQ(est.mean_leakage_na(), 5.0);
+}
+
+TEST(PowerEstimator, ObserveMatchesFoldOfScalarFiguresAcrossReset) {
+  const Netlist nl = map_to_nand_nor_inv(make_s27());
+  const LeakageModel leakage;
+  const CapacitanceModel caps;
+  const std::vector<double> w = caps.load_vector(nl);
+  PowerEstimator observed(nl, leakage, caps);
+  PowerEstimator folded(nl, leakage, caps);
+  EXPECT_EQ(std::vector<double>(observed.weights().begin(),
+                                observed.weights().end()),
+            w);
+  Simulator sim(nl);
+  Rng rng(13);
+  std::vector<std::vector<Logic>> states;
+  for (int i = 0; i < 6; ++i) {
+    for (GateId pi : nl.inputs()) sim.set_input(pi, from_bool(rng.next_bool()));
+    for (GateId ff : nl.dffs()) sim.set_state(ff, from_bool(rng.next_bool()));
+    sim.eval_incremental();
+    states.push_back(sim.values());
+  }
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    observed.observe(states[i]);
+    folded.fold_cycle(i ? weighted_toggles(states[i - 1], states[i], w) : 0.0,
+                      leakage.circuit_leakage_na(nl, states[i]));
+  }
+  EXPECT_EQ(observed.cycles_observed(), states.size());
+  EXPECT_EQ(observed.mean_toggled_cap_ff(), folded.mean_toggled_cap_ff());
+  EXPECT_EQ(observed.peak_toggled_cap_ff(), folded.peak_toggled_cap_ff());
+  EXPECT_EQ(observed.mean_leakage_na(), folded.mean_leakage_na());
+  EXPECT_GT(observed.mean_toggled_cap_ff(), 0.0);
+
+  // reset() forgets the previous state: the next observation is a first
+  // cycle and counts no toggles against the state seen before the reset.
+  observed.reset();
+  observed.observe(states[0]);
+  EXPECT_EQ(observed.cycles_observed(), 1u);
+  EXPECT_EQ(observed.mean_toggled_cap_ff(), 0.0);
+  EXPECT_EQ(observed.peak_toggled_cap_ff(), 0.0);
+  observed.observe(states[1]);
+  EXPECT_EQ(observed.mean_toggled_cap_ff(),
+            weighted_toggles(states[0], states[1], w));
+}
+
 // ---------- leakage observability -------------------------------------------
 
 TEST(Observability, InverterSignConvention) {

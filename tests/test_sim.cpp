@@ -207,18 +207,5 @@ TEST(Toggles, SizeMismatchThrows) {
   EXPECT_THROW(weighted_toggles(a, b, w), Error);
 }
 
-TEST(Toggles, AccumulatorAverages) {
-  ToggleAccumulator acc({1.0, 1.0});
-  acc.observe(logic_vector("00"));
-  acc.observe(logic_vector("11"));  // 2 toggles
-  acc.observe(logic_vector("10"));  // 1 toggle
-  EXPECT_EQ(acc.cycles(), 2u);
-  EXPECT_DOUBLE_EQ(acc.total(), 3.0);
-  EXPECT_DOUBLE_EQ(acc.per_cycle(), 1.5);
-  acc.reset();
-  EXPECT_EQ(acc.cycles(), 0u);
-  EXPECT_DOUBLE_EQ(acc.per_cycle(), 0.0);
-}
-
 }  // namespace
 }  // namespace scanpower

@@ -365,6 +365,41 @@ TEST(TraceRecorderTest, SpansNestAndExportIsWellFormed) {
   EXPECT_TRUE(session.telemetry().trace.events().empty());
 }
 
+TEST(TraceRecorderTest, FlowSpansEveryScanPowerEvaluation) {
+  if (!kTelemetryEnabled) GTEST_SKIP() << "telemetry compiled out";
+  ScanSession session(map_to_nand_nor_inv(make_s27()), FlowOptions{});
+  session.telemetry().trace.set_enabled(true);
+  (void)session.run_flow();
+  (void)session.power_report();
+
+  const std::vector<TraceEvent> evs = session.telemetry().trace.events();
+  const auto find = [&](const std::string& name) -> const TraceEvent* {
+    const TraceEvent* hit = nullptr;
+    for (const TraceEvent& e : evs) {
+      if (name == e.name) {
+        EXPECT_EQ(hit, nullptr) << name << " recorded twice";
+        hit = &e;
+      }
+    }
+    return hit;
+  };
+  const TraceEvent* flow = find("session.run_flow");
+  ASSERT_NE(flow, nullptr);
+  for (const char* stage : {"scan_power.traditional",
+                            "scan_power.input_control",
+                            "scan_power.proposed"}) {
+    const TraceEvent* e = find(stage);
+    ASSERT_NE(e, nullptr) << stage;
+    EXPECT_GT(e->depth, flow->depth) << stage;
+    EXPECT_LE(flow->start_us, e->start_us) << stage;
+    EXPECT_LE(e->start_us + e->dur_us, flow->start_us + flow->dur_us)
+        << stage;
+  }
+  const TraceEvent* report = find("scan_power.report");
+  ASSERT_NE(report, nullptr);
+  EXPECT_GE(report->start_us, flow->start_us + flow->dur_us);
+}
+
 TEST(TraceRecorderTest, DisabledRecorderStaysEmpty) {
   const Netlist nl = map_to_nand_nor_inv(make_iscas89_like("s344"));
   const auto pats = random_patterns(nl, 32, 0x50ff);
