@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -51,11 +52,11 @@ namespace {
 using namespace scanpower;
 
 // Kernel-backend axis for the backend-dispatch benchmarks: argument
-// values index this table (0=scalar, 1=avx2, 2=avx512, 3=wide). Only
+// values index this table (0=scalar, 1=avx2, 2=avx512). Only
 // backends available on the running host are registered, so a JSON run
 // never fails on a machine without the ISA -- its rows are just absent.
 constexpr SimBackend kBenchBackends[] = {SimBackend::Scalar, SimBackend::Avx2,
-                                         SimBackend::Avx512, SimBackend::Wide};
+                                         SimBackend::Avx512};
 
 SimBackend bench_backend(std::int64_t idx) {
   return kBenchBackends[static_cast<std::size_t>(idx)];
@@ -63,7 +64,7 @@ SimBackend bench_backend(std::int64_t idx) {
 
 std::vector<std::int64_t> available_backend_indices() {
   std::vector<std::int64_t> v;
-  for (std::int64_t i = 0; i < 4; ++i) {
+  for (std::int64_t i = 0; i < std::ssize(kBenchBackends); ++i) {
     if (backend_available(kBenchBackends[i])) v.push_back(i);
   }
   return v;
@@ -146,12 +147,7 @@ void BM_BlockSimEval(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockSimEval)->Apply([](benchmark::internal::Benchmark* b) {
   for (std::int64_t be : available_backend_indices()) {
-    const SimBackend backend = bench_backend(be);
-    for (std::int64_t w : {1, 2, 4, 8, 16, 32}) {
-      if (backend_supports_words(backend, static_cast<int>(w))) {
-        b->Args({w, be});
-      }
-    }
+    for (int w : kBlockWords) b->Args({w, be});
   }
 });
 
@@ -205,16 +201,10 @@ BENCHMARK(BM_FaultSimS9234)
     ->Args({4, 2, 0})
     ->Args({4, 4, 0})   // acceptance configuration
     ->Apply([](benchmark::internal::Benchmark* b) {
-      // Backend comparison rows at the W=4 single-thread shape (the wide
-      // backend at its native widths).
+      // Backend comparison rows at the W=4/8 single-thread shapes.
       for (std::int64_t be : available_backend_indices()) {
         if (be == 0) continue;  // scalar rows registered above
-        const SimBackend backend = bench_backend(be);
-        if (backend == SimBackend::Wide) {
-          b->Args({16, 1, be})->Args({32, 1, be});
-        } else {
-          b->Args({4, 1, be})->Args({8, 1, be});
-        }
+        b->Args({4, 1, be})->Args({8, 1, be});
       }
     });
 
@@ -507,13 +497,12 @@ void BM_CircuitLeakage(benchmark::State& state) {
 BENCHMARK(BM_CircuitLeakage);
 
 // Leakage evaluation of 256 random fully specified vectors on the
-// s9234-like profile: simulate + per-vector circuit leakage. Arg 0 is the
-// scalar stack (one Simulator pass + circuit_leakage_na walk per vector),
-// arg 1 the packed stack (one BlockSimulator sweep + per-lane table
-// aggregation) with arg 2 the kernel backend index and W at the backend's
-// native width (4, or 16 for the wide backend). Throughput in gate-vector
-// pairs per second; one iteration evaluates one lane block, so items
-// processed scale with the width.
+// s9234-like profile: simulate + per-vector circuit leakage. Args are
+// (engine, kernel backend index): engine 0 is the scalar stack (one
+// Simulator pass + circuit_leakage_na walk per vector), engine 1 the
+// packed stack (one W = 4 BlockSimulator sweep + per-lane table
+// aggregation). Throughput in gate-vector pairs per second; one packed
+// iteration evaluates one 256-lane block.
 void BM_LeakageEval(benchmark::State& state) {
   const Netlist& nl = circuit("s9234");
   const LeakageModel model;
@@ -523,7 +512,7 @@ void BM_LeakageEval(benchmark::State& state) {
   std::int64_t vectors = kVectors;
   if (packed) {
     const SimBackend backend = bench_backend(state.range(1));
-    const int words = backend == SimBackend::Wide ? 16 : 4;
+    constexpr int words = 4;
     const GateLeakageTables tables(nl, model);
     const PackedLeakageEvaluator leval(nl, tables, backend);
     BlockSimulator sim(nl, words, backend);
@@ -602,8 +591,7 @@ BENCHMARK(BM_ObservabilityMC)
     ->Apply([](benchmark::internal::Benchmark* b) {
       for (std::int64_t be : available_backend_indices()) {
         if (be == 0) continue;  // scalar rows registered above
-        const SimBackend backend = bench_backend(be);
-        b->Args({1, backend == SimBackend::Wide ? 16 : 4, 1, be});
+        b->Args({1, 4, 1, be});
       }
     });
 

@@ -85,7 +85,7 @@ inline bool value_flag(int argc, char** argv, int& i, const char* name,
   return true;
 }
 
-/// Matches "--name <backend>" (auto/scalar/avx2/avx512/wide); a bad name
+/// Matches "--name <backend>" (auto/scalar/avx2/avx512); a bad name
 /// is a fatal usage error listing the valid ones.
 inline bool backend_flag(int argc, char** argv, int& i, const char* name,
                          SimBackend& out) {
@@ -93,7 +93,7 @@ inline bool backend_flag(int argc, char** argv, int& i, const char* name,
   if (!value_flag(argc, argv, i, name, v)) return false;
   if (!parse_backend(v, &out)) {
     std::fprintf(stderr,
-                 "error: %s must be auto, scalar, avx2, avx512 or wide "
+                 "error: %s must be auto, scalar, avx2 or avx512 "
                  "(got \"%s\")\n",
                  name, v);
     std::exit(2);

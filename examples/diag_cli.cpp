@@ -20,9 +20,8 @@
 //     --random <n>         use n random patterns instead of the ATPG set
 //     --seed <n>           pattern seed
 //     --threads <n>        candidate-scoring worker threads (0 = all cores)
-//     --block-words <w>    packed block width (1, 2, 4, 8, 16 or 32; 16/32
-//                          require the wide backend)
-//     --backend <b>        kernel backend (auto, scalar, avx2, avx512, wide)
+//     --block-words <w>    packed block width in 64-bit words
+//     --backend <b>        kernel backend (auto, scalar, avx2, avx512)
 //     --no-prune           score the whole fault list (skip cone back-trace)
 //     --top <n>            report size (default 10)
 //     --json <file>        machine-readable result dump (an object for a
@@ -104,7 +103,7 @@ int usage(const char* argv0) {
       "          [--inject fault | --inject-index n]\n"
       "          [--save-log file] [--named-log] [--random n] [--seed n]\n"
       "          [--threads n] [--block-words w] [--no-prune]\n"
-      "          [--backend auto|scalar|avx2|avx512|wide]\n"
+      "          [--backend auto|scalar|avx2|avx512]\n"
       "          [--no-early-exit] [--top n] [--json file] [--no-map]\n"
       "          [--verbose] [--log-level debug|info|warn|error|off]\n"
       "          [--metrics | --metrics=json] [--trace file]\n"

@@ -45,7 +45,7 @@
 //               [--max-pending n] [--overload block|reject]
 //               [--pool-capacity n] [--max-batch n] [--top n]
 //               [--threads n] [--block-words w]
-//               [--backend auto|scalar|avx2|avx512|wide]
+//               [--backend auto|scalar|avx2|avx512]
 //               [--log-level debug|info|warn|error|off]
 //
 //   --max-pending bounds queued+in-flight jobs (0 = unbounded);
@@ -82,7 +82,7 @@ int usage(const char* argv0) {
       "          [--max-pending n] [--overload block|reject]\n"
       "          [--pool-capacity n] [--max-batch n] [--top n]\n"
       "          [--threads n] [--block-words w]\n"
-      "          [--backend auto|scalar|avx2|avx512|wide]\n"
+      "          [--backend auto|scalar|avx2|avx512]\n"
       "          [--log-level debug|info|warn|error|off]\n"
       "\n"
       "  Without --listen, reads newline-delimited commands on stdin;\n"

@@ -10,9 +10,8 @@
 //     --margin <ps>       extra slack demanded by AddMUX
 //     --seed <n>          ATPG/fill/observability seed
 //     --threads <n>       fault-simulation worker threads (0 = all cores)
-//     --block-words <w>   packed simulation block width (1, 2, 4, 8, 16 or
-//                         32; 16/32 require the wide backend)
-//     --backend <b>       kernel backend (auto, scalar, avx2, avx512, wide)
+//     --block-words <w>   packed simulation block width in 64-bit words
+//     --backend <b>       kernel backend (auto, scalar, avx2, avx512)
 //     --json <file>       machine-readable result dump (includes a
 //                         "metrics" section with the session's counters)
 //     --write <out.bench> write the mux-inserted netlist
@@ -45,7 +44,7 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <design.bench> [--no-map] [--no-reorder] [--no-obs]"
                " [--margin ps] [--seed n] [--threads n] [--block-words w]"
-               " [--backend auto|scalar|avx2|avx512|wide]"
+               " [--backend auto|scalar|avx2|avx512]"
                " [--json file] [--write out.bench] [--verbose]"
                " [--log-level debug|info|warn|error|off]"
                " [--metrics | --metrics=json] [--trace file]\n",

@@ -15,7 +15,6 @@ CounterId backend_blocks_counter(SimBackend b) {
   switch (b) {
     case SimBackend::Avx2: return CounterId::kBackendBlocksAvx2;
     case SimBackend::Avx512: return CounterId::kBackendBlocksAvx512;
-    case SimBackend::Wide: return CounterId::kBackendBlocksWide;
     default: return CounterId::kBackendBlocksScalar;
   }
 }
@@ -34,8 +33,7 @@ std::vector<std::uint8_t> observable_net_mask(const Netlist& nl) {
 void FaultConeEvaluator::init(const Netlist& nl, int block_words,
                               SimBackend backend) {
   SP_CHECK(nl.finalized(), "FaultConeEvaluator requires a finalized netlist");
-  SP_CHECK(is_valid_block_words(block_words),
-           "FaultConeEvaluator: block_words must be 1, 2, 4, 8, 16 or 32");
+  check_block_words("FaultConeEvaluator", block_words, "block_words");
   nl_ = &nl;
   words_ = block_words;
   backend_ = resolve_backend(backend, block_words);
@@ -85,8 +83,7 @@ const std::vector<GateId>& FaultConeEvaluator::cone(GateId site) {
 FaultSimulator::FaultSimulator(const Netlist& nl, FaultSimOptions opts)
     : nl_(&nl), opts_(opts) {
   SP_CHECK(nl.finalized(), "FaultSimulator requires a finalized netlist");
-  SP_CHECK(is_valid_block_words(opts_.block_words),
-           "fault_sim: block_words must be 1, 2, 4, 8, 16 or 32");
+  check_block_words("fault_sim", opts_.block_words, "block_words");
   opts_.num_threads = ThreadPool::resolve_threads(opts_.num_threads);
   observable_ = observable_net_mask(nl);
 
@@ -188,15 +185,10 @@ FaultSimResult FaultSimulator::run(std::span<const TestPattern> patterns,
     load_pattern_block(nl, patterns, base, good);
     good.eval();
 
-    switch (W) {
-      case 1: sweep_faults<1>(good, base, batch, faults, live, res, detected_u8); break;
-      case 2: sweep_faults<2>(good, base, batch, faults, live, res, detected_u8); break;
-      case 4: sweep_faults<4>(good, base, batch, faults, live, res, detected_u8); break;
-      case 8: sweep_faults<8>(good, base, batch, faults, live, res, detected_u8); break;
-      case 16: sweep_faults<16>(good, base, batch, faults, live, res, detected_u8); break;
-      case 32: sweep_faults<32>(good, base, batch, faults, live, res, detected_u8); break;
-      default: SP_ASSERT(false, "invalid block width");
-    }
+    dispatch_words(W, [&](auto w) {
+      sweep_faults<decltype(w)::value>(good, base, batch, faults, live, res,
+                                       detected_u8);
+    });
     num_detected = 0;
     for (const Worker& w : workers_) num_detected += w.num_detected;
   }

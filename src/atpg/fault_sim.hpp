@@ -2,7 +2,7 @@
 // Parallel-pattern, cone-restricted stuck-at fault simulation (PPSFP).
 //
 // Patterns are packed 64*W per block (W words of 64 bit lanes, W
-// runtime-selectable from {1,2,4,8}); for each live fault only the fanout
+// runtime-selectable from kBlockWords); for each live fault only the fanout
 // cone of the fault site is re-evaluated against the good machine, and
 // detection is checked at the observable points inside the cone (primary
 // outputs and DFF D pins -- the full-scan response).
@@ -128,14 +128,13 @@ struct FaultSimResult {
 
 struct FaultSimOptions {
   /// Pattern words per simulation block: 64*block_words patterns per
-  /// sweep. Must be 1, 2, 4, 8, 16 or 32 (16/32 require the wide
-  /// backend).
+  /// sweep. Must be in kBlockWords (packed_sim.hpp).
   int block_words = 4;
   /// Worker count for the per-fault sweep. 1 = serial (no threads
   /// spawned); 0 = hardware concurrency.
   int num_threads = 1;
-  /// Kernel backend; Auto = best available for the width. Results are
-  /// bit-identical across backends.
+  /// Kernel backend; Auto = best available. Results are bit-identical
+  /// across backends.
   SimBackend backend = SimBackend::Auto;
   /// Optional metrics/trace scope (not owned; nullptr = no telemetry).
   Telemetry* telemetry = nullptr;

@@ -2,8 +2,20 @@
 
 #include "atpg/sim_kernels.hpp"
 #include "util/assert.hpp"
+#include "util/strings.hpp"
 
 namespace scanpower {
+
+void check_block_words(const char* who, int w, const char* knob) {
+  if (is_valid_block_words(w)) return;
+  std::string set;
+  for (std::size_t i = 0; i < kBlockWords.size(); ++i) {
+    if (i > 0) set += i + 1 == kBlockWords.size() ? " or " : ", ";
+    set += std::to_string(kBlockWords[i]);
+  }
+  throw Error(
+      strprintf("%s: %s must be %s (got %d)", who, knob, set.c_str(), w));
+}
 
 PatternWord eval_type_packed(GateType type, std::span<const PatternWord> ins) {
   switch (type) {
@@ -46,8 +58,7 @@ BlockSimulator::BlockSimulator(const Netlist& nl, int words,
                                SimBackend backend)
     : nl_(&nl), words_(words) {
   SP_CHECK(nl.finalized(), "BlockSimulator requires a finalized netlist");
-  SP_CHECK(is_valid_block_words(words),
-           "BlockSimulator: block width must be 1, 2, 4, 8, 16 or 32 words");
+  check_block_words("BlockSimulator", words, "words");
   backend_ = resolve_backend(backend, words);
   kern_ = &sim_kernels(backend_);
   values_.assign(nl.num_gates() * static_cast<std::size_t>(words_), 0);

@@ -3,12 +3,15 @@
 //
 // Each gate's value is a block of W 64-bit words (W*64 fully specified
 // patterns per sweep, one pattern per bit lane). W is selected at runtime
-// from {1, 2, 4, 8} for the word backends, or {16, 32} for the
-// device-shaped wide backend; full evaluation dispatches through a
-// per-backend kernel table (see sim_backend.hpp / sim_kernels.hpp), so
-// the same simulator runs scalar, AVX2, AVX-512 or wide kernels with
-// bit-identical results. Used by the fault simulator (good machine +
-// cone-restricted faulty machine) and by random-phase test generation.
+// from kBlockWords; full evaluation dispatches through a per-backend
+// kernel table (see sim_backend.hpp / sim_kernels.hpp), so the same
+// simulator runs scalar, AVX2 or AVX-512 kernels with bit-identical
+// results. Used by the fault simulator (good machine + cone-restricted
+// faulty machine) and by random-phase test generation.
+//
+// This header owns the block-width set: every engine validates a width
+// with check_block_words and turns it into a template argument with
+// dispatch_words, so no other file lists the widths.
 //
 // Inner loops read the netlist through the flat CSR views (fanin_span /
 // types_flat) and use fixed-fanin fast paths for the NAND/NOR/INV-mapped
@@ -18,6 +21,8 @@
 #include <array>
 #include <cstdint>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "atpg/sim_backend.hpp"
@@ -42,11 +47,32 @@ struct PackedBlock {
   }
 };
 
-/// Widths accepted by BlockSimulator / FaultSimOptions. 1-8 are the word
-/// backends' widths; 16/32 belong to the wide backend (see
-/// backend_supports_words for the per-backend matrix).
-inline bool is_valid_block_words(int w) {
-  return w == 1 || w == 2 || w == 4 || w == 8 || w == 16 || w == 32;
+/// The block widths (words per gate) every packed engine and every kernel
+/// backend supports.
+inline constexpr std::array<int, 4> kBlockWords = {1, 2, 4, 8};
+
+inline constexpr bool is_valid_block_words(int w) {
+  for (int v : kBlockWords) {
+    if (v == w) return true;
+  }
+  return false;
+}
+
+/// Throws Error "<who>: <knob> must be 1, 2, 4 or 8 (got <w>)" unless `w`
+/// is in kBlockWords.
+void check_block_words(const char* who, int w, const char* knob);
+
+/// Calls `fn(std::integral_constant<int, W>{})` for the W in kBlockWords
+/// equal to `words`, so a generic lambda can instantiate a per-width
+/// template. `words` must be valid (checked by the engine's constructor).
+template <typename Fn>
+void dispatch_words(int words, Fn&& fn) {
+  const bool hit = [&]<std::size_t... I>(std::index_sequence<I...>) {
+    return ((words == kBlockWords[I] &&
+             (fn(std::integral_constant<int, kBlockWords[I]>{}), true)) ||
+            ...);
+  }(std::make_index_sequence<kBlockWords.size()>{});
+  SP_ASSERT(hit, "dispatch_words: unsupported block width");
 }
 
 /// Lane-validity mask for a block holding `batch` patterns (a final block

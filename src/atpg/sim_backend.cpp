@@ -54,14 +54,13 @@ const char* backend_name(SimBackend b) {
     case SimBackend::Scalar: return "scalar";
     case SimBackend::Avx2: return "avx2";
     case SimBackend::Avx512: return "avx512";
-    case SimBackend::Wide: return "wide";
   }
   return "?";
 }
 
 bool parse_backend(const std::string& s, SimBackend* out) {
   for (SimBackend b : {SimBackend::Auto, SimBackend::Scalar, SimBackend::Avx2,
-                       SimBackend::Avx512, SimBackend::Wide}) {
+                       SimBackend::Avx512}) {
     if (s == backend_name(b)) {
       *out = b;
       return true;
@@ -74,7 +73,6 @@ bool backend_compiled(SimBackend b) {
   switch (b) {
     case SimBackend::Auto:
     case SimBackend::Scalar:
-    case SimBackend::Wide:
       return true;
     case SimBackend::Avx2:
       return avx2_sim_kernels() != nullptr;
@@ -88,31 +86,14 @@ bool backend_available(SimBackend b) {
   return backend_compiled(b) && cpu_supports(b);
 }
 
-bool backend_supports_words(SimBackend b, int block_words) {
-  if (!is_valid_block_words(block_words)) return false;
-  switch (b) {
-    case SimBackend::Auto:
-    case SimBackend::Scalar:
-      return true;
-    case SimBackend::Avx2:
-    case SimBackend::Avx512:
-      return block_words <= 8;
-    case SimBackend::Wide:
-      return block_words >= 16;
-  }
-  return false;
-}
-
-SimBackend detect_best_backend(int block_words) {
-  if (block_words > 8) return SimBackend::Wide;
+SimBackend detect_best_backend() {
   if (backend_available(SimBackend::Avx512)) return SimBackend::Avx512;
   if (backend_available(SimBackend::Avx2)) return SimBackend::Avx2;
   return SimBackend::Scalar;
 }
 
 SimBackend resolve_backend(SimBackend req, int block_words) {
-  SP_CHECK(is_valid_block_words(block_words),
-           strprintf("resolve_backend: invalid block width %d", block_words));
+  check_block_words("resolve_backend", block_words, "block_words");
   if (req != SimBackend::Auto) {
     SP_CHECK(backend_available(req),
              strprintf("backend '%s' is not available on this host%s",
@@ -120,25 +101,17 @@ SimBackend resolve_backend(SimBackend req, int block_words) {
                        backend_compiled(req)
                            ? " (CPU lacks the required features)"
                            : " (library built without its kernels)"));
-    SP_CHECK(backend_supports_words(req, block_words),
-             strprintf("backend '%s' does not support block_words=%d "
-                       "(scalar: any width; avx2/avx512: 1-8; wide: 16/32)",
-                       backend_name(req), block_words));
     return req;
   }
   const SimBackend forced = forced_backend();
-  if (forced != SimBackend::Auto && backend_available(forced) &&
-      backend_supports_words(forced, block_words)) {
-    return forced;
-  }
-  return detect_best_backend(block_words);
+  if (forced != SimBackend::Auto && backend_available(forced)) return forced;
+  return detect_best_backend();
 }
 
 const SimKernels& sim_kernels(SimBackend resolved) {
   const SimKernels* k = nullptr;
   switch (resolved) {
     case SimBackend::Scalar: k = scalar_sim_kernels(); break;
-    case SimBackend::Wide: k = wide_sim_kernels(); break;
     case SimBackend::Avx2: k = avx2_sim_kernels(); break;
     case SimBackend::Avx512: k = avx512_sim_kernels(); break;
     case SimBackend::Auto: break;

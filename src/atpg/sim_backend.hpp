@@ -8,45 +8,39 @@
 //
 //   Scalar -- the portable word engine; always available and the
 //             bit-exactness reference every other backend is checked
-//             against. Supports every block width.
+//             against.
 //   Avx2   -- x86-64 AVX2 kernels (256-bit gate ops, vpgatherqq-style
 //             table gathers, masked vertical observability adds).
 //             Compiled only when CMake's SCANPOWER_SIMD finds -mavx2;
 //             selected only when the running CPU reports AVX2.
-//             Supports W in {1, 2, 4, 8}.
 //   Avx512 -- as Avx2 with 512-bit gate kernels; needs AVX-512 F/BW/DQ/VL.
-//   Wide   -- the "device-shaped" backend: W in {16, 32} (1024/2048 bit
-//             lanes per gate), structure-of-arrays value planes and a
-//             uniform, branch-free per-gate inner loop (no 2-input
-//             special cases) -- the loop shape a GPU port would use. Runs
-//             on any CPU; CI cross-checks it against Scalar.
+//
+// Every backend runs every block width in kBlockWords (packed_sim.hpp).
 //
 // Selection contract (the house determinism rule): every backend is
 // bit-identical to Scalar for values, detection indices, rankings,
 // suspect sets and observability/fill reductions at every (block width,
 // thread count), so backend choice -- like pool size -- is result-neutral.
 //
-// `Auto` resolves to the best available backend for the block width; the
-// SCANPOWER_FORCE_BACKEND environment variable (scalar/avx2/avx512/wide)
+// `Auto` resolves to the best available backend; the
+// SCANPOWER_FORCE_BACKEND environment variable (scalar/avx2/avx512)
 // overrides the detection for Auto-configured engines, falling back
-// gracefully (never an error) when the forced backend is unavailable or
-// does not support the width. An *explicitly* configured backend is a
-// hard contract: resolve_backend throws Error if it is unavailable or
-// width-incompatible.
+// gracefully (never an error) when the forced backend is unavailable. An
+// *explicitly* configured backend is a hard contract: resolve_backend
+// throws Error if it is unavailable.
 
 #include <string>
 
 namespace scanpower {
 
 enum class SimBackend : int {
-  Auto = 0,  ///< best available backend for the width (default)
+  Auto = 0,  ///< best available backend (default)
   Scalar,    ///< portable reference word engine
   Avx2,      ///< x86-64 AVX2 kernels
   Avx512,    ///< x86-64 AVX-512 kernels
-  Wide,      ///< device-shaped wide backend (W in {16, 32})
 };
 
-/// Stable lower-case name ("auto", "scalar", "avx2", "avx512", "wide").
+/// Stable lower-case name ("auto", "scalar", "avx2", "avx512").
 const char* backend_name(SimBackend b);
 
 /// Parses a backend name (as produced by backend_name); returns false on
@@ -54,25 +48,21 @@ const char* backend_name(SimBackend b);
 bool parse_backend(const std::string& s, SimBackend* out);
 
 /// True if the backend's kernel TU was compiled with the required ISA
-/// (CMake flag checks). Scalar and Wide are always compiled.
+/// (CMake flag checks). Scalar is always compiled.
 bool backend_compiled(SimBackend b);
 
 /// True if the backend can run here: compiled and the CPU reports the
-/// required features. Scalar and Wide are always available.
+/// required features. Scalar is always available.
 bool backend_available(SimBackend b);
 
-/// Width support matrix: Scalar {1,2,4,8,16,32}, Avx2/Avx512 {1,2,4,8},
-/// Wide {16,32}. Auto supports any valid width.
-bool backend_supports_words(SimBackend b, int block_words);
-
-/// Best available backend for a width, ignoring the environment:
-/// W > 8 -> Wide; otherwise Avx512 > Avx2 > Scalar.
-SimBackend detect_best_backend(int block_words);
+/// Best available backend, ignoring the environment:
+/// Avx512 > Avx2 > Scalar.
+SimBackend detect_best_backend();
 
 /// Resolves a requested backend for a block width (see the selection
-/// contract above). Never returns Auto; the result is always available
-/// and supports `block_words`. Throws Error for an explicit request that
-/// is unavailable or width-incompatible.
+/// contract above). Never returns Auto; the result is always available.
+/// Throws Error for an invalid width or an explicit request that is
+/// unavailable.
 SimBackend resolve_backend(SimBackend req, int block_words);
 
 }  // namespace scanpower

@@ -2,8 +2,8 @@
 // Per-backend kernel dispatch table for the packed engines.
 //
 // A SimKernels is a table of function pointers covering every hot loop of
-// the packed stack; each backend (scalar / AVX2 / AVX-512 / wide) provides
-// one table from its own translation unit, compiled with that backend's
+// the packed stack; each backend (scalar / AVX2 / AVX-512) provides one
+// table from its own translation unit, compiled with that backend's
 // ISA flags (CMake sets per-source COMPILE_OPTIONS, so the rest of the
 // library stays runnable on non-AVX hosts). All kernel implementations in
 // the backend TUs live in anonymous namespaces: nothing compiled with
@@ -50,8 +50,8 @@ struct ConeSweepArgs {
 };
 
 /// One backend's kernel table. Obtain through sim_kernels(); the `words`
-/// arguments must be widths the backend supports (resolve_backend
-/// guarantees this for engine-constructed simulators).
+/// arguments must be in kBlockWords (packed_sim.hpp), which every backend
+/// supports.
 struct SimKernels {
   SimBackend backend;
 
@@ -87,11 +87,10 @@ struct SimKernels {
                      std::uint32_t* c1);
 };
 
-/// Per-backend tables. Scalar and wide always exist; avx2/avx512 return
+/// Per-backend tables. Scalar always exists; avx2/avx512 return
 /// nullptr when their TU was compiled without the ISA (SCANPOWER_SIMD off,
 /// non-x86 host, or the compiler lacks the flags).
 const SimKernels* scalar_sim_kernels();
-const SimKernels* wide_sim_kernels();
 const SimKernels* avx2_sim_kernels();
 const SimKernels* avx512_sim_kernels();
 

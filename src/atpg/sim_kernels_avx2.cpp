@@ -29,7 +29,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <type_traits>
 
 #include "atpg/packed_sim.hpp"
 #include "util/assert.hpp"
@@ -81,8 +80,8 @@ void eval_ternary(const Netlist& nl, PatternWord* p1, PatternWord* p0,
 }
 
 void cone_sweep(ConeSweepArgs& a, int words) {
-  dispatch_words<1u | 2u | 4u | 8u>(
-      words, [&](auto w) { cone_sweep_impl<decltype(w)::value>(a); });
+  dispatch_words(words,
+                 [&](auto w) { cone_sweep_impl<decltype(w)::value>(a); });
 }
 
 void leak_gather(const double* table, unsigned base, const PatternWord* src,

@@ -6,7 +6,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <type_traits>
 
 #include "atpg/packed_sim.hpp"
 #include "atpg/sim_kernels.hpp"
@@ -17,23 +16,22 @@ namespace {
 
 #include "atpg/sim_kernels_impl.inc"
 
-constexpr unsigned kWidths = 1u | 2u | 4u | 8u | 16u | 32u;
-
 void eval_full(const Netlist& nl, PatternWord* values, int words) {
-  dispatch_words<kWidths>(
-      words, [&](auto w) { eval_full_impl<decltype(w)::value>(nl, values); });
+  dispatch_words(words, [&](auto w) {
+    eval_full_impl<decltype(w)::value>(nl, values);
+  });
 }
 
 void eval_ternary(const Netlist& nl, PatternWord* p1, PatternWord* p0,
                   int words) {
-  dispatch_words<kWidths>(words, [&](auto w) {
+  dispatch_words(words, [&](auto w) {
     eval_ternary_impl<decltype(w)::value>(nl, p1, p0);
   });
 }
 
 void cone_sweep(ConeSweepArgs& a, int words) {
-  dispatch_words<kWidths>(words,
-                          [&](auto w) { cone_sweep_impl<decltype(w)::value>(a); });
+  dispatch_words(words,
+                 [&](auto w) { cone_sweep_impl<decltype(w)::value>(a); });
 }
 
 const SimKernels kTable = {

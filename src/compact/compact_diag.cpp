@@ -40,8 +40,7 @@ struct SignatureDiagnoser::Worker {
 SignatureDiagnoser::SignatureDiagnoser(const Netlist& nl, DiagnosisOptions opts)
     : nl_(&nl), opts_(opts) {
   SP_CHECK(nl.finalized(), "SignatureDiagnoser requires a finalized netlist");
-  SP_CHECK(is_valid_block_words(opts_.block_words),
-           "diagnose: block_words must be 1, 2, 4, 8, 16 or 32");
+  check_block_words("diagnose", opts_.block_words, "block_words");
   opts_.num_threads = ThreadPool::resolve_threads(opts_.num_threads);
   owned_points_ = std::make_unique<ObservationPoints>(nl);
   owned_cones_ = std::make_unique<ObservationConeCache>(nl, *owned_points_);
@@ -66,8 +65,7 @@ SignatureDiagnoser::SignatureDiagnoser(const Netlist& nl, DiagnosisOptions opts,
     : nl_(&nl), opts_(opts), points_(&points), cones_(&cones), goods_(&goods),
       pool_(&pool) {
   SP_CHECK(nl.finalized(), "SignatureDiagnoser requires a finalized netlist");
-  SP_CHECK(is_valid_block_words(opts_.block_words),
-           "diagnose: block_words must be 1, 2, 4, 8, 16 or 32");
+  check_block_words("diagnose", opts_.block_words, "block_words");
   opts_.num_threads = pool.size();
   workers_.resize(static_cast<std::size_t>(pool_->size()));
   for (auto& w : workers_) {
@@ -302,15 +300,10 @@ DiagnosisResult SignatureDiagnoser::diagnose_with(
     {
       TraceSpan span(telem, "score", 0, CounterId::kDiagScoreUs,
                      &res.stats.score_us);
-      switch (opts_.block_words) {
-        case 1: score_candidates<1>(patterns, faults, candidates, log, plan, compactor, scores); break;
-        case 2: score_candidates<2>(patterns, faults, candidates, log, plan, compactor, scores); break;
-        case 4: score_candidates<4>(patterns, faults, candidates, log, plan, compactor, scores); break;
-        case 8: score_candidates<8>(patterns, faults, candidates, log, plan, compactor, scores); break;
-        case 16: score_candidates<16>(patterns, faults, candidates, log, plan, compactor, scores); break;
-        case 32: score_candidates<32>(patterns, faults, candidates, log, plan, compactor, scores); break;
-        default: SP_ASSERT(false, "invalid block width");
-      }
+      dispatch_words(opts_.block_words, [&](auto w) {
+        score_candidates<decltype(w)::value>(patterns, faults, candidates, log,
+                                             plan, compactor, scores);
+      });
     }
 
     std::sort(scores.begin(), scores.end());

@@ -15,15 +15,10 @@ std::uint64_t default_misr_poly(int width) {
   // Reflected CRC constants (Galois right-shift form). Truncating keeps
   // the top bit set (both constants lead with binary 11), which is all
   // correctness needs; the canonical widths get the standard polynomials.
-  switch (width) {
-    case 8: return 0x8CULL;                  // CRC-8/MAXIM
-    case 16: return 0xA001ULL;               // CRC-16/IBM
-    case 32: return 0xEDB88320ULL;           // CRC-32
-    case 64: return 0xC96C5795D7870F42ULL;   // CRC-64/XZ
-    default:
-      if (width < 32) return 0xEDB88320ULL >> (32 - width);
-      return 0xC96C5795D7870F42ULL >> (64 - width);
-  }
+  if (width == 8) return 0x8CULL;                         // CRC-8/MAXIM
+  if (width == 16) return 0xA001ULL;                      // CRC-16/IBM
+  if (width <= 32) return 0xEDB88320ULL >> (32 - width);  // 32: CRC-32
+  return 0xC96C5795D7870F42ULL >> (64 - width);           // 64: CRC-64/XZ
 }
 
 std::uint64_t MisrConfig::resolved_poly() const {
@@ -72,8 +67,7 @@ std::vector<std::uint64_t> Misr::compact_scalar(const ResponseMatrix& responses,
 
 MisrCompactor::MisrCompactor(const MisrConfig& cfg, int block_words)
     : misr_(cfg), words_(block_words) {
-  SP_CHECK(is_valid_block_words(block_words),
-           "MisrCompactor: block_words must be 1, 2, 4, 8, 16 or 32");
+  check_block_words("MisrCompactor", block_words, "block_words");
 }
 
 template <int W>
@@ -169,15 +163,9 @@ void MisrCompactor::compact_rows(std::span<const PatternWord> rows,
                  mask->num_windows() == out.size(),
              "MisrCompactor: X-mask plan shape mismatch");
   }
-  switch (words_) {
-    case 1: compact_impl<1>(rows, num_points, num_patterns, mask, out); break;
-    case 2: compact_impl<2>(rows, num_points, num_patterns, mask, out); break;
-    case 4: compact_impl<4>(rows, num_points, num_patterns, mask, out); break;
-    case 8: compact_impl<8>(rows, num_points, num_patterns, mask, out); break;
-    case 16: compact_impl<16>(rows, num_points, num_patterns, mask, out); break;
-    case 32: compact_impl<32>(rows, num_points, num_patterns, mask, out); break;
-    default: SP_ASSERT(false, "invalid block width");
-  }
+  dispatch_words(words_, [&](auto w) {
+    compact_impl<decltype(w)::value>(rows, num_points, num_patterns, mask, out);
+  });
 }
 
 void MisrCompactor::compact(const ResponseMatrix& responses,

@@ -64,8 +64,7 @@ XMaskPlan::XMaskPlan(const Netlist& nl, const ObservationPoints& points,
                      std::span<const TestPattern> patterns, int window,
                      int block_words, SimBackend backend) {
   SP_CHECK(window >= 1, "XMaskPlan: window must be at least 1 pattern");
-  SP_CHECK(is_valid_block_words(block_words),
-           "XMaskPlan: block_words must be 1, 2, 4, 8, 16 or 32");
+  check_block_words("XMaskPlan", block_words, "block_words");
   num_points_ = points.size();
   num_windows_ = (patterns.size() + static_cast<std::size_t>(window) - 1) /
                  static_cast<std::size_t>(window);

@@ -7,16 +7,9 @@ namespace scanpower {
 
 namespace {
 
-void check_block_words(const char* who, int w, const char* knob) {
-  SP_CHECK(is_valid_block_words(w),
-           strprintf("%s: %s must be 1, 2, 4, 8, 16 or 32 (got %d)", who,
-                     knob, w));
-}
-
 /// Explicit backends are a hard contract (Auto falls back gracefully):
 /// fail construction with the knob named instead of deep inside an engine.
-void check_backend(const char* who, SimBackend b, int words,
-                   const char* knob) {
+void check_backend(const char* who, SimBackend b, const char* knob) {
   if (b == SimBackend::Auto) return;
   SP_CHECK(backend_available(b),
            strprintf("%s: %s backend '%s' is not available on this "
@@ -24,11 +17,6 @@ void check_backend(const char* who, SimBackend b, int words,
                      who, knob, backend_name(b),
                      backend_compiled(b) ? "CPU lacks the required features"
                                          : "library built without its kernels"));
-  SP_CHECK(backend_supports_words(b, words),
-           strprintf("%s: %s backend '%s' does not support "
-                     "block_words=%d (scalar: any width; avx2/avx512: 1-8; "
-                     "wide: 16/32)",
-                     who, knob, backend_name(b), words));
 }
 
 void check_threads(const char* who, int t, const char* knob) {
@@ -52,12 +40,10 @@ void validate_flow_options(const Netlist& nl, const FlowOptions& opts,
   check_block_words(who, opts.observability.block_words,
                     "observability.block_words");
   check_block_words(who, opts.fill.block_words, "fill.block_words");
-  check_backend(who, opts.tpg.fault_sim.backend,
-                opts.tpg.fault_sim.block_words, "tpg.fault_sim");
-  check_backend(who, opts.diag.backend, opts.diag.block_words, "diag");
-  check_backend(who, opts.observability.backend,
-                opts.observability.block_words, "observability");
-  check_backend(who, opts.fill.backend, opts.fill.block_words, "fill");
+  check_backend(who, opts.tpg.fault_sim.backend, "tpg.fault_sim");
+  check_backend(who, opts.diag.backend, "diag");
+  check_backend(who, opts.observability.backend, "observability");
+  check_backend(who, opts.fill.backend, "fill");
   check_threads(who, opts.tpg.fault_sim.num_threads,
                 "tpg.fault_sim.num_threads");
   check_threads(who, opts.diag.num_threads, "diag.num_threads");

@@ -91,8 +91,7 @@ FillResult fill_packed(const Netlist& nl, const LeakageModel& model,
                        const std::vector<std::size_t>& free_pi,
                        const std::vector<std::size_t>& free_mux,
                        FillResult res) {
-  SP_CHECK(is_valid_block_words(opts.block_words),
-           "fill: block_words must be 1, 2, 4, 8, 16 or 32");
+  check_block_words("fill", opts.block_words, "block_words");
   std::unique_ptr<const GateLeakageTables> owned_tables;
   if (opts.tables == nullptr) {
     owned_tables = std::make_unique<GateLeakageTables>(nl, model);
@@ -113,13 +112,10 @@ FillResult fill_packed(const Netlist& nl, const LeakageModel& model,
                            : (opts.minimize_leakage ? std::max(1, opts.trials)
                                                     : 1);
   // Clamp the block width to the candidate count: scoring 24 trials on a
-  // 256-lane block would aggregate leakage for 232 dead lanes. Never
-  // clamp to a width the configured backend cannot run (the wide backend
-  // starts at 16 words).
+  // 256-lane block would aggregate leakage for 232 dead lanes.
   int W = opts.block_words;
   while (W > 1 &&
-         static_cast<std::size_t>(W) * 32 >= static_cast<std::size_t>(trials) &&
-         backend_supports_words(opts.backend, W / 2)) {
+         static_cast<std::size_t>(W) * 32 >= static_cast<std::size_t>(trials)) {
     W /= 2;
   }
   const std::size_t lanes = static_cast<std::size_t>(W) * 64;

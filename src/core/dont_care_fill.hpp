@@ -37,16 +37,16 @@ struct FillOptions {
   /// 64) alone -- in both engines -- so trial blocks are independent and
   /// the packed engine can partition them across a worker pool.
   bool packed = true;
-  /// Pattern words per packed sweep (1, 2, 4, 8, 16 or 32; 16/32 require
-  /// the wide backend).
+  /// Pattern words per packed sweep; must be in kBlockWords
+  /// (packed_sim.hpp).
   int block_words = 4;
   /// Worker threads for the packed sweep; 1 = serial, 0 = all cores.
   /// Results are bit-identical across thread counts: candidate blocks
   /// have fixed per-block seeds and block results are merged in
   /// ascending block order.
   int num_threads = 1;
-  /// Kernel backend for the packed sweep; Auto = best available for the
-  /// width. Results are bit-identical across backends.
+  /// Kernel backend for the packed sweep; Auto = best available.
+  /// Results are bit-identical across backends.
   SimBackend backend = SimBackend::Auto;
   /// Borrowed per-(netlist, model) leakage tables for the packed engine;
   /// null = build a private copy per call (the one-shot cost a

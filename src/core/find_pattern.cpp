@@ -290,8 +290,8 @@ MinLeakageSearchResult min_leakage_vector_search(
     const MinLeakageSearchOptions& opts) {
   SP_CHECK(nl.finalized(),
            "min_leakage_vector_search requires a finalized netlist");
-  SP_CHECK(is_valid_block_words(opts.block_words),
-           "min_leakage_vector_search: block_words must be 1, 2, 4, 8, 16 or 32");
+  check_block_words("min_leakage_vector_search", opts.block_words,
+                    "block_words");
   SP_CHECK(opts.sweeps >= 1, "min_leakage_vector_search: need >= 1 sweep");
 
   const int W = opts.block_words;

@@ -86,12 +86,11 @@ FindPatternResult find_controlled_input_pattern(
 struct MinLeakageSearchOptions {
   int sweeps = 8;             ///< random-restart sweeps (64*W vectors each)
   int max_refine_flips = 64;  ///< accepted single-bit refinement moves
-  /// Pattern words per sweep (1, 2, 4, 8, 16 or 32; 16/32 require the
-  /// wide backend).
+  /// Pattern words per sweep; must be in kBlockWords (packed_sim.hpp).
   int block_words = 4;
   int num_threads = 1;        ///< workers for the random stage (0 = all cores)
-  /// Kernel backend for the packed sweeps; Auto = best available for the
-  /// width. Results are bit-identical across backends.
+  /// Kernel backend for the packed sweeps; Auto = best available.
+  /// Results are bit-identical across backends.
   SimBackend backend = SimBackend::Auto;
   std::uint64_t seed = 0x3ea2c0de5ee51eafULL;
 };

@@ -50,8 +50,7 @@ std::vector<std::uint32_t> prune_by_cone_unions(
 Diagnoser::Diagnoser(const Netlist& nl, DiagnosisOptions opts)
     : nl_(&nl), opts_(opts) {
   SP_CHECK(nl.finalized(), "Diagnoser requires a finalized netlist");
-  SP_CHECK(is_valid_block_words(opts_.block_words),
-           "diagnose: block_words must be 1, 2, 4, 8, 16 or 32");
+  check_block_words("diagnose", opts_.block_words, "block_words");
   opts_.num_threads = ThreadPool::resolve_threads(opts_.num_threads);
   owned_points_ = std::make_unique<ObservationPoints>(nl);
   owned_cones_ = std::make_unique<ObservationConeCache>(nl, *owned_points_);
@@ -73,8 +72,7 @@ Diagnoser::Diagnoser(const Netlist& nl, DiagnosisOptions opts, ThreadPool& pool,
     : nl_(&nl), opts_(opts), points_(&points), cones_(&cones), goods_(&goods),
       pool_(&pool) {
   SP_CHECK(nl.finalized(), "Diagnoser requires a finalized netlist");
-  SP_CHECK(is_valid_block_words(opts_.block_words),
-           "diagnose: block_words must be 1, 2, 4, 8, 16 or 32");
+  check_block_words("diagnose", opts_.block_words, "block_words");
   opts_.num_threads = pool.size();
   workers_.resize(static_cast<std::size_t>(pool_->size()));
   for (FaultConeEvaluator& w : workers_) {
@@ -602,7 +600,8 @@ DiagnosisResult Diagnoser::diagnose(std::span<const TestPattern> patterns,
     }
     ensure_goods(patterns);
 
-    const auto run = [&]<int W>() {
+    dispatch_words(opts_.block_words, [&](auto w) {
+      constexpr int W = decltype(w)::value;
       {
         TraceSpan span(telem, "score", 0, CounterId::kDiagScoreUs,
                        &p.res.stats.score_us);
@@ -621,16 +620,7 @@ DiagnosisResult Diagnoser::diagnose(std::span<const TestPattern> patterns,
         recover_noise<W>(0, patterns, faults, p, stream.get(),
                          /*serial=*/false);
       }
-    };
-    switch (opts_.block_words) {
-      case 1: run.operator()<1>(); break;
-      case 2: run.operator()<2>(); break;
-      case 4: run.operator()<4>(); break;
-      case 8: run.operator()<8>(); break;
-      case 16: run.operator()<16>(); break;
-      case 32: run.operator()<32>(); break;
-      default: SP_ASSERT(false, "invalid block width");
-    }
+    });
 
     if constexpr (kTelemetryEnabled) {
       // Drain the workers' sweep tallies in ascending order: the per-query
@@ -725,7 +715,8 @@ std::vector<DiagnosisResult> Diagnoser::diagnose_batch(
                                            opts_.backend);
     }
   }
-  const auto run = [&]<int W>() {
+  dispatch_words(opts_.block_words, [&](auto w) {
+    constexpr int W = decltype(w)::value;
     pool_->run_on_all([&](int t) {
       for (std::size_t li = static_cast<std::size_t>(t); li < prepared.size();
            li += static_cast<std::size_t>(num_workers)) {
@@ -753,16 +744,7 @@ std::vector<DiagnosisResult> Diagnoser::diagnose_batch(
         }
       }
     });
-  };
-  switch (opts_.block_words) {
-    case 1: run.operator()<1>(); break;
-    case 2: run.operator()<2>(); break;
-    case 4: run.operator()<4>(); break;
-    case 8: run.operator()<8>(); break;
-    case 16: run.operator()<16>(); break;
-    case 32: run.operator()<32>(); break;
-    default: SP_ASSERT(false, "invalid block width");
-  }
+  });
 
   std::vector<DiagnosisResult> results;
   results.reserve(prepared.size());

@@ -76,11 +76,11 @@ std::vector<std::uint32_t> prune_by_cone_unions(
     const std::vector<std::vector<std::uint32_t>>& op_sets);
 
 struct DiagnosisOptions {
-  /// Pattern words per simulation block (1, 2, 4, 8, 16 or 32; 16/32
-  /// require the wide backend).
+  /// Pattern words per simulation block; must be in kBlockWords
+  /// (packed_sim.hpp).
   int block_words = 4;
-  /// Kernel backend for the packed sweeps; Auto = best available for the
-  /// width. Results are bit-identical across backends.
+  /// Kernel backend for the packed sweeps; Auto = best available.
+  /// Results are bit-identical across backends.
   SimBackend backend = SimBackend::Auto;
   /// Worker count for candidate scoring. 1 = serial; 0 = hardware
   /// concurrency.

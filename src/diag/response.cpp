@@ -360,8 +360,7 @@ void GoodBlockCache::bind(const Netlist& nl,
                           std::span<const TestPattern> patterns,
                           int block_words, std::size_t max_cached_blocks,
                           SimBackend backend) {
-  SP_CHECK(is_valid_block_words(block_words),
-           "GoodBlockCache: block_words must be 1, 2, 4, 8, 16 or 32");
+  check_block_words("GoodBlockCache", block_words, "block_words");
   nl_ = &nl;
   patterns_ = patterns;
   words_ = block_words;
@@ -408,8 +407,7 @@ void GoodBlockCache::stream(std::size_t b, BlockSimulator& scratch) const {
 ResponseCapture::ResponseCapture(const Netlist& nl, int block_words,
                                  SimBackend backend)
     : nl_(&nl), words_(block_words), backend_(backend), points_(nl) {
-  SP_CHECK(is_valid_block_words(block_words),
-           "ResponseCapture: block_words must be 1, 2, 4, 8, 16 or 32");
+  check_block_words("ResponseCapture", block_words, "block_words");
   eval_.init(nl, block_words, backend);
 }
 
@@ -443,15 +441,9 @@ ResponseMatrix ResponseCapture::capture_good(
   out.num_points = points_.size();
   out.num_patterns = patterns.size();
   out.words.assign(out.num_points * out.words_per_point(), 0);
-  switch (words_) {
-    case 1: capture_good_impl<1>(patterns, out); break;
-    case 2: capture_good_impl<2>(patterns, out); break;
-    case 4: capture_good_impl<4>(patterns, out); break;
-    case 8: capture_good_impl<8>(patterns, out); break;
-    case 16: capture_good_impl<16>(patterns, out); break;
-    case 32: capture_good_impl<32>(patterns, out); break;
-    default: SP_ASSERT(false, "invalid block width");
-  }
+  dispatch_words(words_, [&](auto w) {
+    capture_good_impl<decltype(w)::value>(patterns, out);
+  });
   return out;
 }
 
@@ -501,15 +493,9 @@ FailureLog ResponseCapture::inject(std::span<const TestPattern> patterns,
   FailureLog log;
   log.circuit = nl_->name();
   log.num_patterns = patterns.size();
-  switch (words_) {
-    case 1: inject_impl<1>(patterns, f, log); break;
-    case 2: inject_impl<2>(patterns, f, log); break;
-    case 4: inject_impl<4>(patterns, f, log); break;
-    case 8: inject_impl<8>(patterns, f, log); break;
-    case 16: inject_impl<16>(patterns, f, log); break;
-    case 32: inject_impl<32>(patterns, f, log); break;
-    default: SP_ASSERT(false, "invalid block width");
-  }
+  dispatch_words(words_, [&](auto w) {
+    inject_impl<decltype(w)::value>(patterns, f, log);
+  });
   log.normalize();
   return log;
 }
@@ -699,15 +685,9 @@ FailureLog ResponseCapture::inject(std::span<const TestPattern> patterns,
             });
   unique_faults.erase(std::unique(unique_faults.begin(), unique_faults.end()),
                       unique_faults.end());
-  switch (words_) {
-    case 1: inject_multi_impl<1>(patterns, unique_faults, log); break;
-    case 2: inject_multi_impl<2>(patterns, unique_faults, log); break;
-    case 4: inject_multi_impl<4>(patterns, unique_faults, log); break;
-    case 8: inject_multi_impl<8>(patterns, unique_faults, log); break;
-    case 16: inject_multi_impl<16>(patterns, unique_faults, log); break;
-    case 32: inject_multi_impl<32>(patterns, unique_faults, log); break;
-    default: SP_ASSERT(false, "invalid block width");
-  }
+  dispatch_words(words_, [&](auto w) {
+    inject_multi_impl<decltype(w)::value>(patterns, unique_faults, log);
+  });
   log.normalize();
   return log;
 }

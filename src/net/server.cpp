@@ -89,14 +89,24 @@ void CommandSession::cmd_design(std::istream& in, std::uint64_t line_no) {
     return;
   }
   in >> opt;
-  loaded_ = std::make_unique<Netlist>(
+  auto nl = std::make_unique<Netlist>(
       load_design(path, /*do_map=*/opt != "nomap"));
-  const std::string name = loaded_->name();
+  const std::string name = nl->name();
   auto it = designs_.find(name);
   if (it != designs_.end()) {
+    // Registered designs are keyed by name: a same-named netlist of a
+    // different structure must not silently switch to the old design.
+    if (DesignContext::hash_design(*nl) != it->second.ctx->design_hash()) {
+      error(strprintf("design '%s' is already registered with a different "
+                      "structure",
+                      name.c_str()),
+            line_no);
+      return;
+    }
     current_ = &it->second;  // already registered: just switch
     loaded_.reset();
   } else {
+    loaded_ = std::move(nl);
     current_ = nullptr;  // registered by the next 'patterns'
   }
   ok("design", [&](JsonWriter& j) { j.field("circuit", name); });

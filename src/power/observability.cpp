@@ -73,8 +73,7 @@ void LeakageObservability::compute_monte_carlo_packed(
     const Netlist& nl, const LeakageModel& model,
     const ObservabilityOptions& opts) {
   SP_CHECK(opts.samples > 1, "observability: need at least 2 samples");
-  SP_CHECK(is_valid_block_words(opts.block_words),
-           "observability: block_words must be 1, 2, 4, 8, 16 or 32");
+  check_block_words("observability", opts.block_words, "block_words");
   const std::size_t n = nl.num_gates();
   const std::size_t samples = static_cast<std::size_t>(opts.samples);
   const int W = opts.block_words;

@@ -44,11 +44,11 @@ struct ObservabilityOptions {
   /// cross-checks and as the benchmark baseline. The two engines draw
   /// different (equally seeded-deterministic) sample streams.
   bool packed = true;
-  /// Pattern words per packed sweep (1, 2, 4, 8, 16 or 32; 16/32 require
-  /// the wide backend).
+  /// Pattern words per packed sweep; must be in kBlockWords
+  /// (packed_sim.hpp).
   int block_words = 4;
-  /// Kernel backend for the packed sweep; Auto = best available for the
-  /// width. Results are bit-identical across backends.
+  /// Kernel backend for the packed sweep; Auto = best available.
+  /// Results are bit-identical across backends.
   SimBackend backend = SimBackend::Auto;
   /// Worker threads for the packed sweep; 1 = serial, 0 = all cores.
   /// Results are bit-identical across thread counts: every sample block

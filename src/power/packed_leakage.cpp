@@ -9,8 +9,7 @@ TernaryBlockSimulator::TernaryBlockSimulator(const Netlist& nl, int words,
                                              SimBackend backend)
     : nl_(&nl), words_(words) {
   SP_CHECK(nl.finalized(), "TernaryBlockSimulator requires a finalized netlist");
-  SP_CHECK(is_valid_block_words(words),
-           "TernaryBlockSimulator: words must be 1, 2, 4, 8, 16 or 32");
+  check_block_words("TernaryBlockSimulator", words, "words");
   backend_ = resolve_backend(backend, words);
   kern_ = &sim_kernels(backend_);
   // Sources start X (both planes set), like Simulator::clear_sources().

@@ -22,7 +22,6 @@ constexpr const char* kCounterNames[kNumCounters] = {
     "backend.blocks_scalar",
     "backend.blocks_avx2",
     "backend.blocks_avx512",
-    "backend.blocks_wide",
     "diag.queries",
     "diag.candidates",
     "diag.dropped",

@@ -60,7 +60,6 @@ enum class CounterId : int {
   kBackendBlocksScalar,
   kBackendBlocksAvx2,
   kBackendBlocksAvx512,
-  kBackendBlocksWide,
   // full-response diagnosis (semantic)
   kDiagQueries,
   kDiagCandidates,     ///< prune survivors scored

@@ -137,7 +137,7 @@ TEST(MisrTest, PackedMatchesScalarEveryWidth) {
           MisrConfig{.width = 64, .window = 100}}) {
       const Misr misr(cfg);
       const auto ref = misr.compact_scalar(m);
-      for (int words : {1, 2, 4, 8}) {
+      for (int words : kBlockWords) {
         const MisrCompactor compactor(cfg, words);
         const auto packed = compactor.compact(m);
         ASSERT_EQ(packed, ref)

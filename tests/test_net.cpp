@@ -362,6 +362,42 @@ TEST(QueueAdmissionTest, RoundRobinDispatchAvoidsHeadOfLineBlocking) {
   for (auto& f : backlog) EXPECT_GT(f.get().num_faults, 0u);
 }
 
+// ---------- CommandSession design registry --------------------------------
+
+// Designs are registered by netlist name. Re-opening the same file
+// without technology mapping yields a different structure under the same
+// name: that must be refused, naming the circuit, instead of silently
+// switching the session to the registered (mapped) design.
+TEST(CommandSessionTest, SameNameDifferentStructureIsRefused) {
+  const std::string path = temp_path("unmapped.bench");
+  {
+    std::ofstream f(path);
+    write_bench(f, make_circuit("s27"));
+  }
+  const Netlist raw = parse_bench_file(path);
+  ASSERT_FALSE(is_mapped(raw));
+  DiagnosisQueue queue;
+  std::vector<std::string> out;
+  net::CommandSession session(
+      queue, nullptr, {}, [&](std::string_view line) { out.emplace_back(line); });
+  session.handle_line("design " + path, 1);
+  session.handle_line("patterns 16 7", 2);
+  session.handle_line("design " + path + " nomap", 3);
+  session.handle_line("design " + path, 4);  // same structure: switches
+  ASSERT_EQ(out.size(), 4u);
+  EXPECT_EQ(net::json_string_field(out[0], "ok"),
+            std::optional<std::string>("design"));
+  EXPECT_EQ(net::json_string_field(out[1], "ok"),
+            std::optional<std::string>("patterns"));
+  const std::optional<std::string> err = net::json_string_field(out[2], "error");
+  ASSERT_TRUE(err.has_value()) << out[2];
+  EXPECT_NE(err->find("'" + raw.name() + "'"), std::string::npos) << *err;
+  EXPECT_EQ(net::json_u64_field(out[2], "line"),
+            std::optional<std::uint64_t>(3));
+  EXPECT_EQ(net::json_string_field(out[3], "ok"),
+            std::optional<std::string>("design"));
+}
+
 // ---------- TCP end to end ---------------------------------------------------
 
 /// Raw line-oriented wire access for the framing/shutdown tests (the

@@ -246,7 +246,7 @@ TEST(MultiFaultInjectTest, PairLogsBitIdenticalAcrossBlockWidths) {
     if (pair[0].gate == pair[1].gate) continue;  // avoid contradictions
     FailureLog ref;
     bool have_ref = false;
-    for (int words : {1, 2, 4, 8}) {
+    for (int words : kBlockWords) {
       ResponseCapture cap(nl, words);
       const FailureLog log = cap.inject(pats, std::span<const Fault>(pair));
       if (!have_ref) {

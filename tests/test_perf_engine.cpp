@@ -7,12 +7,14 @@
 
 #include <atomic>
 #include <numeric>
+#include <string>
 
 #include "atpg/fault.hpp"
 #include "atpg/fault_sim.hpp"
 #include "atpg/packed_sim.hpp"
 #include "benchgen/benchgen.hpp"
 #include "netlist/builder.hpp"
+#include "power/packed_leakage.hpp"
 #include "sim/simulator.hpp"
 #include "techmap/techmap.hpp"
 #include "util/rng.hpp"
@@ -70,7 +72,7 @@ TEST(BlockSim, MatchesScalarSimulatorAllWidths) {
   for (const char* name : {"s344", "s382"}) {
     const Netlist nl = map_to_nand_nor_inv(make_iscas89_like(name));
     Simulator scalar(nl);
-    for (int words : {1, 2, 4}) {
+    for (int words : kBlockWords) {
       BlockSimulator block(nl, words);
       Rng rng(0x5eed + words);
       const std::size_t lanes = block.lanes();
@@ -119,11 +121,29 @@ TEST(BlockSim, MatchesScalarSimulatorAllWidths) {
   }
 }
 
+/// Runs `fn`, expecting an Error whose message contains `needle`.
+template <typename Fn>
+void expect_error_naming(Fn&& fn, const std::string& needle) {
+  try {
+    fn();
+    FAIL() << "expected Error mentioning \"" << needle << "\"";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(BlockSim, RejectsInvalidWidth) {
   const Netlist nl = map_to_nand_nor_inv(make_s27());
-  EXPECT_THROW(BlockSimulator(nl, 3), Error);
   EXPECT_THROW(BlockSimulator(nl, 0), Error);
   EXPECT_THROW(FaultSimulator(nl, FaultSimOptions{.block_words = 5}), Error);
+  // 16 and 32 were the retired wide backend's widths.
+  for (int w : {16, 32, 3}) {
+    expect_error_naming([&] { BlockSimulator sim(nl, w); },
+                        "BlockSimulator: words must be");
+    expect_error_naming([&] { TernaryBlockSimulator sim(nl, w); },
+                        "TernaryBlockSimulator: words must be");
+  }
 }
 
 // ---------- fault-sim configuration equivalence -----------------------------

@@ -101,23 +101,28 @@ TEST(SessionValidationTest, RejectsBadMisrConfig) {
   expect_ctor_error(nl, opts, "misr.poly");
 }
 
+// 16 and 32 were the widths of the retired wide backend: every width
+// knob refuses them like any other width outside the set.
 TEST(SessionValidationTest, RejectsBadBlockWords) {
   const Netlist nl = map_to_nand_nor_inv(make_s27());
-  FlowOptions opts;
-  opts.diag.block_words = 3;
-  expect_ctor_error(nl, opts, "diag.block_words");
+  for (int w : {0, 3, 5, 7, 16, 32}) {
+    FlowOptions opts;
+    opts.diag.block_words = w;
+    expect_ctor_error(nl, opts, "diag.block_words must be");
+    expect_ctor_error(nl, opts, "(got " + std::to_string(w) + ")");
 
-  opts = FlowOptions{};
-  opts.observability.block_words = 5;
-  expect_ctor_error(nl, opts, "observability.block_words");
+    opts = FlowOptions{};
+    opts.observability.block_words = w;
+    expect_ctor_error(nl, opts, "observability.block_words must be");
 
-  opts = FlowOptions{};
-  opts.fill.block_words = 0;
-  expect_ctor_error(nl, opts, "fill.block_words");
+    opts = FlowOptions{};
+    opts.fill.block_words = w;
+    expect_ctor_error(nl, opts, "fill.block_words must be");
 
-  opts = FlowOptions{};
-  opts.tpg.fault_sim.block_words = 7;
-  expect_ctor_error(nl, opts, "tpg.fault_sim.block_words");
+    opts = FlowOptions{};
+    opts.tpg.fault_sim.block_words = w;
+    expect_ctor_error(nl, opts, "tpg.fault_sim.block_words must be");
+  }
 }
 
 TEST(SessionValidationTest, RejectsBadThreadAndSampleCounts) {

@@ -99,15 +99,18 @@ Fixture make_fixture(const std::string& name, int num_patterns,
 
 TEST(DesignContextTest, ValidatesOptionsLikeASession) {
   const Netlist nl = map_to_nand_nor_inv(make_s27());
-  FlowOptions opts;
-  opts.diag.block_words = 3;
-  try {
-    DesignContext ctx(nl, opts);
-    FAIL() << "expected Error";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("diag.block_words"),
-              std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("DesignContext"), std::string::npos);
+  for (int w : {16, 32, 3}) {
+    FlowOptions opts;
+    opts.diag.block_words = w;
+    try {
+      DesignContext ctx(nl, opts);
+      FAIL() << "expected Error for block_words=" << w;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("diag.block_words"),
+                std::string::npos);
+      EXPECT_NE(std::string(e.what()).find("DesignContext"),
+                std::string::npos);
+    }
   }
 }
 
