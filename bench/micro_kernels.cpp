@@ -403,9 +403,9 @@ BENCHMARK(BM_DiagnosisS9234Compact)
 // list), diagnosed cold vs warm. Args are (warm session, worker threads):
 //  - warm = 0: the stateless per-call path -- every log constructs a
 //    throwaway ScanSession, paying the full shared-state build (netlist
-//    copy, collapsed fault list, observation points + cones, good-machine
-//    block cache, worker pool) before its diagnosis, which is what each
-//    separate diag_cli-style invocation costs.
+//    copy, collapsed fault list, observation points + every cone,
+//    good-machine block cache, worker pool) before its diagnosis, which is
+//    what each separate diag_cli-style invocation costs.
 //  - warm = 1: one long-lived session diagnoses all 8 logs through
 //    diagnose_batch(); the shared state was built once outside the loop,
 //    logs fan round-robin across the session pool.
@@ -702,8 +702,9 @@ BENCHMARK(BM_TestGeneration)->Unit(benchmark::kMillisecond);
 //    SessionPool, queued logs coalesced per design into batched
 //    64-candidate rounds.
 //  - warm = 0: the cold per-call path -- every request constructs a
-//    throwaway ScanSession (full design-keyed build) before diagnosing,
-//    which is what per-invocation CLI calls cost.
+//    throwaway ScanSession (a private DesignContext, whose cones build on
+//    the first diagnosis) before diagnosing, which is what per-invocation
+//    CLI calls cost.
 // Engine knobs are pinned at T=4 / W=4 for both paths (the acceptance
 // comparison in BENCH_server.json). Reported: logs/sec (items) plus
 // p50/p99 per-request latency in ms. Results are bit-identical between

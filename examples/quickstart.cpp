@@ -1,10 +1,10 @@
 // Quickstart: one ScanSession serving several queries against one design.
 //
 // A session is the unit of state in this library: constructed once from a
-// (netlist, options) pair, it owns the worker pool and lazily caches
-// everything expensive (ATPG test set, collapsed fault list, observation
-// cones, leakage tables, good-machine pattern blocks), so the second
-// query against the same design costs only its own scoring work. Here we
+// (netlist, options) pair, it owns the worker pool and caches everything
+// expensive (ATPG test set, collapsed fault list, observation cones,
+// leakage tables, good-machine pattern blocks), so the second query
+// against the same design costs only its own scoring work. Here we
 // run the paper's three-way power comparison, then play tester: inject a
 // defect, diagnose its full failure log, and diagnose the MISR-compacted
 // signature log of the same defect -- both through the single
@@ -100,12 +100,13 @@ int main() {
               static_cast<unsigned long long>(full.stats.score_us));
 
   // 5. Serving several clients of the same design? Share the design-keyed
-  //    layer instead of rebuilding it per session: a SessionPool hands out
-  //    immutable DesignContexts keyed by a structural hash (LRU-evicted
-  //    past its capacity), and sessions built over one are cheap -- they
-  //    reference the context's faults/cones/tables and keep only their
-  //    own pattern caches. Results are bit-identical to an isolated
-  //    session; see diag_server for the queue-fed multi-client front end.
+  //    layer instead of rebuilding it per session. The session above
+  //    built a private DesignContext (netlist, faults, cones, tables); a
+  //    SessionPool hands out shared ones keyed by a structural hash
+  //    (LRU-evicted past its capacity), and sessions built over one are
+  //    cheap -- they reference the context and keep only their own
+  //    pattern caches. Results are bit-identical to an isolated session;
+  //    see diag_server for the queue-fed multi-client front end.
   SessionPool pool(/*capacity=*/4);
   ScanSession tenant(pool.acquire(nl), session.options());
   tenant.bind_patterns(session.patterns());

@@ -114,13 +114,10 @@ DesignContext::DesignContext(Netlist nl, FlowOptions opts,
       hash_(hash_design(nl_)),
       faults_(collapse_faults(nl_)),
       points_(nl_),
-      cones_(nl_, points_),
-      tables_(nl_, model_) {
-  // Materialize every cone before the context is published: the lazy miss
-  // path shares DFS scratch and is serial-only, so a shared context must
-  // never take it again. (SessionPool wraps the whole construction in the
-  // sessions.ctx_build_us span; the counter here covers direct builds.)
-  cones_.build_all();
+      tables_(nl_, model_),
+      cones_(nl_, points_) {
+  // SessionPool wraps the whole construction in the sessions.ctx_build_us
+  // span; the counter here covers direct builds.
   SP_TELEM_ADD(telemetry, 0, CounterId::kCtxBuilds, 1);
   // Engines built by tenant sessions carry their own telemetry scopes;
   // the context itself never retains the pointer.
@@ -128,11 +125,11 @@ DesignContext::DesignContext(Netlist nl, FlowOptions opts,
   opts_.tpg.fault_sim.telemetry = nullptr;
 }
 
-const TestSet& DesignContext::tests() const {
-  std::call_once(tests_once_, [this] {
-    tests_ = std::make_unique<TestSet>(generate_tests(nl_, opts_.tpg));
-  });
-  return *tests_;
+ObservationConeCache& DesignContext::cones() const {
+  // The lazy miss path shares DFS scratch and is serial-only, so every
+  // cone is built here, once, before any tenant can look one up.
+  std::call_once(cones_once_, [this] { cones_.build_all(); });
+  return cones_;
 }
 
 }  // namespace scanpower

@@ -2,30 +2,30 @@
 // DesignContext: the immutable, shareable design-keyed layer of the
 // service stack.
 //
-// ScanSession amortizes engine state across queries, but it is a
-// single-threaded object: one session per client, each with its own copy
-// of the design-keyed state (collapsed fault list, observation points and
-// cones, leakage tables, ATPG set, the netlist itself). A multi-tenant
-// service wants that layer built once per *design* and referenced by many
-// concurrent sessions. DesignContext is exactly that split:
+// Every ScanSession runs on one: the netlist, its collapsed fault list,
+// observation points and fanin cones, and the per-(netlist, model)
+// leakage tables. An owning ScanSession(netlist, options) builds a private
+// context; a multi-tenant service builds one per *design* (SessionPool)
+// and references it from many concurrent sessions. Either way the session
+// keeps only its private pattern-keyed caches and worker pool.
 //
-//   - build-once-under-lock: the constructor builds every eagerly needed
-//     piece (collapsed faults, ObservationPoints, the fully materialized
-//     ObservationConeCache, GateLeakageTables); the ATPG TestSet is the
-//     one expensive piece a diagnosis-only tenant never touches, so it
-//     builds lazily behind std::call_once.
+//   - build: the constructor builds the cheap pieces eagerly (structural
+//     hash, collapsed faults, ObservationPoints, GateLeakageTables). The
+//     cones -- most of the build cost -- materialize on the first cones()
+//     call under std::call_once: concurrent first tenants block rather
+//     than duplicate, and flow-only sessions never pay for them.
 //   - read-only after publish: once a shared_ptr<const DesignContext> is
-//     handed out, nothing mutates but relaxed cache tallies -- so the
-//     bit-identical-across-(block_words, num_threads) house rule extends
-//     to "across concurrent tenants": N sessions sharing one context
-//     return byte-identical results to N isolated sessions.
+//     handed out, nothing mutates but that one-time cone build and relaxed
+//     cache tallies -- so the bit-identical-across-(block_words,
+//     num_threads) house rule extends to "across concurrent tenants": N
+//     sessions sharing one context return byte-identical results to N
+//     isolated sessions.
 //
-// Sessions reference a context via shared_ptr (ScanSession's context
-// constructor), so SessionPool eviction can never invalidate in-flight
-// work: the last referencing session keeps the context alive.
+// Sessions reference a context via shared_ptr, so SessionPool eviction can
+// never invalidate in-flight work: the last referencing session keeps the
+// context alive.
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -45,8 +45,8 @@ class DesignContext {
  public:
   /// Copies the (finalized) netlist and builds the design-keyed layer.
   /// `opts` is validated up front exactly like ScanSession's constructor;
-  /// it also supplies the TPG configuration of the lazy ATPG set and the
-  /// default options of sessions created from this context. `telemetry`
+  /// its leakage_params key the leakage model, and it supplies the default
+  /// options of sessions created from this context. `telemetry`
   /// (optional) receives the build counters; the context does not retain
   /// it past construction.
   explicit DesignContext(Netlist nl, FlowOptions opts = {},
@@ -63,17 +63,17 @@ class DesignContext {
   const std::vector<Fault>& faults() const { return faults_; }
   /// Observation-point index space of the full-scan response.
   const ObservationPoints& points() const { return points_; }
-  /// Fully pre-built fanin cones (build_all() ran in the constructor, so
-  /// concurrent cone() calls can only hit -- reads plus relaxed tallies).
-  /// Mutable through const: the reference is handed to the diagnosers'
-  /// borrowing constructors, and post-publish the object is logically
-  /// immutable.
-  ObservationConeCache& cones() const { return cones_; }
+  /// Fanin cones of every observation point. The first call builds them
+  /// all under std::call_once, so afterwards concurrent cone() calls can
+  /// only hit -- reads plus relaxed tallies. Mutable through const: the
+  /// reference is handed to the diagnosers' borrowing constructors, and
+  /// post-publish the object is logically immutable.
+  ObservationConeCache& cones() const;
+  /// Lifetime cone() hit/miss tallies, read without forcing the build.
+  std::uint64_t cone_hits() const { return cones_.hits(); }
+  std::uint64_t cone_misses() const { return cones_.misses(); }
   /// Per-(netlist, model) state->leakage tables.
   const GateLeakageTables& leakage_tables() const { return tables_; }
-  /// ATPG test set under options().tpg; first caller builds it under
-  /// std::call_once, so concurrent tenants block rather than duplicate.
-  const TestSet& tests() const;
 
   /// Structural hash of the design (name, gate types, CSR fanins, outputs,
   /// scan cells): the SessionPool key. Computed once at construction.
@@ -89,11 +89,10 @@ class DesignContext {
 
   std::vector<Fault> faults_;
   ObservationPoints points_;
-  mutable ObservationConeCache cones_;
   GateLeakageTables tables_;
 
-  mutable std::once_flag tests_once_;
-  mutable std::unique_ptr<TestSet> tests_;
+  mutable std::once_flag cones_once_;
+  mutable ObservationConeCache cones_;
 };
 
 }  // namespace scanpower

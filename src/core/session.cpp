@@ -39,28 +39,31 @@ std::vector<Logic> implied_scan_values(const Netlist& nl,
   return sim.values();
 }
 
+/// The owning constructor's private context. Validates under the
+/// session's name first, so errors read "ScanSession: ..." either way.
+std::shared_ptr<const DesignContext> private_context(Netlist nl,
+                                                     const FlowOptions& opts) {
+  validate_flow_options(nl, opts, "ScanSession");
+  return std::make_shared<const DesignContext>(std::move(nl), opts);
+}
+
 }  // namespace
 
 ScanSession::ScanSession(Netlist nl, FlowOptions opts)
-    : nl_(std::move(nl)), opts_(std::move(opts)),
-      model_(opts_.leakage_params) {
-  // Validate every engine knob up front, naming the knob -- the same
-  // misconfigurations used to surface as failures deep inside the engines.
-  validate_flow_options(nl_, opts_, "ScanSession");
-
-  // Every engine built from these option copies reports into the session
-  // scope. Safe: a session is neither copyable nor movable, so the
-  // pointer never dangles while an engine lives.
-  opts_.diag.telemetry = &telemetry_;
-  opts_.tpg.fault_sim.telemetry = &telemetry_;
-}
+    : ScanSession(private_context(std::move(nl), opts), opts) {}
 
 ScanSession::ScanSession(std::shared_ptr<const DesignContext> ctx,
                          FlowOptions opts)
-    : ctx_(std::move(ctx)), opts_(std::move(opts)),
-      model_(opts_.leakage_params) {
+    : ctx_(std::move(ctx)), opts_(std::move(opts)) {
   SP_CHECK(ctx_ != nullptr, "ScanSession: null DesignContext");
   validate_flow_options(ctx_->netlist(), opts_, "ScanSession");
+  SP_CHECK(opts_.leakage_params == ctx_->options().leakage_params,
+           "ScanSession: leakage_params differ from the DesignContext's "
+           "(its leakage model and tables are built from them; build a "
+           "context with these params instead)");
+  // Every engine built from these option copies reports into the session
+  // scope. Safe: a session is neither copyable nor movable, so the
+  // pointer never dangles while an engine lives.
   opts_.diag.telemetry = &telemetry_;
   opts_.tpg.fault_sim.telemetry = &telemetry_;
 }
@@ -79,15 +82,10 @@ MetricsSnapshot ScanSession::metrics() {
     // Cache and pool tallies live on the owning objects as absolute
     // lifetime values; overwrite (never add) the registry slots so
     // repeated snapshots stay correct.
-    if (ctx_) {
-      // Shared context: cone tallies aggregate across every tenant (the
-      // cache itself is design-wide state).
-      set(CounterId::kConeCacheHits, ctx_->cones().hits());
-      set(CounterId::kConeCacheMisses, ctx_->cones().misses());
-    } else if (cones_) {
-      set(CounterId::kConeCacheHits, cones_->hits());
-      set(CounterId::kConeCacheMisses, cones_->misses());
-    }
+    // Cone tallies are design-wide: under a shared context they aggregate
+    // across every tenant.
+    set(CounterId::kConeCacheHits, ctx_->cone_hits());
+    set(CounterId::kConeCacheMisses, ctx_->cone_misses());
     set(CounterId::kGoodCacheBinds, goods_.binds());
     set(CounterId::kGoodCacheBuiltBlocks, goods_.built_blocks());
     set(CounterId::kGoodCacheBuildUs, goods_.build_us());
@@ -118,36 +116,6 @@ ThreadPool& ScanSession::pool() {
   return *pool_;
 }
 
-const std::vector<Fault>& ScanSession::faults() {
-  if (ctx_) return ctx_->faults();
-  if (!faults_) {
-    faults_ = std::make_unique<std::vector<Fault>>(collapse_faults(nl()));
-  }
-  return *faults_;
-}
-
-const ObservationPoints& ScanSession::points() {
-  if (ctx_) return ctx_->points();
-  if (!points_) points_ = std::make_unique<ObservationPoints>(nl());
-  return *points_;
-}
-
-ObservationConeCache& ScanSession::cones() {
-  if (ctx_) return ctx_->cones();  // fully pre-built: concurrent-safe hits
-  if (!cones_) {
-    cones_ = std::make_unique<ObservationConeCache>(nl(), points());
-  }
-  return *cones_;
-}
-
-const GateLeakageTables& ScanSession::leakage_tables() {
-  if (ctx_) return ctx_->leakage_tables();
-  if (!tables_) {
-    tables_ = std::make_unique<GateLeakageTables>(nl(), leakage_model());
-  }
-  return *tables_;
-}
-
 const LeakageObservability& ScanSession::observability() {
   if (!obs_) {
     ObservabilityOptions o = opts_.observability;
@@ -161,11 +129,10 @@ const LeakageObservability& ScanSession::observability() {
 }
 
 const TestSet& ScanSession::tests() {
-  // Deliberately NOT forwarded to the context: a tenant's opts_.tpg may
-  // differ from the context's, and generate_tests is deterministic, so
-  // building locally keeps results bit-identical to an isolated session
-  // at the cost of duplicating ATPG for flow-running tenants. Tenants
-  // that want the shared set use context()->tests() explicitly.
+  // Session state, not design state: a tenant's opts_.tpg may differ from
+  // the context's, and generate_tests is deterministic, so building
+  // locally keeps results bit-identical to an isolated session at the cost
+  // of duplicating ATPG for flow-running tenants of one context.
   if (!tests_) {
     tests_ = std::make_unique<TestSet>(generate_tests(nl(), opts_.tpg));
   }
@@ -211,7 +178,7 @@ void ScanSession::require_fully_specified(const char* what) const {
 Diagnoser& ScanSession::diagnoser() {
   if (!diagnoser_) {
     diagnoser_ = std::make_unique<Diagnoser>(nl(), opts_.diag, pool(), points(),
-                                             cones(), goods_);
+                                             ctx_->cones(), goods_);
   }
   return *diagnoser_;
 }
@@ -219,7 +186,7 @@ Diagnoser& ScanSession::diagnoser() {
 SignatureDiagnoser& ScanSession::sig_diagnoser() {
   if (!sig_diagnoser_) {
     sig_diagnoser_ = std::make_unique<SignatureDiagnoser>(
-        nl(), opts_.diag, pool(), points(), cones(), goods_);
+        nl(), opts_.diag, pool(), points(), ctx_->cones(), goods_);
   }
   return *sig_diagnoser_;
 }

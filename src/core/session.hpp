@@ -8,8 +8,8 @@
 // expected signatures, and a fresh worker pool. The paper's flow is
 // inherently multi-query over a fixed design -- ablation columns,
 // per-chip failure logs, fill trials -- so a service answering K queries
-// should pay that setup once. ScanSession owns all of it, builds each
-// piece lazily on first use, and exposes the flows as methods:
+// should pay that setup once. ScanSession holds all of it and exposes the
+// flows as methods:
 //
 //   ScanSession session(netlist, options);   // validates options up front
 //   session.bind_patterns(patterns);          // or bind_tests() for ATPG
@@ -28,16 +28,19 @@
 // points for any (block_words, num_threads) configuration -- the engines'
 // determinism contracts make shared pools and caches result-neutral.
 //
+// State has two layers. The design-keyed layer -- netlist, collapsed
+// faults, observation points and cones, leakage tables -- always lives in
+// an immutable DesignContext (design_context.hpp): the owning constructor
+// builds a private one, and the context constructor references a shared
+// one, e.g. out of a SessionPool (session_pool.hpp). The session itself
+// keeps the worker pool, the observability, the ATPG set and the
+// pattern-keyed caches, each built on first use. Results are bit-identical
+// either way.
+//
 // Thread-safety: a session is a single-threaded object (its methods fan
 // work across the internal pool themselves); use one session per
-// concurrent client, or serialize calls externally. For multi-tenant
-// service use, construct sessions over a shared immutable DesignContext
-// (see design_context.hpp / session_pool.hpp): the design-keyed layer --
-// netlist, collapsed faults, observation points + fully built cones,
-// leakage tables, ATPG set -- is then built once per design and referenced
-// concurrently by any number of sessions, each keeping only its private
-// pattern-keyed caches and worker pool. Results are bit-identical either
-// way.
+// concurrent client, or serialize calls externally. Any number of
+// sessions may share one DesignContext concurrently.
 
 #include <map>
 #include <memory>
@@ -61,20 +64,20 @@ class ScanSession {
  public:
   /// Validates `opts` up front -- bad block widths, thread counts, MISR
   /// configurations and sample counts throw Error here with the knob
-  /// named, instead of deep inside the engines -- and takes an owning
-  /// copy of the (finalized) netlist, so borrowed engine state can never
-  /// dangle.
+  /// named, instead of deep inside the engines -- and moves the
+  /// (finalized) netlist into a private DesignContext, so borrowed engine
+  /// state can never dangle.
   explicit ScanSession(Netlist nl, FlowOptions opts = {});
 
   /// Tenant session over a shared immutable DesignContext: the design-
-  /// keyed layer (netlist, faults, points, cones, leakage tables, ATPG
-  /// set) is referenced, not rebuilt, so construction is cheap and many
-  /// sessions may share one context concurrently (each session itself
+  /// keyed layer is referenced, not rebuilt, so construction is cheap and
+  /// many sessions may share one context concurrently (each session itself
   /// stays single-threaded). `opts` carries this tenant's engine knobs
   /// (block words, threads, backend...) and is validated exactly like the
-  /// owning constructor's; the one-argument form inherits the context's
-  /// options. Results are bit-identical to an isolated
-  /// ScanSession(context->netlist(), opts).
+  /// owning constructor's; its leakage_params must equal the context's
+  /// (they key the shared tables), else Error. The one-argument form
+  /// inherits the context's options. Results are bit-identical to an
+  /// isolated ScanSession(context->netlist(), opts).
   ScanSession(std::shared_ptr<const DesignContext> ctx, FlowOptions opts);
   explicit ScanSession(std::shared_ptr<const DesignContext> ctx);
   ~ScanSession();
@@ -84,11 +87,7 @@ class ScanSession {
 
   const Netlist& netlist() const { return nl(); }
   const FlowOptions& options() const { return opts_; }
-  const LeakageModel& leakage_model() const {
-    return ctx_ ? ctx_->leakage_model() : model_;
-  }
-  /// The shared design context, or nullptr for an owning session.
-  const std::shared_ptr<const DesignContext>& context() const { return ctx_; }
+  const LeakageModel& leakage_model() const { return ctx_->leakage_model(); }
 
   // ---- telemetry -----------------------------------------------------------
 
@@ -104,7 +103,7 @@ class ScanSession {
   /// double-count). Call between queries, not concurrently with one.
   MetricsSnapshot metrics();
 
-  // ---- shared lazily built engine state ------------------------------------
+  // ---- shared engine state -------------------------------------------------
 
   /// The one worker pool every pool-borrowing engine of this session
   /// runs on, sized to the largest resolved thread knob among its
@@ -113,11 +112,11 @@ class ScanSession {
   /// results for any pool size, so sharing is result-neutral.
   ThreadPool& pool();
   /// Collapsed stuck-at fault universe of the netlist.
-  const std::vector<Fault>& faults();
+  const std::vector<Fault>& faults() { return ctx_->faults(); }
   /// Observation-point index space of the full-scan response.
-  const ObservationPoints& points();
+  const ObservationPoints& points() { return ctx_->points(); }
   /// Per-(netlist, model) state->leakage tables (packed power engines).
-  const GateLeakageTables& leakage_tables();
+  const GateLeakageTables& leakage_tables() { return ctx_->leakage_tables(); }
   /// Leakage observability under options().observability.
   const LeakageObservability& observability();
   /// ATPG test set under options().tpg.
@@ -190,12 +189,11 @@ class ScanSession {
                                FlowResult* details = nullptr);
 
  private:
-  /// (X-mask plan, expected signatures, synthetic tester) of one MISR
-  /// configuration over the bound pattern set.
-  ObservationConeCache& cones();
   Diagnoser& diagnoser();
   SignatureDiagnoser& sig_diagnoser();
   ResponseCapture& capture();
+  /// (X-mask plan, expected signatures, synthetic tester) of one MISR
+  /// configuration over the bound pattern set.
   SignatureCapture& compact_state(const MisrConfig& cfg);
 
   std::span<const TestPattern> effective_patterns() const {
@@ -212,26 +210,20 @@ class ScanSession {
   DiagnosisResult diagnose_full(const FailureLog& log);
   DiagnosisResult diagnose_compacted(const SignatureLog& log);
 
-  const Netlist& nl() const { return ctx_ ? ctx_->netlist() : nl_; }
+  const Netlist& nl() const { return ctx_->netlist(); }
 
-  /// Shared design-keyed layer (nullptr = owning session). Declared first:
-  /// every engine below may borrow state from it, so it must outlive them
+  /// The design-keyed layer, private or shared. Declared first: every
+  /// engine below may borrow state from it, so it must outlive them
   /// (members destroy in reverse order).
   std::shared_ptr<const DesignContext> ctx_;
-  Netlist nl_;        ///< owning sessions only; empty under a context
   FlowOptions opts_;
-  LeakageModel model_;
   /// Declared before every engine: engines hold a pointer to it via their
   /// options, so it must outlive them (members destroy in reverse order).
   Telemetry telemetry_;
 
-  // Lazily built, design-keyed state. Declaration order doubles as the
+  // Lazily built session state. Declaration order doubles as the
   // destruction contract: the pool outlives every engine borrowing it.
   std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<std::vector<Fault>> faults_;
-  std::unique_ptr<ObservationPoints> points_;
-  std::unique_ptr<ObservationConeCache> cones_;
-  std::unique_ptr<GateLeakageTables> tables_;
   std::unique_ptr<LeakageObservability> obs_;
   std::unique_ptr<TestSet> tests_;
 

@@ -3,10 +3,11 @@
 //
 // A diagnosis service sees a stream of (design, evidence) requests where
 // the design set is small but churns: a handful of hot designs, a long
-// tail of cold ones. Building a DesignContext is the expensive part
-// (collapsed faults, cones, tables -- hundreds of milliseconds on the
-// ISCAS'89-class circuits), so the pool keys contexts by the structural
-// design hash and hands out shared_ptrs:
+// tail of cold ones. A DesignContext is the one piece worth sharing
+// (collapsed faults, cones, tables: about 0.1 / 0.7 / 10 ms on s344 /
+// s1423 / s9234 in a Release build, most of it the cones, which build on
+// first tenant use rather than in acquire()), so the pool keys contexts by
+// the structural design hash and hands out shared_ptrs:
 //
 //   SessionPool pool(/*capacity=*/8);
 //   auto ctx = pool.acquire(netlist, options);   // hit: cheap; miss: build

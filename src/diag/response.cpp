@@ -124,6 +124,11 @@ const std::vector<GateId>& ObservationConeCache::cone(std::size_t op) {
   if constexpr (kTelemetryEnabled) {
     misses_.fetch_add(1, std::memory_order_relaxed);
   }
+  build(op);
+  return cache_[op];
+}
+
+void ObservationConeCache::build(std::size_t op) {
   const Netlist& nl = *nl_;
   const std::span<const GateType> types = nl.types_flat();
   std::vector<GateId> out;
@@ -156,11 +161,12 @@ const std::vector<GateId>& ObservationConeCache::cone(std::size_t op) {
   for (GateId id : out) mark_[id] = 0;
   cache_[op] = std::move(out);
   cached_[op] = 1;
-  return cache_[op];
 }
 
 void ObservationConeCache::build_all() {
-  for (std::size_t op = 0; op < cache_.size(); ++op) (void)cone(op);
+  for (std::size_t op = 0; op < cache_.size(); ++op) {
+    if (!cached_[op]) build(op);
+  }
 }
 
 std::size_t ResponseMatrix::popcount() const {

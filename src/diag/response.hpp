@@ -97,23 +97,27 @@ class ObservationConeCache {
 
   const std::vector<GateId>& cone(std::size_t op);
 
-  /// Pre-builds every cone. Lazy misses share the DFS scratch and flip the
+  /// Pre-builds every cone without tallying (hits and misses count cone()
+  /// lookups only). Lazy misses share the DFS scratch and flip the
   /// non-atomic cached_ bytes, so they are serial-only; after build_all()
   /// returns no miss can ever happen again and cone() is safe from any
   /// number of threads at once (reads plus relaxed hit tallies).
-  /// DesignContext publishes fully built caches through this, extending
-  /// the determinism contract to concurrent tenants.
+  /// DesignContext builds its cache through this under std::call_once,
+  /// extending the determinism contract to concurrent tenants.
   void build_all();
 
-  /// Lifetime hit/miss tallies. Relaxed atomics: the batch fan-out reads
-  /// already-cached cones from several workers at once (misses only ever
-  /// happen on the serial path).
+  /// Lifetime cone() hit/miss tallies. Relaxed atomics: the batch fan-out
+  /// reads already-cached cones from several workers at once (misses only
+  /// ever happen on the serial path).
   std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   std::uint64_t misses() const {
     return misses_.load(std::memory_order_relaxed);
   }
 
  private:
+  /// DFS of one cone into cache_[op]; the caller has checked cached_[op].
+  void build(std::size_t op);
+
   const Netlist* nl_;
   const ObservationPoints* points_;
   std::vector<std::vector<GateId>> cache_;

@@ -48,6 +48,8 @@ struct LeakageParams {
   // Gate tunneling through ON devices:
   double gate_leak_pmos_on = 25.0;
   double gate_leak_nmos_on = 18.0;
+
+  bool operator==(const LeakageParams&) const = default;
 };
 
 class LeakageModel {

@@ -42,13 +42,15 @@ std::vector<TestPattern> random_patterns(const Netlist& nl, int n,
 }
 
 /// Expects that constructing a session with `opts` throws an Error whose
-/// message mentions `needle` (the knob name).
+/// message names the session and mentions `needle` (the knob name).
 void expect_ctor_error(const Netlist& nl, const FlowOptions& opts,
                        const std::string& needle) {
   try {
     ScanSession session(Netlist(nl), opts);
     FAIL() << "expected Error mentioning \"" << needle << "\"";
   } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("ScanSession: ", 0), 0u)
+        << e.what();
     EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
         << e.what();
   }

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <barrier>
 #include <future>
 #include <memory>
 #include <string>
@@ -139,6 +140,70 @@ TEST(DesignContextTest, TenantSessionMatchesOwningSession) {
   ScanSession inherited(ctx);
   EXPECT_EQ(inherited.options().diag.block_words, 4);
   EXPECT_EQ(inherited.options().diag.num_threads, 2);
+}
+
+// The context's leakage model keys its tables, so a tenant asking for
+// other leakage_params would silently get the context's power figures
+// instead of the isolated session's. Construction must refuse, naming the
+// knob.
+TEST(DesignContextTest, TenantRejectsForeignLeakageParams) {
+  const Netlist nl = map_to_nand_nor_inv(make_iscas89_like("s344"));
+  FlowOptions hot;
+  hot.leakage_params.nmos_off_weak *= 3.0;
+  hot.leakage_params.pmos_off_parallel *= 2.0;
+
+  // The params matter: an isolated session under them reports different
+  // static power than one under the defaults.
+  TestSet ts;
+  ts.patterns = random_patterns(nl, 8, 0x1ea7);
+  ScanSession isolated(Netlist(nl), hot);
+  ScanSession plain(Netlist(nl), FlowOptions{});
+  ASSERT_NE(isolated.power_report(ts).static_uw,
+            plain.power_report(ts).static_uw);
+
+  auto ctx = std::make_shared<const DesignContext>(Netlist(nl), FlowOptions{});
+  try {
+    ScanSession tenant(ctx, hot);
+    FAIL() << "tenant accepted leakage_params the context was not built with";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("ScanSession"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("leakage_params"), std::string::npos);
+  }
+  // Matching params: the tenant agrees with the isolated session.
+  auto hot_ctx = std::make_shared<const DesignContext>(Netlist(nl), hot);
+  ScanSession tenant(hot_ctx, hot);
+  EXPECT_EQ(tenant.power_report(ts).static_uw,
+            isolated.power_report(ts).static_uw);
+}
+
+// Cones build on the first cones() call under std::call_once. K tenants
+// racing into their first diagnosis over one fresh, unwarmed context must
+// each get the owning session's exact results (TSan covers the build).
+TEST(DesignContextTest, ConcurrentFirstUseOfUnwarmedContext) {
+  for (const auto& [words, threads] : {std::pair{1, 1}, {4, 1}, {1, 4},
+                                       {4, 4}}) {
+    const FlowOptions opts = make_opts(words, threads);
+    const Fixture fx = make_fixture("s344", 64, 0xc0de, opts);
+    auto ctx = std::make_shared<const DesignContext>(Netlist(fx.nl), opts);
+    constexpr int kTenants = 4;
+    std::barrier start(kTenants);
+    std::vector<std::thread> tenants;
+    for (int k = 0; k < kTenants; ++k) {
+      tenants.emplace_back([&, k] {
+        start.arrive_and_wait();
+        ScanSession tenant(ctx, opts);
+        tenant.bind_patterns(fx.pats);
+        for (std::size_t i = 0; i < fx.evidence.size(); ++i) {
+          expect_same_result(tenant.diagnose(fx.evidence[i]), fx.reference[i],
+                             "tenant " + std::to_string(k) + " log " +
+                                 std::to_string(i) + " W" +
+                                 std::to_string(words) + " T" +
+                                 std::to_string(threads));
+        }
+      });
+    }
+    for (std::thread& t : tenants) t.join();
+  }
 }
 
 // ---------- SessionPool -----------------------------------------------------
