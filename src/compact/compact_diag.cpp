@@ -6,22 +6,6 @@
 
 namespace scanpower {
 
-namespace {
-
-/// Structural validation shared by diagnose() and diagnose_with(): the
-/// log must cover the applied pattern set and be internally consistent
-/// before any plan/signature work is spent on it.
-void check_signature_log(std::span<const TestPattern> patterns,
-                         const SignatureLog& log) {
-  SP_CHECK(log.num_patterns == patterns.size(),
-           "diagnose: signature log covers a different pattern count");
-  SP_CHECK(log.num_windows() == log.misr.num_windows(patterns.size()) &&
-               log.observed.size() == log.expected.size(),
-           "diagnose: malformed signature log");
-}
-
-}  // namespace
-
 /// Per-worker mutable state for the parallel candidate sweep. Each
 /// candidate's predicted response diff is collected into `diff` (only
 /// rows the cone sweep actually reached are written, tracked in `dirty`
@@ -36,26 +20,6 @@ struct SignatureDiagnoser::Worker {
   std::unique_ptr<BlockSimulator> stream; ///< streaming good machine (only
                                           ///< when blocks are not cached)
 };
-
-SignatureDiagnoser::SignatureDiagnoser(const Netlist& nl, DiagnosisOptions opts)
-    : nl_(&nl), opts_(opts) {
-  SP_CHECK(nl.finalized(), "SignatureDiagnoser requires a finalized netlist");
-  check_block_words("diagnose", opts_.block_words, "block_words");
-  opts_.num_threads = ThreadPool::resolve_threads(opts_.num_threads);
-  owned_points_ = std::make_unique<ObservationPoints>(nl);
-  owned_cones_ = std::make_unique<ObservationConeCache>(nl, *owned_points_);
-  owned_goods_ = std::make_unique<GoodBlockCache>();
-  owned_pool_ = std::make_unique<ThreadPool>(opts_.num_threads);
-  points_ = owned_points_.get();
-  cones_ = owned_cones_.get();
-  goods_ = owned_goods_.get();
-  pool_ = owned_pool_.get();
-  workers_.resize(static_cast<std::size_t>(pool_->size()));
-  for (auto& w : workers_) {
-    w = std::make_unique<Worker>();
-    w->eval.init(nl, opts_.block_words, opts_.backend);
-  }
-}
 
 SignatureDiagnoser::SignatureDiagnoser(const Netlist& nl, DiagnosisOptions opts,
                                        ThreadPool& pool,
@@ -76,12 +40,8 @@ SignatureDiagnoser::SignatureDiagnoser(const Netlist& nl, DiagnosisOptions opts,
 
 SignatureDiagnoser::~SignatureDiagnoser() = default;
 
-void SignatureDiagnoser::ensure_goods(std::span<const TestPattern> patterns) {
-  if (owned_goods_) {
-    goods_->bind(*nl_, patterns, opts_.block_words,
-                 GoodBlockCache::kDefaultMaxCachedBlocks, opts_.backend);
-    return;
-  }
+void SignatureDiagnoser::ensure_goods(
+    std::span<const TestPattern> patterns) const {
   SP_CHECK(goods_->bound_to(patterns, opts_.block_words),
            "diagnose: the shared good-block cache is bound to a different "
            "pattern set (bind the session to these patterns first)");
@@ -224,30 +184,15 @@ void SignatureDiagnoser::score_candidates(
 
 DiagnosisResult SignatureDiagnoser::diagnose(
     std::span<const TestPattern> patterns, std::span<const Fault> faults,
-    const SignatureLog& log) {
-  check_signature_log(patterns, log);
-
-  // Rebuild the X-mask plan and the expected signatures from the good
-  // machine -- the per-call state a ScanSession caches per MISR
-  // configuration and feeds to diagnose_with() directly.
-  const MisrCompactor compactor(log.misr, opts_.block_words);
-  const XMaskPlan plan(*nl_, *points_, patterns, log.misr.window,
-                       opts_.block_words, opts_.backend);
-  const std::vector<TestPattern> filled = zero_filled_patterns(patterns);
-  const std::span<const TestPattern> sim_patterns =
-      filled.empty() ? patterns : std::span<const TestPattern>(filled);
-  ResponseCapture capture(*nl_, opts_.block_words, opts_.backend);
-  const ResponseMatrix good = capture.capture_good(sim_patterns);
-  const std::vector<std::uint64_t> expected = compactor.compact(good, &plan);
-
-  return diagnose_with(sim_patterns, faults, log, plan, expected);
-}
-
-DiagnosisResult SignatureDiagnoser::diagnose_with(
-    std::span<const TestPattern> patterns, std::span<const Fault> faults,
     const SignatureLog& log, const XMaskPlan& plan,
     std::span<const std::uint64_t> expected) {
-  check_signature_log(patterns, log);
+  // The log must cover the applied pattern set and be internally
+  // consistent before any scoring work is spent on it.
+  SP_CHECK(log.num_patterns == patterns.size(),
+           "diagnose: signature log covers a different pattern count");
+  SP_CHECK(log.num_windows() == log.misr.num_windows(patterns.size()) &&
+               log.observed.size() == log.expected.size(),
+           "diagnose: malformed signature log");
   // A mismatch between the log's expected signatures and the good machine
   // means the log was recorded for different patterns or a different MISR
   // configuration, which would silently wreck every score.

@@ -32,6 +32,11 @@
 // (compaction trades diagnosability for bandwidth). Distinct unmasked
 // sets are deduplicated before intersecting; without X-masking all
 // windows share one union and the back-trace runs once.
+//
+// Construction is Diagnoser's (diagnose.hpp): the engine borrows pool,
+// points, cones and good blocks, and the owning ScanSession also caches
+// the (X-mask plan, expected signatures) pair per MISR configuration and
+// passes it to every diagnose() call, so nothing is rebuilt per log.
 
 #include <memory>
 #include <span>
@@ -52,18 +57,12 @@ namespace scanpower {
 
 class SignatureDiagnoser {
  public:
-  /// Standalone: builds a private worker pool, observation-point space,
-  /// cone cache and good-block cache, and rebuilds the X-mask plan plus
-  /// expected signatures on every diagnose() call. Takes the
-  /// engine knobs from DiagnosisOptions (block_words, num_threads,
-  /// cone_pruning, max_report); the MISR configuration comes from the
-  /// diagnosed log. score_early_exit does not apply -- window counters
-  /// are too coarse for a sound mid-sweep bound -- and is ignored.
-  explicit SignatureDiagnoser(const Netlist& nl, DiagnosisOptions opts = {});
-  /// Borrowing: shares a ScanSession's pool, point space, cone cache and
-  /// good-block cache; the session also caches (X-mask plan, expected
-  /// signatures) per MISR configuration and hands them to
-  /// diagnose_with(). opts.num_threads is superseded by the pool's size.
+  /// Borrows every shared piece (see "Construction" above). Takes the
+  /// engine knobs from DiagnosisOptions (block_words, backend,
+  /// cone_pruning, telemetry); the MISR configuration comes from the
+  /// diagnosed log. score_early_exit does not apply -- window counters are
+  /// too coarse for a sound mid-sweep bound -- and is ignored.
+  /// opts.num_threads is superseded by the pool's size.
   SignatureDiagnoser(const Netlist& nl, DiagnosisOptions opts,
                      ThreadPool& pool, const ObservationPoints& points,
                      ObservationConeCache& cones, GoodBlockCache& goods);
@@ -72,30 +71,24 @@ class SignatureDiagnoser {
   const DiagnosisOptions& options() const { return opts_; }
   const ObservationPoints& points() const { return *points_; }
 
-  /// Scores `faults` against a compacted signature log under `patterns`
-  /// (the set the log was recorded for; X bits allowed -- they are
-  /// zero-filled for simulation and handled by the rebuilt X-mask plan).
-  /// Checks that the log's expected signatures match the good machine,
-  /// which catches pattern-set or MISR-configuration mismatches up front.
+  /// Scores `faults` against a compacted signature log. `patterns` must be
+  /// fully specified (the session's zero-filled view) and be the storage
+  /// the borrowed good-block cache is bound to; `plan` is the X-mask plan
+  /// of the original patterns at the log's window size, and `expected`
+  /// the good-machine window signatures under that plan -- state the
+  /// session caches per MISR configuration. The log's own expected
+  /// signatures must equal `expected`, which catches pattern-set or
+  /// MISR-configuration mismatches up front.
   DiagnosisResult diagnose(std::span<const TestPattern> patterns,
                            std::span<const Fault> faults,
-                           const SignatureLog& log);
-
-  /// Precomputed-state variant used by ScanSession: `patterns` must be
-  /// fully specified (the session's zero-filled view), `plan` the X-mask
-  /// plan of the original patterns at the log's window size, and
-  /// `expected` the good-machine window signatures under that plan --
-  /// the state diagnose() rebuilds per call.
-  DiagnosisResult diagnose_with(std::span<const TestPattern> patterns,
-                                std::span<const Fault> faults,
-                                const SignatureLog& log,
-                                const XMaskPlan& plan,
-                                std::span<const std::uint64_t> expected);
+                           const SignatureLog& log, const XMaskPlan& plan,
+                           std::span<const std::uint64_t> expected);
 
  private:
   struct Worker;
 
-  void ensure_goods(std::span<const TestPattern> patterns);
+  /// Throws unless the borrowed good-block cache is bound to `patterns`.
+  void ensure_goods(std::span<const TestPattern> patterns) const;
   std::vector<std::uint32_t> prune_candidates(std::span<const Fault> faults,
                                               const SignatureLog& log,
                                               const XMaskPlan& plan);
@@ -110,16 +103,11 @@ class SignatureDiagnoser {
 
   const Netlist* nl_;
   DiagnosisOptions opts_;
-  // Owned engine state (standalone construction only; null when borrowed).
-  std::unique_ptr<ObservationPoints> owned_points_;
-  std::unique_ptr<ObservationConeCache> owned_cones_;
-  std::unique_ptr<GoodBlockCache> owned_goods_;
-  std::unique_ptr<ThreadPool> owned_pool_;
-  // Borrowed-or-owned views used by all engine code.
-  const ObservationPoints* points_ = nullptr;
-  ObservationConeCache* cones_ = nullptr;
-  GoodBlockCache* goods_ = nullptr;
-  ThreadPool* pool_ = nullptr;
+  // Borrowed engine state; the owner keeps it alive.
+  const ObservationPoints* points_;
+  ObservationConeCache* cones_;
+  GoodBlockCache* goods_;
+  ThreadPool* pool_;
   std::vector<std::unique_ptr<Worker>> workers_;
 };
 

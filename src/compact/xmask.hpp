@@ -13,8 +13,9 @@
 // preserved (one pattern per lane), and a point is masked in window `w`
 // iff its observed gate evaluates to X for at least one pattern of `w`.
 // The plan depends only on the pattern set, the netlist and the window
-// size, so the tester (SignatureCapture) and the diagnosis engine
-// (SignatureDiagnoser) rebuild identical plans independently.
+// size, so the plan a ScanSession's SignatureCapture builds for the
+// synthetic tester is also the one it hands the diagnosis engine
+// (SignatureDiagnoser).
 //
 // Points that are known for every pattern of a window pass through
 // unmasked; fully specified pattern sets produce an empty plan without

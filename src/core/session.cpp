@@ -282,7 +282,7 @@ DiagnosisResult ScanSession::diagnose_compacted(const SignatureLog& log) {
   telemetry_.metrics.add(0, CounterId::kSessionDiagnoseCompact);
   TraceSpan span(&telemetry_, "session.diagnose_compacted", 0);
   SignatureCapture& cs = compact_state(log.misr);
-  DiagnosisResult res = sig_diagnoser().diagnose_with(
+  DiagnosisResult res = sig_diagnoser().diagnose(
       effective_patterns(), faults(), log, cs.mask(), cs.expected());
   SP_LOG_INFO(strprintf(
       "compacted diagnosis[%s]: %zu/%zu failing windows (MISR width %d, "
@@ -384,16 +384,22 @@ SignatureLog ScanSession::inject_compacted(std::span<const Fault> faults,
   return compact_state(cfg).inject(bound_, faults);
 }
 
-FillResult ScanSession::fill(std::vector<Logic>& pi_pattern,
-                             std::vector<Logic>& mux_pattern,
-                             const std::vector<bool>& mux_eligible) {
+FillOptions ScanSession::fill_options(bool minimize_leakage) {
   FillOptions fo = opts_.fill;
+  fo.minimize_leakage = minimize_leakage;
   if (fo.packed) {
     fo.tables = &leakage_tables();
     fo.pool = &pool();
   }
-  return fill_dont_cares_min_leakage(nl(), leakage_model(), pi_pattern, mux_pattern,
-                                     mux_eligible, fo);
+  return fo;
+}
+
+FillResult ScanSession::fill(std::vector<Logic>& pi_pattern,
+                             std::vector<Logic>& mux_pattern,
+                             const std::vector<bool>& mux_eligible) {
+  return fill_dont_cares_min_leakage(
+      nl(), leakage_model(), pi_pattern, mux_pattern, mux_eligible,
+      fill_options(opts_.fill.minimize_leakage));
 }
 
 ScanPowerResult ScanSession::power_report(const TestSet& tests,
@@ -428,15 +434,9 @@ ScanPowerResult ScanSession::run_proposed(const TestSet& tests,
   FindPatternResult pat = find_controlled_input_pattern(nl(), plan, caps, fopts);
 
   // --- don't-care filling ------------------------------------------------
-  FillOptions fill_opts = opts_.fill;
-  fill_opts.minimize_leakage = opts_.do_min_leakage_fill;
-  if (fill_opts.packed) {
-    fill_opts.tables = &leakage_tables();
-    fill_opts.pool = &pool();
-  }
   const FillResult fill = fill_dont_cares_min_leakage(
       nl(), leakage_model(), pat.pi_pattern, pat.mux_pattern,
-      plan.multiplexed, fill_opts);
+      plan.multiplexed, fill_options(opts_.do_min_leakage_fill));
 
   // --- pin reordering -----------------------------------------------------
   // Work on a copy: reordering is a physical rewrite of the circuit.
@@ -500,14 +500,10 @@ FlowResult ScanSession::run_flow() {
     fopts.justify_backtrack_limit = opts_.justify_backtrack_limit;
     FindPatternResult pat =
         find_controlled_input_pattern(nl(), no_mux, caps, fopts);
-    FillOptions fill_opts = opts_.fill;
-    fill_opts.minimize_leakage = false;  // [8] targets transitions only
-    if (fill_opts.packed) {
-      fill_opts.tables = &leakage_tables();
-      fill_opts.pool = &pool();
-    }
-    fill_dont_cares_min_leakage(nl(), leakage_model(), pat.pi_pattern, pat.mux_pattern,
-                                no_mux.multiplexed, fill_opts);
+    // [8] targets transitions only: no leakage minimization.
+    fill_dont_cares_min_leakage(nl(), leakage_model(), pat.pi_pattern,
+                                pat.mux_pattern, no_mux.multiplexed,
+                                fill_options(/*minimize_leakage=*/false));
     TraceSpan span(&telemetry_, "scan_power.input_control", 0);
     ScanPowerEvaluator eval(nl(), leakage_model(), caps, opts_.power);
     res.input_control =

@@ -24,9 +24,9 @@
 // compaction. Cache keys: the bound pattern set (by content) keys the
 // zero-filled view, the good-block cache and the good response matrix;
 // each MisrConfig keys one (X-mask plan, expected signatures) entry on
-// top of that. Every result is bit-identical to the one-shot legacy entry
-// points for any (block_words, num_threads) configuration -- the engines'
-// determinism contracts make shared pools and caches result-neutral.
+// top of that. Every result is bit-identical to a fresh session's for any
+// (block_words, num_threads) configuration -- the engines' determinism
+// contracts make shared pools and caches result-neutral.
 //
 // State has two layers. The design-keyed layer -- netlist, collapsed
 // faults, observation points and cones, leakage tables -- always lives in
@@ -107,7 +107,7 @@ class ScanSession {
 
   /// The one worker pool every pool-borrowing engine of this session
   /// runs on, sized to the largest resolved thread knob among its
-  /// borrowers (diag, observability; fault simulation inside tests()
+  /// borrowers (diag, observability, fill; fault simulation inside tests()
   /// manages its own transient pool). All engines produce bit-identical
   /// results for any pool size, so sharing is result-neutral.
   ThreadPool& pool();
@@ -195,6 +195,9 @@ class ScanSession {
   /// (X-mask plan, expected signatures, synthetic tester) of one MISR
   /// configuration over the bound pattern set.
   SignatureCapture& compact_state(const MisrConfig& cfg);
+  /// options().fill with `minimize_leakage` set; the packed engine borrows
+  /// the session's leakage tables and pool.
+  FillOptions fill_options(bool minimize_leakage);
 
   std::span<const TestPattern> effective_patterns() const {
     return filled_.empty() ? std::span<const TestPattern>(bound_)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <memory>
 
 #include "util/assert.hpp"
 
@@ -47,25 +48,6 @@ std::vector<std::uint32_t> prune_by_cone_unions(
   return candidates;
 }
 
-Diagnoser::Diagnoser(const Netlist& nl, DiagnosisOptions opts)
-    : nl_(&nl), opts_(opts) {
-  SP_CHECK(nl.finalized(), "Diagnoser requires a finalized netlist");
-  check_block_words("diagnose", opts_.block_words, "block_words");
-  opts_.num_threads = ThreadPool::resolve_threads(opts_.num_threads);
-  owned_points_ = std::make_unique<ObservationPoints>(nl);
-  owned_cones_ = std::make_unique<ObservationConeCache>(nl, *owned_points_);
-  owned_goods_ = std::make_unique<GoodBlockCache>();
-  owned_pool_ = std::make_unique<ThreadPool>(opts_.num_threads);
-  points_ = owned_points_.get();
-  cones_ = owned_cones_.get();
-  goods_ = owned_goods_.get();
-  pool_ = owned_pool_.get();
-  workers_.resize(static_cast<std::size_t>(pool_->size()));
-  for (FaultConeEvaluator& w : workers_) {
-    w.init(nl, opts_.block_words, opts_.backend);
-  }
-}
-
 Diagnoser::Diagnoser(const Netlist& nl, DiagnosisOptions opts, ThreadPool& pool,
                      const ObservationPoints& points,
                      ObservationConeCache& cones, GoodBlockCache& goods)
@@ -80,18 +62,7 @@ Diagnoser::Diagnoser(const Netlist& nl, DiagnosisOptions opts, ThreadPool& pool,
   }
 }
 
-Diagnoser::~Diagnoser() = default;
-
-void Diagnoser::ensure_goods(std::span<const TestPattern> patterns) {
-  if (owned_goods_) {
-    // Standalone: rebuild the good machine per call, the one-shot cost the
-    // session API amortizes away. The cache cap stays at this engine's
-    // historical 64 blocks -- a throwaway binding should not hold the
-    // session-sized 256-block footprint.
-    goods_->bind(*nl_, patterns, opts_.block_words, /*max_cached_blocks=*/64,
-                 opts_.backend);
-    return;
-  }
+void Diagnoser::ensure_goods(std::span<const TestPattern> patterns) const {
   SP_CHECK(goods_->bound_to(patterns, opts_.block_words),
            "diagnose: the shared good-block cache is bound to a different "
            "pattern set (bind the session to these patterns first)");
@@ -590,8 +561,8 @@ DiagnosisResult Diagnoser::diagnose(std::span<const TestPattern> patterns,
   }
   {
     TraceSpan span_all(telem, "diagnose", 0, CounterId::kCount, &total_us);
-    // Validate + prune before ensure_goods: a malformed log must fail fast,
-    // not after a full good-machine rebuild (standalone mode).
+    // Validate + prune before ensure_goods, so a malformed log reports
+    // its own error first.
     Prepared p;
     {
       TraceSpan span(telem, "prune", 0, CounterId::kDiagPruneUs,

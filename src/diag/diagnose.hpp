@@ -49,9 +49,16 @@
 //     single candidate does. Clean single-fault logs skip both stages
 //     (the top candidate explains everything), so the single-fault path
 //     pays nothing.
+//
+// Construction: the engine owns only its per-worker scratch. The pool,
+// observation points, cone cache and good-block cache are borrowed from
+// the ScanSession that builds it (session.hpp), so their cost is paid
+// once per design or pattern set, never per call. Code that needs the
+// bare engine -- kernels, or tests that steer the cache cap or the
+// telemetry scope -- borrows the same pieces from a DesignContext, a
+// ThreadPool and a bound GoodBlockCache.
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -218,18 +225,13 @@ struct DiagnosisResult {
 
 class Diagnoser {
  public:
-  /// Standalone: builds a private worker pool, observation-point space,
-  /// cone cache and good-block cache (the cache is rebound on every
-  /// diagnose() call) -- one-shot use without a ScanSession.
-  explicit Diagnoser(const Netlist& nl, DiagnosisOptions opts = {});
-  /// Borrowing: shares a ScanSession's pool, point space, cone cache and
-  /// good-block cache across calls and engines. `goods` must already be
-  /// bound (by the owner) to the pattern storage later passed to
-  /// diagnose(); opts.num_threads is superseded by the pool's size.
+  /// Borrows every shared piece (see "Construction" above). `goods` must
+  /// already be bound to the pattern storage later passed to diagnose(),
+  /// else diagnose() throws; opts.num_threads is superseded by the pool's
+  /// size.
   Diagnoser(const Netlist& nl, DiagnosisOptions opts, ThreadPool& pool,
             const ObservationPoints& points, ObservationConeCache& cones,
             GoodBlockCache& goods);
-  ~Diagnoser();
 
   const DiagnosisOptions& options() const { return opts_; }
   const ObservationPoints& points() const { return *points_; }
@@ -267,7 +269,8 @@ class Diagnoser {
   /// for any fault multiplicity; the noise-recovery fallback).
   enum class PruneMode { kIntersect, kUnion };
 
-  void ensure_goods(std::span<const TestPattern> patterns);
+  /// Throws unless the borrowed good-block cache is bound to `patterns`.
+  void ensure_goods(std::span<const TestPattern> patterns) const;
   Prepared prepare(std::span<const TestPattern> patterns,
                    std::span<const Fault> faults, const FailureLog& log,
                    PruneMode mode);
@@ -307,16 +310,11 @@ class Diagnoser {
 
   const Netlist* nl_;
   DiagnosisOptions opts_;
-  // Owned engine state (standalone construction only; null when borrowed).
-  std::unique_ptr<ObservationPoints> owned_points_;
-  std::unique_ptr<ObservationConeCache> owned_cones_;
-  std::unique_ptr<GoodBlockCache> owned_goods_;
-  std::unique_ptr<ThreadPool> owned_pool_;
-  // Borrowed-or-owned views used by all engine code.
-  const ObservationPoints* points_ = nullptr;
-  ObservationConeCache* cones_ = nullptr;
-  GoodBlockCache* goods_ = nullptr;
-  ThreadPool* pool_ = nullptr;
+  // Borrowed engine state; the owner keeps it alive.
+  const ObservationPoints* points_;
+  ObservationConeCache* cones_;
+  GoodBlockCache* goods_;
+  ThreadPool* pool_;
   std::vector<FaultConeEvaluator> workers_;
 };
 

@@ -24,11 +24,11 @@
 #include "atpg/sim_backend.hpp"
 #include "benchgen/benchgen.hpp"
 #include "core/dont_care_fill.hpp"
-#include "diag/diagnose.hpp"
 #include "diag/response.hpp"
 #include "netlist/builder.hpp"
 #include "power/leakage_model.hpp"
 #include "power/observability.hpp"
+#include "support/diag_session.hpp"
 #include "techmap/techmap.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -309,21 +309,20 @@ TEST(BackendCrossCheck, DiagnosisRankingsMatchScalar) {
   FailureLog single = cap.inject(pats, detected[0]);
   ASSERT_FALSE(single.failures.empty());
   FailureLog twin = cap.inject(pats, std::span<const Fault>(detected));
+  const auto ctx = std::make_shared<const DesignContext>(Netlist(nl));
   for (const FailureLog* log : {&single, &twin}) {
     for (SimBackend b : backends_under_test()) {
       for (auto [w, t] : kMatrix) {
         DiagnosisOptions ref_opts;
         ref_opts.block_words = w;
         ref_opts.backend = SimBackend::Scalar;
-        Diagnoser ref_diag(nl, ref_opts);
-        const DiagnosisResult ref = ref_diag.diagnose(pats, faults, *log);
+        const DiagnosisResult ref = diagnose_once(ctx, pats, *log, ref_opts);
 
         DiagnosisOptions opts;
         opts.block_words = w;
         opts.backend = b;
         opts.num_threads = t;
-        Diagnoser diag(nl, opts);
-        expect_same_diagnosis(ref, diag.diagnose(pats, faults, *log),
+        expect_same_diagnosis(ref, diagnose_once(ctx, pats, *log, opts),
                               std::string("backend=") + backend_name(b) +
                                   " W=" + std::to_string(w) +
                                   " T=" + std::to_string(t));

@@ -19,12 +19,12 @@
 #include "atpg/fault.hpp"
 #include "atpg/fault_sim.hpp"
 #include "benchgen/benchgen.hpp"
-#include "compact/compact_diag.hpp"
 #include "compact/misr.hpp"
 #include "compact/signature_log.hpp"
 #include "compact/xmask.hpp"
 #include "diag/response.hpp"
 #include "sim/simulator.hpp"
+#include "support/diag_session.hpp"
 #include "techmap/techmap.hpp"
 #include "util/rng.hpp"
 
@@ -358,8 +358,7 @@ TEST(ShortWindowTest, EnginesAgreeOnPartialFinalWindow) {
     EXPECT_EQ(log.expected, ref) << n << "/" << window;
     ASSERT_EQ(log.observed.size(), nwin);
     EXPECT_EQ(log.num_patterns, n);
-    SignatureDiagnoser diag(nl, DiagnosisOptions{});
-    const DiagnosisResult res = diag.diagnose(pats, faults, log);
+    const DiagnosisResult res = diagnose_once(nl, pats, log);
     EXPECT_EQ(res.num_windows, nwin);
     EXPECT_EQ(res.rank_of(faults[pick]), 1u) << n << "/" << window;
   }
@@ -518,17 +517,18 @@ TEST(SignatureDiagnoseTest, RejectsMismatchedLog) {
   const auto pats = random_patterns(nl, 32, 5);
   SignatureCapture cap(nl, MisrConfig{}, 1);
   SignatureLog log = cap.inject(pats, faults[0]);
-  SignatureDiagnoser diag(nl, DiagnosisOptions{.block_words = 1});
+  ScanSession session(Netlist(nl), diag_flow_options({.block_words = 1}));
+  session.bind_patterns(pats);
 
   SignatureLog wrong_count = log;
   wrong_count.num_patterns = 31;
-  EXPECT_THROW(diag.diagnose(pats, faults, wrong_count), Error);
+  EXPECT_THROW(session.diagnose(wrong_count), Error);
 
   // Expected signatures recorded for a different pattern set must be
   // rejected up front instead of silently wrecking every score.
   SignatureLog wrong_expected = log;
   wrong_expected.expected[0] ^= 1;
-  EXPECT_THROW(diag.diagnose(pats, faults, wrong_expected), Error);
+  EXPECT_THROW(session.diagnose(wrong_expected), Error);
 }
 
 // No failing windows: exact candidates are exactly the faults this
@@ -546,8 +546,8 @@ TEST(SignatureDiagnoseTest, CleanLogScoresEverythingAsUndetected) {
   clean.expected = cap.expected();
   clean.observed = cap.expected();
 
-  SignatureDiagnoser diag(nl, DiagnosisOptions{.cone_pruning = false});
-  const DiagnosisResult res = diag.diagnose(pats, faults, clean);
+  const DiagnosisResult res =
+      diagnose_once(nl, pats, clean, DiagnosisOptions{.cone_pruning = false});
   ASSERT_EQ(res.ranked.size(), faults.size());
   EXPECT_EQ(res.num_failing_windows, 0u);
   FaultSimulator fsim(nl, FaultSimOptions{.block_words = 1});
@@ -569,12 +569,13 @@ TEST(SignatureDiagnoseTest, StreamingGoodMachineMatchesCachedPath) {
   const SignatureLog log = cap.inject(pats, faults[2]);
   ASSERT_GT(log.num_failing_windows(), 0u);
 
+  const auto ctx = std::make_shared<const DesignContext>(Netlist(nl));
   DiagnosisResult ref;
   bool have_ref = false;
   for (int words : {1, 8}) {
-    SignatureDiagnoser d(nl, DiagnosisOptions{.block_words = words,
-                                              .cone_pruning = false});
-    const DiagnosisResult res = d.diagnose(pats, faults, log);
+    const DiagnosisResult res = diagnose_once(
+        ctx, pats, log,
+        DiagnosisOptions{.block_words = words, .cone_pruning = false});
     EXPECT_EQ(res.rank_of(faults[2]), 1u);
     if (!have_ref) {
       ref = res;
@@ -608,13 +609,14 @@ TEST(SignatureDiagnoseTest, DiagnosesThroughXMasking) {
   cap.bind(pats);
   ASSERT_TRUE(cap.mask().any_masked());
 
-  SignatureDiagnoser diag(nl, DiagnosisOptions{});
+  ScanSession session{Netlist(nl)};
+  session.bind_patterns(pats);
   int diagnosed = 0;
   for (std::size_t fi = 0; fi < faults.size() && diagnosed < 12; fi += 41) {
     const SignatureLog log = cap.inject(pats, faults[fi]);
     if (log.num_failing_windows() == 0) continue;
     ++diagnosed;
-    const DiagnosisResult res = diag.diagnose(pats, faults, log);
+    const DiagnosisResult res = session.diagnose(log);
     EXPECT_EQ(res.rank_of(faults[fi]), 1u) << faults[fi].to_string(nl);
     EXPECT_EQ(res.num_masked, cap.mask().num_masked());
     ASSERT_FALSE(res.ranked.empty());
@@ -656,14 +658,16 @@ TEST(CompactDiagnoseAcceptance, AllProfilesRankInjectedFaultFirst) {
     SignatureCapture cap(nl, MisrConfig{}, 4);  // default width/window
     // All hardware threads: rankings are bit-identical across thread
     // counts (verified below), so this only buys wall-clock.
-    SignatureDiagnoser diag(nl,
-                            DiagnosisOptions{.block_words = 4, .num_threads = 0});
+    const auto ctx = std::make_shared<const DesignContext>(Netlist(nl));
+    ScanSession session(
+        ctx, diag_flow_options({.block_words = 4, .num_threads = 0}));
+    session.bind_patterns(pats);
     int trials = 0;
     int rank1 = 0;
     for (std::size_t fi : sample) {
       const SignatureLog log = cap.inject(pats, faults[fi]);
       ASSERT_GT(log.num_failing_windows(), 0u) << profile.name;
-      const DiagnosisResult res = diag.diagnose(pats, faults, log);
+      const DiagnosisResult res = session.diagnose(log);
       const std::size_t rank = res.rank_of(faults[fi]);
       ASSERT_GE(rank, 1u) << profile.name << ": injected fault pruned away";
       ++trials;
@@ -681,9 +685,9 @@ TEST(CompactDiagnoseAcceptance, AllProfilesRankInjectedFaultFirst) {
       bool have_ref = false;
       for (int words : {1, 4}) {
         for (int threads : {1, 4}) {
-          SignatureDiagnoser d(nl, DiagnosisOptions{.block_words = words,
-                                                    .num_threads = threads});
-          const DiagnosisResult res = d.diagnose(pats, faults, log);
+          const DiagnosisResult res = diagnose_once(
+              ctx, pats, log,
+              DiagnosisOptions{.block_words = words, .num_threads = threads});
           if (!have_ref) {
             ref = res;
             have_ref = true;

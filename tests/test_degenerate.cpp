@@ -6,22 +6,21 @@
 // to an output (no combinational logic in the cone at all), and a
 // DFF-only shift structure (every observation point reads a source).
 // Each shape goes through FaultSimulator, PackedLeakageEvaluator and
-// Diagnoser (plus the compacted SignatureDiagnoser) and is cross-checked
-// against the scalar reference engines.
+// ScanSession diagnosis (full-response and compacted) and is
+// cross-checked against the scalar reference engines.
 
 #include <gtest/gtest.h>
 
 #include "atpg/fault.hpp"
 #include "atpg/fault_sim.hpp"
 #include "benchgen/benchgen.hpp"
-#include "compact/compact_diag.hpp"
 #include "compact/signature_log.hpp"
-#include "diag/diagnose.hpp"
 #include "diag/response.hpp"
 #include "netlist/builder.hpp"
 #include "power/leakage_model.hpp"
 #include "power/packed_leakage.hpp"
 #include "sim/simulator.hpp"
+#include "support/diag_session.hpp"
 #include "util/rng.hpp"
 
 namespace scanpower {
@@ -160,6 +159,7 @@ TEST_P(DegenerateNetlistTest, DiagnosisRanksInjectedFaultFirst) {
   const auto pats = random_patterns(nl, 48, 0xd1a + GetParam());
   ResponseCapture cap(nl, 4);
   SignatureCapture scap(nl, MisrConfig{.width = 16, .window = 8}, 4);
+  const auto ctx = std::make_shared<const DesignContext>(Netlist(nl));
 
   int diagnosed = 0;
   for (const Fault& f : faults) {
@@ -173,15 +173,13 @@ TEST_P(DegenerateNetlistTest, DiagnosisRanksInjectedFaultFirst) {
       for (int threads : {1, 4}) {
         const DiagnosisOptions opts{.block_words = words,
                                     .num_threads = threads};
-        Diagnoser diag(nl, opts);
-        const DiagnosisResult res = diag.diagnose(pats, faults, log);
+        const DiagnosisResult res = diagnose_once(ctx, pats, log, opts);
         EXPECT_EQ(res.rank_of(f), 1u)
             << f.to_string(nl) << " W=" << words << " T=" << threads;
         ASSERT_FALSE(res.ranked.empty());
         EXPECT_TRUE(res.ranked[0].exact());
 
-        SignatureDiagnoser sdiag(nl, opts);
-        const DiagnosisResult sres = sdiag.diagnose(pats, faults, slog);
+        const DiagnosisResult sres = diagnose_once(ctx, pats, slog, opts);
         EXPECT_EQ(sres.rank_of(f), 1u)
             << "compacted " << f.to_string(nl) << " W=" << words;
         ASSERT_FALSE(sres.ranked.empty());

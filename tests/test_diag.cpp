@@ -14,9 +14,11 @@
 #include "atpg/fault.hpp"
 #include "atpg/fault_sim.hpp"
 #include "benchgen/benchgen.hpp"
+#include "core/design_context.hpp"
 #include "diag/diagnose.hpp"
 #include "diag/response.hpp"
 #include "netlist/builder.hpp"
+#include "support/diag_session.hpp"
 #include "techmap/techmap.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -183,9 +185,8 @@ TEST(ResponseCaptureTest, DffStemFaultReportsAtConsumingPoints) {
   EXPECT_EQ(branch.failures, expect_branch);
 
   // And diagnosis from the stem log scores the stem fault as exact.
-  Diagnoser diag(nl, DiagnosisOptions{.block_words = 1});
-  const auto faults = collapse_faults(nl);
-  const DiagnosisResult res = diag.diagnose(pats, faults, stem);
+  const DiagnosisResult res =
+      diagnose_once(nl, pats, stem, DiagnosisOptions{.block_words = 1});
   EXPECT_EQ(res.rank_of(Fault{q1, -1, false}), 1u);
   ASSERT_FALSE(res.ranked.empty());
   EXPECT_TRUE(res.ranked[0].exact());
@@ -193,15 +194,15 @@ TEST(ResponseCaptureTest, DffStemFaultReportsAtConsumingPoints) {
 
 TEST(DiagnoseTest, RejectsUnsortedLog) {
   const Netlist nl = map_to_nand_nor_inv(make_s27());
-  const auto faults = collapse_faults(nl);
   const auto pats = random_patterns(nl, 8, 5);
-  Diagnoser diag(nl, DiagnosisOptions{});
+  ScanSession session{Netlist(nl)};
+  session.bind_patterns(pats);
   FailureLog log;
   log.num_patterns = pats.size();
   log.failures = {{3, 0}, {1, 0}};
-  EXPECT_THROW(diag.diagnose(pats, faults, log), Error);
+  EXPECT_THROW(session.diagnose(log), Error);
   log.normalize();
-  const DiagnosisResult res = diag.diagnose(pats, faults, log);
+  const DiagnosisResult res = session.diagnose(log);
   EXPECT_EQ(res.num_failures, 2u);
 }
 
@@ -381,16 +382,19 @@ TEST(DiagnoseTest, EarlyExitPreservesTheWinner) {
   const auto faults = collapse_faults(nl);
   const auto pats = random_patterns(nl, 96, 0xe4e);
   ResponseCapture cap(nl, 4);
-  Diagnoser fast(nl, DiagnosisOptions{.score_early_exit = true});
-  Diagnoser full(nl, DiagnosisOptions{.score_early_exit = false});
+  const auto ctx = std::make_shared<const DesignContext>(Netlist(nl));
+  ScanSession fast(ctx, diag_flow_options({.score_early_exit = true}));
+  ScanSession full(ctx, diag_flow_options({.score_early_exit = false}));
+  fast.bind_patterns(pats);
+  full.bind_patterns(pats);
 
   int compared = 0;
   std::size_t total_dropped = 0;
   for (std::size_t fi = 0; fi < faults.size(); fi += 23) {
     const FailureLog log = cap.inject(pats, faults[fi]);
     if (log.failures.empty()) continue;
-    const DiagnosisResult a = fast.diagnose(pats, faults, log);
-    const DiagnosisResult b = full.diagnose(pats, faults, log);
+    const DiagnosisResult a = fast.diagnose(log);
+    const DiagnosisResult b = full.diagnose(log);
     ASSERT_EQ(a.ranked.size(), b.ranked.size());
     EXPECT_EQ(b.num_dropped, 0u);
     total_dropped += a.num_dropped;
@@ -427,7 +431,8 @@ TEST(DiagnoseTest, InjectedFaultRanksFirstOnS344) {
   const auto faults = collapse_faults(nl);
   const auto pats = random_patterns(nl, 128, 0xd1a60);
   ResponseCapture cap(nl, 4);
-  Diagnoser diag(nl, DiagnosisOptions{});
+  ScanSession session{Netlist(nl)};
+  session.bind_patterns(pats);
 
   // First fault-sim pass to find detected faults.
   FaultSimulator fsim(nl, FaultSimOptions{.block_words = 4});
@@ -440,7 +445,7 @@ TEST(DiagnoseTest, InjectedFaultRanksFirstOnS344) {
     ++trials;
     const FailureLog log = cap.inject(pats, faults[fi]);
     ASSERT_FALSE(log.failures.empty());
-    const DiagnosisResult res = diag.diagnose(pats, faults, log);
+    const DiagnosisResult res = session.diagnose(log);
     ASSERT_FALSE(res.ranked.empty());
     // The injected fault explains its own log exactly...
     EXPECT_EQ(res.rank_of(faults[fi]), 1u) << faults[fi].to_string(nl);
@@ -456,14 +461,17 @@ TEST(DiagnoseTest, PruningNeverDropsTheInjectedFault) {
   const auto faults = collapse_faults(nl);
   const auto pats = random_patterns(nl, 96, 0xabcd);
   ResponseCapture cap(nl, 4);
-  Diagnoser pruned(nl, DiagnosisOptions{.cone_pruning = true});
-  Diagnoser full(nl, DiagnosisOptions{.cone_pruning = false});
+  const auto ctx = std::make_shared<const DesignContext>(Netlist(nl));
+  ScanSession pruned(ctx, diag_flow_options({.cone_pruning = true}));
+  ScanSession full(ctx, diag_flow_options({.cone_pruning = false}));
+  pruned.bind_patterns(pats);
+  full.bind_patterns(pats);
 
   for (std::size_t fi = 0; fi < faults.size(); fi += 37) {
     const FailureLog log = cap.inject(pats, faults[fi]);
     if (log.failures.empty()) continue;  // undetected: nothing to diagnose
-    const DiagnosisResult a = pruned.diagnose(pats, faults, log);
-    const DiagnosisResult b = full.diagnose(pats, faults, log);
+    const DiagnosisResult a = pruned.diagnose(log);
+    const DiagnosisResult b = full.diagnose(log);
     EXPECT_LE(a.num_candidates, b.num_candidates);
     EXPECT_GE(a.rank_of(faults[fi]), 1u);
     // Pruning must not change what the best explanation looks like.
@@ -478,10 +486,10 @@ TEST(DiagnoseTest, EmptyLogScoresEverythingAsUndetected) {
   const Netlist nl = map_to_nand_nor_inv(make_s27());
   const auto faults = collapse_faults(nl);
   const auto pats = random_patterns(nl, 16, 3);
-  Diagnoser diag(nl, DiagnosisOptions{.cone_pruning = false});
   FailureLog log;
   log.num_patterns = pats.size();
-  const DiagnosisResult res = diag.diagnose(pats, faults, log);
+  const DiagnosisResult res =
+      diagnose_once(nl, pats, log, DiagnosisOptions{.cone_pruning = false});
   ASSERT_EQ(res.ranked.size(), faults.size());
   // Exact matches are exactly the faults this pattern set cannot detect.
   FaultSimulator fsim(nl, FaultSimOptions{.block_words = 1});
@@ -492,10 +500,12 @@ TEST(DiagnoseTest, EmptyLogScoresEverythingAsUndetected) {
   }
 }
 
-// A pattern set spanning more than 64 blocks at W=1 exercises the
-// re-simulating (uncached) good-machine path of the round loop; rankings
-// must still be bit-identical to a wide-block run that caches every
-// block.
+// A pattern set spanning more than 64 blocks at W=1, under a 64-block
+// cache cap, exercises the re-simulating (uncached) good-machine path of
+// the round loop; rankings must still be bit-identical to a wide-block
+// run that caches every block. A session always caches 256 blocks, so
+// the engine borrows a context's points and cones and a cache bound at
+// the smaller cap.
 TEST(DiagnoseTest, ManyBlockPatternSetsMatchCachedPath) {
   const Netlist nl = map_to_nand_nor_inv(make_iscas89_like("s344"));
   const auto faults = collapse_faults(nl);
@@ -505,11 +515,16 @@ TEST(DiagnoseTest, ManyBlockPatternSetsMatchCachedPath) {
   const FailureLog log = cap.inject(pats, faults[3]);
   ASSERT_FALSE(log.failures.empty());
 
+  const DesignContext ctx{Netlist(nl)};
+  ThreadPool pool(1);
   DiagnosisResult ref;
   bool have_ref = false;
   for (int words : {1, 8}) {
-    Diagnoser d(nl, DiagnosisOptions{.block_words = words,
-                                     .cone_pruning = false});
+    GoodBlockCache goods;
+    goods.bind(ctx.netlist(), pats, words, /*max_cached_blocks=*/64);
+    Diagnoser d(ctx.netlist(),
+                DiagnosisOptions{.block_words = words, .cone_pruning = false},
+                pool, ctx.points(), ctx.cones(), goods);
     const DiagnosisResult res = d.diagnose(pats, faults, log);
     EXPECT_EQ(res.rank_of(faults[3]), 1u);
     if (!have_ref) {
@@ -564,12 +579,15 @@ TEST(DiagnoseAcceptance, AllProfilesRankInjectedFaultFirst) {
     }
 
     ResponseCapture cap(nl, 4);
-    Diagnoser diag(nl, DiagnosisOptions{.block_words = 4, .num_threads = 1});
+    const auto ctx = std::make_shared<const DesignContext>(Netlist(nl));
+    ScanSession session(
+        ctx, diag_flow_options({.block_words = 4, .num_threads = 1}));
+    session.bind_patterns(pats);
     TrialStats stats;
     for (std::size_t fi : sample) {
       const FailureLog log = cap.inject(pats, faults[fi]);
       ASSERT_FALSE(log.failures.empty()) << profile.name;
-      const DiagnosisResult res = diag.diagnose(pats, faults, log);
+      const DiagnosisResult res = session.diagnose(log);
       const std::size_t rank = res.rank_of(faults[fi]);
       ASSERT_GE(rank, 1u) << profile.name << ": injected fault pruned away";
       stats.trials++;
@@ -589,9 +607,9 @@ TEST(DiagnoseAcceptance, AllProfilesRankInjectedFaultFirst) {
       bool have_ref = false;
       for (int words : {1, 4}) {
         for (int threads : {1, 4}) {
-          Diagnoser d(nl, DiagnosisOptions{.block_words = words,
-                                           .num_threads = threads});
-          const DiagnosisResult res = d.diagnose(pats, faults, log);
+          const DiagnosisResult res = diagnose_once(
+              ctx, pats, log,
+              DiagnosisOptions{.block_words = words, .num_threads = threads});
           if (!have_ref) {
             ref = res;
             have_ref = true;

@@ -28,6 +28,7 @@
 #include "diag/noise.hpp"
 #include "diag/response.hpp"
 #include "netlist/builder.hpp"
+#include "support/diag_session.hpp"
 #include "techmap/techmap.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -331,10 +332,9 @@ TEST(MultipletTest, CleanSingleFaultLogSkipsRecovery) {
   const auto pats = random_patterns(nl, 96, 0x10c);
   const auto faults = collapse_faults(nl);
   ResponseCapture cap(nl, 4);
-  Diagnoser diag(nl, DiagnosisOptions{});
   const FailureLog log = cap.inject(pats, faults[100]);
   ASSERT_FALSE(log.failures.empty());
-  const DiagnosisResult res = diag.diagnose(pats, faults, log);
+  const DiagnosisResult res = diagnose_once(nl, pats, log);
   EXPECT_TRUE(res.multiplets.empty());
   EXPECT_FALSE(res.union_fallback);
   EXPECT_EQ(res.rank_of(faults[100]), 1u);
@@ -346,7 +346,8 @@ TEST(MultipletTest, SuspectSetsAreWellFormed) {
   const auto faults = collapse_faults(nl);
   ResponseCapture cap(nl, 4);
   DiagnosisOptions opts;
-  Diagnoser diag(nl, opts);
+  ScanSession session(Netlist(nl), diag_flow_options(opts));
+  session.bind_patterns(pats);
   Rng rng(0x5e75);
   std::size_t with_sets = 0;
   for (int trial = 0; trial < 6; ++trial) {
@@ -355,7 +356,7 @@ TEST(MultipletTest, SuspectSetsAreWellFormed) {
     if (pair[0].gate == pair[1].gate) continue;
     const FailureLog log = cap.inject(pats, std::span<const Fault>(pair));
     if (log.failures.empty()) continue;
-    const DiagnosisResult res = diag.diagnose(pats, faults, log);
+    const DiagnosisResult res = session.diagnose(log);
     if (res.multiplets.empty()) continue;
     ++with_sets;
     std::size_t prev_covered = res.num_failing_patterns + 1;
@@ -425,7 +426,8 @@ TEST(NoiseAcceptance, PairsRecoveredInTopSuspectSet) {
     ASSERT_GE(detected.size(), 100u) << profile.name;
 
     ResponseCapture cap(nl, 4);
-    Diagnoser diag(nl, DiagnosisOptions{.num_threads = 4});
+    ScanSession session(Netlist(nl), diag_flow_options({.num_threads = 4}));
+    session.bind_patterns(pats);
     Rng rng(0xfa17 + profile.seed);
     PairTrialOutcome out;
     while (out.trials < 9) {
@@ -436,7 +438,7 @@ TEST(NoiseAcceptance, PairsRecoveredInTopSuspectSet) {
       const FailureLog pair_log =
           cap.inject(pats, std::span<const Fault>(pair));
       if (pair_log.failures.empty()) continue;
-      const DiagnosisResult res = diag.diagnose(pats, faults, pair_log);
+      const DiagnosisResult res = session.diagnose(pair_log);
       out.trials++;
       if (res.union_fallback) out.union_fallbacks++;
       bool ok = false;
@@ -486,6 +488,7 @@ TEST(NoiseAcceptance, NoisySinglesRankTopThree) {
     ASSERT_GE(detected.size(), 100u) << profile.name;
 
     ResponseCapture cap(nl, 4);
+    const auto ctx = std::make_shared<const DesignContext>(Netlist(nl));
     Rng rng(0x9015e + profile.seed);
     int trials = 0, top3 = 0;
     while (trials < 9) {
@@ -503,8 +506,7 @@ TEST(NoiseAcceptance, NoisySinglesRankTopThree) {
       DiagnosisOptions opts;
       opts.num_threads = 4;
       opts.noise_tolerance = st.dropped + st.flipped + 2;
-      Diagnoser diag(nl, opts);
-      const DiagnosisResult res = diag.diagnose(pats, faults, noisy);
+      const DiagnosisResult res = diagnose_once(ctx, pats, noisy, opts);
       trials++;
       const std::size_t rank = res.rank_of(f);
       if (rank >= 1 && rank <= 3) top3++;
@@ -524,6 +526,7 @@ TEST(NoiseAcceptance, NoisyResultsBitIdenticalAcrossConfigs) {
     const auto faults = collapse_faults(nl);
     const auto pats = random_patterns(nl, 96, 0xacce97 + profile.seed);
     ResponseCapture cap(nl, 4);
+    const auto ctx = std::make_shared<const DesignContext>(Netlist(nl));
     Rng rng(0xb17 + profile.seed);
 
     // One noisy single-fault log and one clean pair log per profile.
@@ -553,8 +556,7 @@ TEST(NoiseAcceptance, NoisyResultsBitIdenticalAcrossConfigs) {
           opts.block_words = words;
           opts.num_threads = threads;
           opts.noise_tolerance = 4;
-          Diagnoser d(nl, opts);
-          const DiagnosisResult res = d.diagnose(pats, faults, log);
+          const DiagnosisResult res = diagnose_once(ctx, pats, log, opts);
           if (!have_ref) {
             ref = res;
             have_ref = true;
@@ -622,14 +624,13 @@ TEST(NoiseAcceptance, BatchMatchesSequentialOnNoisyAndPairLogs) {
   DiagnosisOptions opts;
   opts.num_threads = 4;
   opts.noise_tolerance = 3;
-  Diagnoser diag(nl, opts);
-  std::vector<const FailureLog*> ptrs;
-  for (const FailureLog& log : logs) ptrs.push_back(&log);
-  const std::vector<DiagnosisResult> batch =
-      diag.diagnose_batch(pats, faults, ptrs);
+  ScanSession session(Netlist(nl), diag_flow_options(opts));
+  session.bind_patterns(pats);
+  const std::vector<Evidence> evidence(logs.begin(), logs.end());
+  const std::vector<DiagnosisResult> batch = session.diagnose_batch(evidence);
   ASSERT_EQ(batch.size(), logs.size());
   for (std::size_t i = 0; i < logs.size(); ++i) {
-    const DiagnosisResult seq = diag.diagnose(pats, faults, logs[i]);
+    const DiagnosisResult seq = session.diagnose(logs[i]);
     ASSERT_EQ(batch[i].union_fallback, seq.union_fallback) << i;
     ASSERT_EQ(batch[i].ranked.size(), seq.ranked.size()) << i;
     for (std::size_t k = 0; k < seq.ranked.size(); ++k) {

@@ -6,8 +6,9 @@
 //     errors naming the knob, instead of failing deep inside the engines.
 //  2. Session-reuse determinism -- for every benchgen profile, results
 //     from one long-lived session (repeated + interleaved full/compacted
-//     diagnosis, observability and fill calls) are bit-identical to the
-//     one-shot engines, across (block_words, num_threads) in {1,4}x{1,4}.
+//     diagnosis, observability and fill calls) are bit-identical to fresh
+//     one-shot sessions and engines, across (block_words, num_threads)
+//     in {1,4}x{1,4}.
 //  3. diagnose_batch -- mixed-evidence batches come back in input order,
 //     bit-identical to sequential diagnose() calls, including under a
 //     concurrent (4-worker) pool; this test is the ThreadSanitizer hook
@@ -26,6 +27,7 @@
 #include "core/session.hpp"
 #include "diag/diagnose.hpp"
 #include "power/observability.hpp"
+#include "support/diag_session.hpp"
 #include "techmap/techmap.hpp"
 #include "util/rng.hpp"
 
@@ -199,8 +201,6 @@ TEST(SessionDiagnoseTest, EvidenceDispatchMatchesOneShotEngines) {
 
   ResponseCapture cap(nl, opts.diag.block_words);
   SignatureCapture scap(nl, opts.misr, opts.diag.block_words);
-  Diagnoser one_shot(nl, opts.diag);
-  SignatureDiagnoser one_shot_sig(nl, opts.diag);
 
   int compared = 0;
   for (std::size_t fi = 5; fi < faults.size() && compared < 6; fi += 53) {
@@ -212,14 +212,14 @@ TEST(SessionDiagnoseTest, EvidenceDispatchMatchesOneShotEngines) {
     EXPECT_EQ(session.inject(faults[fi]).failures, log.failures);
 
     // ...and one diagnose() entry point serves both evidence kinds,
-    // bit-identical to the dedicated engines.
+    // bit-identical to a fresh session per log.
     expect_same_result(session.diagnose(Evidence(log)),
-                       one_shot.diagnose(pats, faults, log), "full");
+                       diagnose_once(nl, pats, log, opts.diag), "full");
 
     const SignatureLog slog = scap.inject(pats, faults[fi]);
     EXPECT_EQ(session.inject_compacted(faults[fi]).observed, slog.observed);
     expect_same_result(session.diagnose(Evidence(slog)),
-                       one_shot_sig.diagnose(pats, faults, slog), "compact");
+                       diagnose_once(nl, pats, slog, opts.diag), "compact");
   }
   EXPECT_GE(compared, 3);
 }
@@ -231,7 +231,6 @@ TEST(SessionDiagnoseTest, RebindInvalidatesPatternKeyedCaches) {
   const auto pats_b = random_patterns(nl, 80, 0xbbbb);
 
   ScanSession session{Netlist(nl)};
-  Diagnoser one_shot(nl, DiagnosisOptions{});
   ResponseCapture cap(nl, 4);
 
   const Fault f = faults[17];
@@ -240,8 +239,89 @@ TEST(SessionDiagnoseTest, RebindInvalidatesPatternKeyedCaches) {
     const FailureLog log = cap.inject(*pats, f);
     if (log.failures.empty()) continue;
     expect_same_result(session.diagnose(Evidence(log)),
-                       one_shot.diagnose(*pats, faults, log), "rebind");
+                       diagnose_once(nl, *pats, log), "rebind");
   }
+}
+
+// Past the 256-block good-machine cache cap both scorers replay blocks
+// through streaming simulators; their results must equal scoring from
+// cached blocks. s27 bound to 64*256+1 patterns spans 257 blocks at W=1
+// (streamed) and 65 at W=4 (cached).
+TEST(SessionDiagnoseTest, StreamedGoodMachineMatchesCached) {
+  const Netlist nl = map_to_nand_nor_inv(make_s27());
+  const auto pats = random_patterns(nl, 64 * 256 + 1, 0x57e4);
+  const auto ctx = std::make_shared<const DesignContext>(Netlist(nl));
+  ScanSession streamed(ctx, diag_flow_options({.block_words = 1}));
+  ScanSession cached(ctx, diag_flow_options({.block_words = 4}));
+  streamed.bind_patterns(pats);
+  cached.bind_patterns(pats);
+
+  int compared = 0;
+  for (std::size_t fi = 1; fi < ctx->faults().size() && compared < 4;
+       fi += 7) {
+    const Fault f = ctx->faults()[fi];
+    const FailureLog log = cached.inject(f);
+    const SignatureLog slog = cached.inject_compacted(f);
+    if (log.failures.empty()) continue;
+    ++compared;
+    const std::string tag = f.to_string(nl);
+    expect_same_result(streamed.diagnose(Evidence(log)),
+                       cached.diagnose(Evidence(log)), tag + " full");
+    expect_same_result(streamed.diagnose(Evidence(slog)),
+                       cached.diagnose(Evidence(slog)), tag + " compact");
+  }
+  EXPECT_EQ(compared, 4);
+  if (kTelemetryEnabled) {
+    const auto streamed_reads = [](ScanSession& s) {
+      return s.metrics().counter(CounterId::kGoodCacheStreamedReads);
+    };
+    EXPECT_GT(streamed_reads(streamed), 0u);
+    EXPECT_EQ(streamed_reads(cached), 0u);
+  }
+}
+
+// The engines never bind the good machine themselves: a borrowed cache
+// that its owner bound to another pattern set must be rejected, not
+// silently scored against.
+TEST(BorrowedEngineTest, StaleGoodBlockCacheIsRejected) {
+  const Netlist nl = map_to_nand_nor_inv(make_s27());
+  const auto pats_a = random_patterns(nl, 32, 0xa);
+  const auto pats_b = random_patterns(nl, 32, 0xb);
+  const DesignContext ctx{Netlist(nl)};
+  const auto& faults = ctx.faults();
+  ThreadPool pool(1);
+  GoodBlockCache goods;
+  goods.bind(ctx.netlist(), pats_a, DiagnosisOptions{}.block_words);
+  Diagnoser diag(ctx.netlist(), {}, pool, ctx.points(), ctx.cones(), goods);
+  SignatureDiagnoser sdiag(ctx.netlist(), {}, pool, ctx.points(),
+                           ctx.cones(), goods);
+
+  const auto expect_stale = [](const auto& call) {
+    try {
+      call();
+      FAIL() << "stale good-block cache accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "bound to a different pattern set"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+
+  ResponseCapture cap(nl, 4);
+  SignatureCapture scap(nl, MisrConfig{.window = 8}, 4);
+  const Fault f = faults[1];
+  EXPECT_NO_THROW(diag.diagnose(pats_a, faults, cap.inject(pats_a, f)));
+  const FailureLog log_b = cap.inject(pats_b, f);
+  expect_stale([&] { diag.diagnose(pats_b, faults, log_b); });
+
+  const SignatureLog slog_a = scap.inject(pats_a, f);
+  EXPECT_NO_THROW(
+      sdiag.diagnose(pats_a, faults, slog_a, scap.mask(), scap.expected()));
+  const SignatureLog slog_b = scap.inject(pats_b, f);
+  expect_stale([&] {
+    sdiag.diagnose(pats_b, faults, slog_b, scap.mask(), scap.expected());
+  });
 }
 
 // ---------- session-reuse determinism acceptance -----------------------------
@@ -250,8 +330,9 @@ TEST(SessionDiagnoseTest, RebindInvalidatesPatternKeyedCaches) {
 // {1,4}x{1,4}: one long-lived session serves repeated and interleaved
 // full-response diagnosis, compacted diagnosis, observability and
 // don't-care fill calls; every result must be bit-identical to the
-// corresponding one-shot engine call, and the diagnosis rankings must
-// also be bit-identical across all four configurations.
+// corresponding one-shot call (a fresh tenant session for diagnosis, the
+// engine itself otherwise), and the diagnosis rankings must also be
+// bit-identical across all four configurations.
 TEST(SessionReuseAcceptance, InterleavedCallsMatchOneShotOnAllProfiles) {
   for (const SynthProfile& profile : iscas89_profiles()) {
     const Netlist nl = map_to_nand_nor_inv(make_iscas89_like(profile.name));
@@ -280,6 +361,7 @@ TEST(SessionReuseAcceptance, InterleavedCallsMatchOneShotOnAllProfiles) {
 
     std::vector<bool> eligible(nl.dffs().size());
     for (std::size_t i = 0; i < eligible.size(); ++i) eligible[i] = i % 2 == 0;
+    const auto ctx = std::make_shared<const DesignContext>(Netlist(nl));
 
     DiagnosisResult ref_full, ref_compact;
     bool have_ref = false;
@@ -319,17 +401,15 @@ TEST(SessionReuseAcceptance, InterleavedCallsMatchOneShotOnAllProfiles) {
         expect_same_result(full_a, full_a2, tag + " repeat");
 
         // One-shot references with identical options.
-        Diagnoser one_shot(nl, opts.diag);
-        expect_same_result(full_a, one_shot.diagnose(pats, faults, log0),
+        expect_same_result(full_a, diagnose_once(ctx, pats, log0, opts.diag),
                            tag + " full0");
-        expect_same_result(full_b, one_shot.diagnose(pats, faults, log1),
+        expect_same_result(full_b, diagnose_once(ctx, pats, log1, opts.diag),
                            tag + " full1");
-        SignatureDiagnoser one_shot_sig(nl, opts.diag);
         expect_same_result(compact_a,
-                           one_shot_sig.diagnose(pats, faults, slog1),
+                           diagnose_once(ctx, pats, slog1, opts.diag),
                            tag + " compact1");
         expect_same_result(compact_b,
-                           one_shot_sig.diagnose(pats, faults, slog0),
+                           diagnose_once(ctx, pats, slog0, opts.diag),
                            tag + " compact0");
 
         const LeakageObservability obs_ref(nl, session.leakage_model(),

@@ -425,16 +425,24 @@ TEST(TelemetryNeutralityTest, RankingsIdenticalWithAndWithoutScope) {
   const FailureLog log = cap.inject(pats, faults[faults.size() / 3]);
   ASSERT_FALSE(log.failures.empty());
 
+  // A session always installs its own scope, so the engines borrow a
+  // context's points and cones, a local pool and a bound cache instead.
+  const DesignContext ctx{Netlist(nl)};
+  ThreadPool pool(1);
+  GoodBlockCache goods;
+  goods.bind(ctx.netlist(), pats, DiagnosisOptions{}.block_words);
+
   DiagnosisOptions off;
   off.telemetry = nullptr;
-  Diagnoser plain(nl, off);
+  Diagnoser plain(ctx.netlist(), off, pool, ctx.points(), ctx.cones(), goods);
   const DiagnosisResult r_off = plain.diagnose(pats, faults, log);
 
   Telemetry telem;
   telem.trace.set_enabled(true);
   DiagnosisOptions on;
   on.telemetry = &telem;
-  Diagnoser instrumented(nl, on);
+  Diagnoser instrumented(ctx.netlist(), on, pool, ctx.points(), ctx.cones(),
+                         goods);
   const DiagnosisResult r_on = instrumented.diagnose(pats, faults, log);
 
   expect_same_ranking(r_off, r_on, "telemetry on vs off");
