@@ -19,8 +19,10 @@
 #include <string>
 #include <thread>
 
+#include "atpg/fault.hpp"
 #include "atpg/fault_sim.hpp"
 #include "atpg/packed_sim.hpp"
+#include "atpg/podem.hpp"
 #include "atpg/tpg.hpp"
 #include "benchgen/benchgen.hpp"
 #include "compact/compact_diag.hpp"
@@ -718,6 +720,48 @@ void BM_TestGeneration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TestGeneration)->Unit(benchmark::kMillisecond);
+
+// PODEM on every collapsed fault of a profile at the production backtrack
+// limit (4000), one engine reused across faults as generate_tests() does.
+// Most of the time goes to faults that end untestable or aborted, so the
+// figure of merit is ns_per_backtrack: wall time over backtracks.
+void BM_Podem(benchmark::State& state, const std::string& profile) {
+  const Netlist& nl = circuit(profile);
+  const std::vector<Fault> faults = collapse_faults(nl);
+  Podem podem(nl);
+  std::uint64_t backtracks = 0, untestable = 0, aborted = 0;
+  double ns = 0.0;
+  for (auto _ : state) {
+    backtracks = untestable = aborted = 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (const Fault& f : faults) {
+      const PodemResult r = podem.generate(f);
+      backtracks += static_cast<std::uint64_t>(r.backtracks);
+      untestable += r.status == PodemStatus::Untestable;
+      aborted += r.status == PodemStatus::Aborted;
+    }
+    benchmark::DoNotOptimize(backtracks);
+    ns += std::chrono::duration<double, std::nano>(
+              std::chrono::steady_clock::now() - t0)
+              .count();
+  }
+  const double total_bt =
+      static_cast<double>(backtracks) * static_cast<double>(state.iterations());
+  state.counters["ns_per_backtrack"] = total_bt > 0 ? ns / total_bt : 0.0;
+  state.counters["backtracks"] = static_cast<double>(backtracks);
+  state.counters["faults"] = static_cast<double>(faults.size());
+  state.counters["untestable"] = static_cast<double>(untestable);
+  state.counters["aborted"] = static_cast<double>(aborted);
+}
+[[maybe_unused]] const bool kPodemRegistered = [] {
+  for (const char* profile : {"s344", "s1494", "s713"}) {
+    benchmark::RegisterBenchmark(
+        (std::string("BM_Podem/") + profile).c_str(), BM_Podem,
+        std::string(profile))
+        ->Unit(benchmark::kMillisecond);
+  }
+  return true;
+}();
 
 // Saturation benchmark for the diagnosis service stack: N client threads
 // hammer M designs with failure logs, closed-loop (one outstanding

@@ -7,8 +7,24 @@
 // fault is proven untestable (redundant). The backtrace tie-break is
 // pluggable (BacktraceDirective); the same engine powers the paper's
 // Justify() when driven by the leakage-observability directive.
+//
+// Implication is event-driven. Each fault starts from the all-X state
+// (the good machine's is computed once per engine; the faulty machine is
+// re-evaluated over the fault's cone only). A decision or a flip then
+// re-evaluates, level by level over the CSR views, just the gates whose
+// inputs changed, recording every overwritten (good, faulty) pair on an
+// undo trail; a backtrack rewinds the trail to the decision's mark
+// instead of re-simulating. Outside the fault's transitive fanout cone
+// the faulty machine equals the good one, so only cone gates evaluate
+// it, and the D-frontier and detection checks scan only the cone and its
+// observation points (POs and DFF D drivers).
 
+#include <cstdint>
+#include <limits>
 #include <optional>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "atpg/backtrace_directive.hpp"
 #include "atpg/fault.hpp"
@@ -29,10 +45,13 @@ struct PodemResult {
   PodemStatus status = PodemStatus::Aborted;
   TestPattern pattern;  ///< with X at unassigned positions (Detected only)
   int backtracks = 0;
+  int decisions = 0;    ///< source assignments made by backtrace (not flips)
+  std::uint64_t implied_gates = 0;  ///< gate evaluations made by implication
 };
 
 class Podem {
  public:
+  /// `nl` must outlive the engine and stay unedited while it is in use.
   explicit Podem(const Netlist& nl, PodemOptions opts = {});
 
   PodemResult generate(const Fault& fault);
@@ -42,34 +61,79 @@ class Podem {
     GateId point;
     Logic value;
     bool flipped;
+    std::size_t mark;  ///< trail size before the point was assigned
+  };
+  struct TrailEntry {
+    GateId gate;
+    Logic good;
+    Logic faulty;
   };
 
-  void imply();
+  /// All-X state for fault_: builds the cone and evaluates its faulty
+  /// machine on top of the shared all-X good machine.
+  void start_fault();
+  /// Assigns a controllable point and propagates the change.
+  void set_source(GateId point, Logic value);
+  void undo_to(std::size_t mark);
+  void schedule_fanouts(GateId gate);
+  void propagate();
+  /// Gate output over `values` (the good machine, or the all-X seed).
+  Logic eval_good_in(GateId gate, const std::vector<Logic>& values) const;
+  /// Faulty-machine gate output, with the stem or pin fault forced.
+  Logic eval_faulty(GateId gate) const;
+
   bool detected() const;
   bool activation_impossible() const;
   bool activated() const;
-  /// Gates that can still propagate the fault effect.
-  std::vector<GateId> d_frontier() const;
+  /// Fills frontier_ with the gates that can still propagate the fault
+  /// effect, deepest first (ties by lowest id).
+  void collect_frontier();
   /// Objective (line, value) to pursue next; nullopt = dead end.
-  std::optional<std::pair<GateId, bool>> objective();
+  std::optional<std::pair<GateId, bool>> objective() const;
   /// Maps an objective to an unassigned controllable point.
-  std::pair<GateId, Logic> backtrace(GateId node, bool value) const;
+  std::pair<GateId, Logic> backtrace(GateId node, bool value);
   bool backtrack();  ///< false when the tree is exhausted
 
   Logic faulty_input(GateId gate, std::size_t pin) const;
   GateId activation_line() const;
+  bool is_source(GateId id) const {
+    const GateType t = types_[id];
+    return t == GateType::Input || t == GateType::Dff;
+  }
 
   const Netlist* nl_;
   PodemOptions opts_;
   DepthDirective default_directive_;
+  std::span<const GateType> types_;
+  std::span<const std::uint32_t> levels_;
+  std::vector<Logic> x_good_;          ///< good machine with every source X
+  std::vector<std::uint8_t> observed_; ///< PO or DFF D driver
+
   Fault fault_{};
   bool dff_pin_fault_ = false;
+  std::vector<GateId> cone_;           ///< fault cone, deepest first
+  std::vector<GateId> cone_obs_;       ///< observation points in the cone
+  std::vector<std::uint32_t> cone_stamp_;  ///< == stamp_ marks cone gates
+  std::uint32_t stamp_ = 0;
 
   std::vector<Logic> assign_;  ///< controllable-point assignment (by gate id)
   std::vector<Logic> good_;
   std::vector<Logic> faulty_;
   std::vector<Decision> decisions_;
+  std::vector<TrailEntry> trail_;
+  static constexpr std::uint32_t kNoLevel =
+      std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::vector<GateId>> buckets_;  ///< pending events by level
+  std::vector<std::uint8_t> queued_;
+  std::uint32_t lo_level_ = kNoLevel;  ///< shallowest pending level
+  std::uint32_t hi_level_ = 0;         ///< deepest pending level
   int backtracks_ = 0;
+  int num_decisions_ = 0;
+  std::uint64_t implied_gates_ = 0;
+
+  // Scratch reused across calls.
+  std::vector<GateId> frontier_;
+  std::vector<GateId> candidates_;
 };
 
 }  // namespace scanpower

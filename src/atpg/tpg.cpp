@@ -6,6 +6,7 @@
 #include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
+#include "util/telemetry.hpp"
 
 namespace scanpower {
 
@@ -75,9 +76,15 @@ TestSet generate_tests(const Netlist& nl, const TpgOptions& opts) {
     for (TestPattern& p : batch) ts.patterns.push_back(std::move(p));
     batch.clear();
   };
+  std::uint64_t podem_calls = 0, podem_decisions = 0, podem_backtracks = 0,
+                podem_implied_gates = 0;
   for (std::size_t fi = 0; fi < faults.size(); ++fi) {
     if (detected[fi]) continue;
     const PodemResult pr = podem.generate(faults[fi]);
+    ++podem_calls;
+    podem_decisions += static_cast<std::uint64_t>(pr.decisions);
+    podem_backtracks += static_cast<std::uint64_t>(pr.backtracks);
+    podem_implied_gates += pr.implied_gates;
     if (pr.status == PodemStatus::Untestable) {
       ts.untestable_faults++;
       continue;
@@ -92,6 +99,13 @@ TestSet generate_tests(const Netlist& nl, const TpgOptions& opts) {
     if (batch.size() == block_patterns) flush_batch();
   }
   flush_batch();
+  Telemetry* telem = opts.fault_sim.telemetry;
+  SP_TELEM_ADD(telem, 0, CounterId::kPodemCalls, podem_calls);
+  SP_TELEM_ADD(telem, 0, CounterId::kPodemDecisions, podem_decisions);
+  SP_TELEM_ADD(telem, 0, CounterId::kPodemBacktracks, podem_backtracks);
+  SP_TELEM_ADD(telem, 0, CounterId::kPodemUntestable, ts.untestable_faults);
+  SP_TELEM_ADD(telem, 0, CounterId::kPodemAborted, ts.aborted_faults);
+  SP_TELEM_ADD(telem, 0, CounterId::kPodemImpliedGates, podem_implied_gates);
   SP_LOG_INFO(strprintf(
       "tpg[%s]: after PODEM %zu/%zu faults (%zu untestable, %zu aborted), "
       "%zu patterns",

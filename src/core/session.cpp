@@ -134,6 +134,7 @@ const TestSet& ScanSession::tests() {
   // locally keeps results bit-identical to an isolated session at the cost
   // of duplicating ATPG for flow-running tenants of one context.
   if (!tests_) {
+    TraceSpan span(&telemetry_, "atpg.generate_tests", 0);
     tests_ = std::make_unique<TestSet>(generate_tests(nl(), opts_.tpg));
   }
   return *tests_;

@@ -172,16 +172,13 @@ void Netlist::compute_levels_and_topo() {
     g.level = 0;
     if (!is_combinational(g.type)) continue;  // Input/Dff are sources
     ++num_comb;
+    // Constants have no fanins, so they start ready, sit at level 0 and
+    // are emitted into the topo order first; like every other gate they
+    // release their fanouts when popped, so they count as dependencies.
     std::uint32_t deps = 0;
     for (GateId f : g.fanins) {
-      if (is_combinational(gates_[f].type) &&
-          gates_[f].type != GateType::Const0 &&
-          gates_[f].type != GateType::Const1) {
-        ++deps;
-      }
+      if (is_combinational(gates_[f].type)) ++deps;
     }
-    // Constants count as level-0 sources even though is_combinational()
-    // returns true for them; they are emitted into the topo order first.
     pending[i] = deps;
     if (deps == 0) ready.push(static_cast<GateId>(i));
   }

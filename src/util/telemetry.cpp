@@ -19,6 +19,12 @@ constexpr const char* kCounterNames[kNumCounters] = {
     "fault_sim.runs",
     "fault_sim.blocks",
     "fault_sim.detected",
+    "atpg.podem_calls",
+    "atpg.podem_decisions",
+    "atpg.podem_backtracks",
+    "atpg.podem_untestable",
+    "atpg.podem_aborted",
+    "atpg.podem_implied_gates",
     "backend.blocks_scalar",
     "backend.blocks_avx2",
     "backend.blocks_avx512",

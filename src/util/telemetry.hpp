@@ -55,6 +55,15 @@ enum class CounterId : int {
   kFaultSimRuns,
   kFaultSimBlocks,
   kFaultSimDetected,   ///< faults detected and dropped (semantic)
+  // PODEM top-off of generate_tests. Untestable/aborted are semantic; the
+  // others are work counters (the random phase's 64*W-pattern batches set
+  // which detectable faults are left for PODEM)
+  kPodemCalls,         ///< Podem::generate() calls
+  kPodemDecisions,     ///< source assignments made by backtrace
+  kPodemBacktracks,    ///< decision flips
+  kPodemUntestable,    ///< faults proven untestable
+  kPodemAborted,       ///< faults that hit the backtrack limit
+  kPodemImpliedGates,  ///< gate evaluations by event-driven implication
   // kernel-backend attribution: fault-sim blocks swept per backend (work
   // counters; which one advances depends on the resolved backend)
   kBackendBlocksScalar,

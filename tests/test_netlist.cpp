@@ -99,6 +99,35 @@ TEST(Netlist, LevelsAndTopo) {
   }
 }
 
+// A gate fed by a constant and by a deeper gate must still sit above
+// that gate: the constant may not release it early.
+TEST(Netlist, ConstantFaninDoesNotReleaseGateEarly) {
+  NetlistBuilder b("cst");
+  b.add_input("x");
+  b.add_gate(GateType::Const0, "zero", {});
+  b.add_gate(GateType::Not, "n1", {"x"});
+  b.add_gate(GateType::Not, "n2", {"n1"});
+  b.add_gate(GateType::Not, "n3", {"n2"});
+  b.add_gate(GateType::And, "g", {"zero", "n1", "n3"});
+  b.add_output("g");
+  const Netlist nl = b.link();
+  EXPECT_EQ(nl.level(nl.find("zero")), 0u);
+  EXPECT_EQ(nl.level(nl.find("g")), 4u);
+  EXPECT_EQ(nl.depth(), 4u);
+  const auto& topo = nl.topo_order();
+  std::vector<std::size_t> pos(nl.num_gates(), 0);
+  for (std::size_t i = 0; i < topo.size(); ++i) pos[topo[i]] = i;
+  for (GateId id : topo) {
+    for (GateId f : nl.fanins(id)) {
+      if (is_combinational(nl.type(f))) {
+        EXPECT_LT(pos[f], pos[id]) << nl.gate_name(f) << " -> "
+                                   << nl.gate_name(id);
+        EXPECT_LT(nl.level(f), nl.level(id));
+      }
+    }
+  }
+}
+
 TEST(Netlist, ForwardReferencesResolve) {
   NetlistBuilder b("fwd");
   b.add_input("x");

@@ -6,7 +6,8 @@
 //  2. Counter determinism -- semantic counters are invariant across every
 //     (block_words, num_threads) in {1,4}x{1,4}; work counters are
 //     invariant across thread counts at fixed block_words. `_us` counters
-//     and pool counters carry no guarantee and are excluded.
+//     and pool counters carry no guarantee and are excluded. PODEM's
+//     verdict counters also match generate_tests()' TestSet.
 //  3. Exactness -- the registry deltas around one diagnose() equal the
 //     DiagnosisResult::stats fields for that query (same single
 //     measurement feeds both).
@@ -273,6 +274,73 @@ TEST(TelemetryDeterminismTest, CountersStableAcrossBlockWordsAndThreads) {
   EXPECT_GT(runs[0].snap.counter(CounterId::kSweepCalls), 0u);
 }
 
+// ---------- PODEM counters of generate_tests --------------------------------
+
+/// Verdict counters: every fault PODEM proves untestable or gives up on
+/// reaches it whatever the random phase detected first, so these are
+/// invariant across every configuration.
+const CounterId kPodemVerdictCounters[] = {
+    CounterId::kPodemUntestable,
+    CounterId::kPodemAborted,
+};
+
+/// Search counters: the random phase draws 64*W patterns per batch, so
+/// which detectable faults are left for PODEM depends on the block width;
+/// they are invariant across thread counts at fixed block_words.
+const CounterId kPodemSearchCounters[] = {
+    CounterId::kPodemCalls,
+    CounterId::kPodemDecisions,
+    CounterId::kPodemBacktracks,
+    CounterId::kPodemImpliedGates,
+};
+
+TEST(TelemetryPodemTest, CountersMatchTestSetAndStayStableAcrossConfigs) {
+  if (!kTelemetryEnabled) GTEST_SKIP() << "telemetry compiled out";
+  const Netlist nl = map_to_nand_nor_inv(make_iscas89_like("s344"));
+  struct Cfg { int w, t; };
+  const Cfg cfgs[] = {{1, 1}, {1, 4}, {4, 1}, {4, 4}};
+  std::vector<MetricsSnapshot> snaps;
+  for (const Cfg& c : cfgs) {
+    FlowOptions opts;
+    opts.tpg.fault_sim.block_words = c.w;
+    opts.tpg.fault_sim.num_threads = c.t;
+    ScanSession session(Netlist(nl), opts);
+    const TestSet& ts = session.tests();
+    const MetricsSnapshot snap = session.metrics();
+    const std::string at =
+        " at (" + std::to_string(c.w) + "," + std::to_string(c.t) + ")";
+    // Semantic counters against the TestSet's own accounting.
+    EXPECT_EQ(snap.counter(CounterId::kPodemUntestable), ts.untestable_faults)
+        << at;
+    EXPECT_EQ(snap.counter(CounterId::kPodemAborted), ts.aborted_faults) << at;
+    EXPECT_GT(snap.counter(CounterId::kPodemCalls),
+              ts.untestable_faults + ts.aborted_faults)
+        << "some PODEM calls must produce patterns" << at;
+    EXPECT_LE(snap.counter(CounterId::kPodemCalls), ts.total_faults) << at;
+    EXPECT_GE(snap.counter(CounterId::kPodemDecisions),
+              snap.counter(CounterId::kPodemBacktracks))
+        << "every backtrack flips an earlier decision" << at;
+    EXPECT_GT(snap.counter(CounterId::kPodemImpliedGates), 0u) << at;
+    snaps.push_back(snap);
+  }
+  EXPECT_GT(snaps[0].counter(CounterId::kPodemUntestable), 0u);
+  for (const CounterId id : kPodemVerdictCounters) {
+    for (std::size_t i = 1; i < snaps.size(); ++i) {
+      EXPECT_EQ(snaps[0].counter(id), snaps[i].counter(id))
+          << counter_name(id) << " differs at config (" << cfgs[i].w << ","
+          << cfgs[i].t << ")";
+    }
+  }
+  const std::pair<std::size_t, std::size_t> same_w[] = {{0, 1}, {2, 3}};
+  for (const auto& [a, b] : same_w) {
+    for (const CounterId id : kPodemSearchCounters) {
+      EXPECT_EQ(snaps[a].counter(id), snaps[b].counter(id))
+          << counter_name(id) << " differs across threads at W="
+          << cfgs[a].w;
+    }
+  }
+}
+
 // ---------- registry <-> DiagnosisResult::stats exactness --------------------
 
 TEST(TelemetryExactnessTest, RegistryDeltasMatchDiagnosisStats) {
@@ -385,7 +453,7 @@ TEST(TraceRecorderTest, FlowSpansEveryScanPowerEvaluation) {
   };
   const TraceEvent* flow = find("session.run_flow");
   ASSERT_NE(flow, nullptr);
-  for (const char* stage : {"scan_power.traditional",
+  for (const char* stage : {"atpg.generate_tests", "scan_power.traditional",
                             "scan_power.input_control",
                             "scan_power.proposed"}) {
     const TraceEvent* e = find(stage);
