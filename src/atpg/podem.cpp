@@ -70,13 +70,41 @@ inline Logic eval_pins(GateType t, std::size_t n, In&& in) {
 
 }  // namespace
 
-Podem::Podem(const Netlist& nl, PodemOptions opts)
+Podem::Podem(const Netlist& nl, PodemOptions opts,
+             std::vector<bool> decision_points)
     : nl_(&nl), opts_(opts) {
   SP_CHECK(nl.finalized(), "Podem requires a finalized netlist");
   if (!opts_.directive) opts_.directive = &default_directive_;
   types_ = nl.types_flat();
   levels_ = nl.levels_flat();
   const std::size_t n = nl.num_gates();
+
+  decision_.assign(n, 0);
+  if (decision_points.empty()) {
+    for (GateId pi : nl.inputs()) decision_[pi] = 1;
+    for (GateId ff : nl.dffs()) decision_[ff] = 1;
+  } else {
+    SP_CHECK(decision_points.size() == n,
+             "Podem: decision-point mask size mismatch");
+    for (GateId id = 0; id < n; ++id) {
+      if (!decision_points[id]) continue;
+      SP_CHECK(is_source(id), "Podem: decision point " + nl.gate_name(id) +
+                                  " is not a source");
+      decision_[id] = 1;
+    }
+  }
+  // A line can be controlled iff it is a decision point or one of its
+  // fanins can (sources other than decision points cannot, nor can
+  // constants).
+  can_control_ = decision_;
+  for (GateId id : nl.topo_order()) {
+    for (GateId f : nl.fanin_span(id)) {
+      if (can_control_[f]) {
+        can_control_[id] = 1;
+        break;
+      }
+    }
+  }
 
   // The all-X good machine is the same for every fault.
   x_good_.assign(n, Logic::X);
@@ -87,11 +115,12 @@ Podem::Podem(const Netlist& nl, PodemOptions opts)
   for (GateId ff : nl.dffs()) observed_[nl.fanin_span(ff)[0]] = 1;
 
   assign_.assign(n, Logic::X);
-  good_.assign(n, Logic::X);
-  faulty_.assign(n, Logic::X);
+  good_.resize(n);
+  faulty_.resize(n);
   cone_stamp_.assign(n, 0);
   queued_.assign(n, 0);
   buckets_.resize(static_cast<std::size_t>(nl.depth()) + 1);
+  start_fault();  // the fault-free all-X state justify() builds on
 }
 
 Logic Podem::eval_good_in(GateId gate, const std::vector<Logic>& values) const {
@@ -139,7 +168,7 @@ void Podem::start_fault() {
   }
   // A DFF pin fault changes nothing the faulty machine computes: the D pin
   // is a sink of the combinational view.
-  if (dff_pin_fault_) return;
+  if (dff_pin_fault_ || fault_.gate == kInvalidGate) return;
 
   // Transitive fanout of the fault site through combinational gates (DFFs
   // are sources of the full-scan view, so the effect stops at their D pin).
@@ -213,6 +242,13 @@ void Podem::set_source(GateId point, Logic value) {
                        : value;
   schedule_fanouts(point);
   propagate();
+}
+
+void Podem::decide(GateId point, Logic value) {
+  SP_ASSERT(assign_[point] == Logic::X, "backtrace chose an assigned point");
+  decisions_.push_back({point, value, false, trail_.size()});
+  ++num_decisions_;
+  set_source(point, value);
 }
 
 void Podem::undo_to(std::size_t mark) {
@@ -298,16 +334,20 @@ std::optional<std::pair<GateId, bool>> Podem::objective() const {
   // No frontier extension available, but that is not a *proof* of a dead
   // end (a faulty-machine blocking value may flip under a different
   // source assignment). Stay complete by brute-force extending the
-  // assignment: pick any unassigned source feeding the circuit.
+  // assignment: pick any unassigned decision point.
   for (GateId pi : nl_->inputs()) {
-    if (assign_[pi] == Logic::X) return std::make_pair(pi, false);
+    if (decision_[pi] && assign_[pi] == Logic::X) {
+      return std::make_pair(pi, false);
+    }
   }
   for (GateId ff : nl_->dffs()) {
-    if (assign_[ff] == Logic::X) return std::make_pair(ff, false);
+    if (decision_[ff] && assign_[ff] == Logic::X) {
+      return std::make_pair(ff, false);
+    }
   }
-  // Everything assigned and still neither detected nor conflicting: with
-  // all sources known every line is known, so the frontier must be empty
-  // and the caller's dead-end handling (backtrack) is sound.
+  // Every decision point assigned and still neither detected nor
+  // conflicting: no extension of this assignment can detect the fault, so
+  // the caller's dead-end handling (backtrack) is sound.
   return std::nullopt;
 }
 
@@ -316,20 +356,21 @@ std::pair<GateId, Logic> Podem::backtrace(GateId node, bool value) {
   GateId cur = node;
   bool v = value;
   for (;;) {
+    if (decision_[cur]) return {cur, from_bool(v)};
+    // Dead end: no decision point feeds this line (a constant, a source
+    // outside the mask, or logic fed only by those).
+    if (!can_control_[cur]) return {kInvalidGate, Logic::X};
     const GateType t = types_[cur];
-    if (t == GateType::Input || t == GateType::Dff) {
-      return {cur, from_bool(v)};
-    }
-    SP_ASSERT(t != GateType::Const0 && t != GateType::Const1,
-              "backtrace reached a constant (objective unreachable)");
     const auto fins = nl.fanin_span(cur);
     const bool want = is_inverting(t) ? !v : v;
-    // Candidates: fanins still unknown in the good machine.
+    // Candidates: fanins still unknown in the good machine that a
+    // decision can reach. With every source a decision point the filter
+    // is a no-op: an X line always reaches an unassigned source.
     candidates_.clear();
     for (GateId f : fins) {
-      if (good_[f] == Logic::X) candidates_.push_back(f);
+      if (good_[f] == Logic::X && can_control_[f]) candidates_.push_back(f);
     }
-    SP_ASSERT(!candidates_.empty(), "backtrace on a fully specified gate");
+    if (candidates_.empty()) return {kInvalidGate, Logic::X};
     const auto cv = controlling_value(t);
     bool next_value;
     GateId chosen;
@@ -359,11 +400,11 @@ std::pair<GateId, Logic> Podem::backtrace(GateId node, bool value) {
   }
 }
 
-bool Podem::backtrack() {
+bool Podem::backtrack(int limit) {
   while (!decisions_.empty()) {
     Decision& d = decisions_.back();
     undo_to(d.mark);
-    if (!d.flipped) {
+    if (!d.flipped && backtracks_ < limit) {
       d.flipped = true;
       d.value = logic_not(d.value);
       ++backtracks_;
@@ -401,6 +442,9 @@ PodemResult Podem::generate(const Fault& fault) {
       for (GateId ff : nl.dffs()) res.pattern.ppi.push_back(assign_[ff]);
       return finish(PodemStatus::Detected);
     }
+    if (backtracks_ >= opts_.backtrack_limit) {
+      return finish(PodemStatus::Aborted);
+    }
     // The frontier matters only once the fault is excited; objective()
     // reads the one collected here.
     bool dead = activation_impossible();
@@ -408,23 +452,51 @@ PodemResult Podem::generate(const Fault& fault) {
       collect_frontier();
       dead = frontier_.empty();
     }
-    std::optional<std::pair<GateId, bool>> obj;
-    if (!dead) obj = objective();
-    if (dead || !obj) {
-      if (backtracks_ >= opts_.backtrack_limit) {
-        return finish(PodemStatus::Aborted);
+    std::pair<GateId, Logic> pick{kInvalidGate, Logic::X};
+    if (!dead) {
+      if (const auto obj = objective()) {
+        pick = backtrace(obj->first, obj->second);
       }
-      if (!backtrack()) return finish(PodemStatus::Untestable);
+    }
+    if (pick.first == kInvalidGate) {
+      if (!backtrack(opts_.backtrack_limit)) {
+        return finish(PodemStatus::Untestable);
+      }
       continue;
     }
-    if (backtracks_ >= opts_.backtrack_limit) {
-      return finish(PodemStatus::Aborted);
+    decide(pick.first, pick.second);
+  }
+}
+
+bool Podem::justify(GateId line, bool value, int backtrack_limit) {
+  if (fault_.gate != kInvalidGate) {
+    // generate() left a fault behind: back to the fault-free all-X state.
+    fault_ = Fault{};
+    dff_pin_fault_ = false;
+    std::fill(assign_.begin(), assign_.end(), Logic::X);
+    decisions_.clear();
+    start_fault();
+  }
+  const Logic target = from_bool(value);
+  if (good_[line] == target) return true;
+  if (good_[line] != Logic::X) return false;  // contradicts commitments
+  if (!can_control_[line]) return false;
+
+  backtracks_ = 0;
+  for (;;) {
+    if (good_[line] == target) {
+      decisions_.clear();  // commit: the trail so far is the new prefix
+      return true;
     }
-    const auto [point, value] = backtrace(obj->first, obj->second);
-    SP_ASSERT(assign_[point] == Logic::X, "backtrace chose an assigned point");
-    decisions_.push_back({point, value, false, trail_.size()});
-    ++num_decisions_;
-    set_source(point, value);
+    std::pair<GateId, Logic> pick{kInvalidGate, Logic::X};
+    if (good_[line] == Logic::X) pick = backtrace(line, value);
+    if (pick.first == kInvalidGate) {
+      // On failure every decision of this call is undone, which rewinds
+      // the trail to the call's first mark.
+      if (!backtrack(backtrack_limit)) return false;
+      continue;
+    }
+    decide(pick.first, pick.second);
   }
 }
 

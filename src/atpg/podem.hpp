@@ -1,12 +1,25 @@
 #pragma once
-// PODEM test generation for one stuck-at fault (full-scan combinational
-// view), using dual 3-valued good/faulty machines.
+// PODEM (Goel, "An Implicit Enumeration Algorithm to Generate Tests for
+// Combinational Logic Circuits", IEEE TC 1981) over dual 3-valued
+// good/faulty machines of the full-scan combinational view. One search
+// and implication engine serves two entry points:
+//  - generate(fault): a test for one stuck-at fault;
+//  - justify(line, value, limit): the paper's Justify(), which
+//    FindControlledInputPattern uses to set blocking values.
 //
-// Decisions are made only at controllable points (PIs and DFF outputs),
-// which keeps the search complete: if the decision tree is exhausted the
-// fault is proven untestable (redundant). The backtrace tie-break is
-// pluggable (BacktraceDirective); the same engine powers the paper's
-// Justify() when driven by the leakage-observability directive.
+// Decisions are made only at decision points: a mask of sources (PIs and
+// DFF outputs) fixed at construction, every source by default. Sources
+// outside the mask stay X. With every source a decision point the search
+// is complete: if the decision tree is exhausted the fault is proven
+// untestable (redundant). The backtrace tie-break is pluggable
+// (BacktraceDirective); FindControlledInputPattern drives justify() with
+// the leakage-observability directive.
+//
+// justify() runs on the fault-free machine, and its justifications are
+// cumulative: a successful call commits its assignments (the trail prefix
+// below the call's first mark) and later calls must respect them; a
+// failed call rewinds the trail to that mark. generate() starts each
+// fault from the all-X state, so it discards the commitments.
 //
 // Implication is event-driven. Each fault starts from the all-X state
 // (the good machine's is computed once per engine; the faulty machine is
@@ -15,9 +28,10 @@
 // inputs changed, recording every overwritten (good, faulty) pair on an
 // undo trail; a backtrack rewinds the trail to the decision's mark
 // instead of re-simulating. Outside the fault's transitive fanout cone
-// the faulty machine equals the good one, so only cone gates evaluate
-// it, and the D-frontier and detection checks scan only the cone and its
-// observation points (POs and DFF D drivers).
+// the faulty machine equals the good one, so only cone gates evaluate it
+// (justify()'s fault-free machine has an empty cone), and the D-frontier
+// and detection checks scan only the cone and its observation points
+// (POs and DFF D drivers).
 
 #include <cstdint>
 #include <limits>
@@ -35,7 +49,7 @@
 namespace scanpower {
 
 struct PodemOptions {
-  int backtrack_limit = 4000;
+  int backtrack_limit = 4000;  ///< generate() only; justify() takes its own
   const BacktraceDirective* directive = nullptr;  ///< default: DepthDirective
 };
 
@@ -52,9 +66,27 @@ struct PodemResult {
 class Podem {
  public:
   /// `nl` must outlive the engine and stay unedited while it is in use.
-  explicit Podem(const Netlist& nl, PodemOptions opts = {});
+  /// `decision_points[g]` marks the sources (Input/Dff gates) the search
+  /// may assign; empty = every source.
+  explicit Podem(const Netlist& nl, PodemOptions opts = {},
+                 std::vector<bool> decision_points = {});
 
   PodemResult generate(const Fault& fault);
+
+  /// Attempts to set `line` to `value` on top of the committed
+  /// assignment. Commits on success; restores the previous state on
+  /// failure, including when a flip would exceed `backtrack_limit`
+  /// backtracks. Returns success.
+  bool justify(GateId line, bool value, int backtrack_limit);
+
+  /// Fault-free values under the committed assignment (X on free and
+  /// non-decision sources); read them between justify() calls.
+  const std::vector<Logic>& values() const { return good_; }
+  Logic value(GateId id) const { return good_[id]; }
+  /// Committed decision-point assignment (X = still free).
+  const std::vector<Logic>& assignment() const { return assign_; }
+  /// True if the line's fanin cone reaches a decision point.
+  bool can_control(GateId id) const { return can_control_[id] != 0; }
 
  private:
   struct Decision {
@@ -70,10 +102,13 @@ class Podem {
   };
 
   /// All-X state for fault_: builds the cone and evaluates its faulty
-  /// machine on top of the shared all-X good machine.
+  /// machine on top of the shared all-X good machine. With no fault
+  /// (fault_.gate == kInvalidGate) the cone is empty.
   void start_fault();
-  /// Assigns a controllable point and propagates the change.
+  /// Assigns a decision point and propagates the change.
   void set_source(GateId point, Logic value);
+  /// Pushes a new decision and assigns it.
+  void decide(GateId point, Logic value);
   void undo_to(std::size_t mark);
   void schedule_fanouts(GateId gate);
   void propagate();
@@ -90,9 +125,13 @@ class Podem {
   void collect_frontier();
   /// Objective (line, value) to pursue next; nullopt = dead end.
   std::optional<std::pair<GateId, bool>> objective() const;
-  /// Maps an objective to an unassigned controllable point.
+  /// Maps an objective to an unassigned decision point through lines
+  /// that can reach one; kInvalidGate when none supports the objective.
   std::pair<GateId, Logic> backtrace(GateId node, bool value);
-  bool backtrack();  ///< false when the tree is exhausted
+  /// Flips the latest unflipped decision while fewer than `limit`
+  /// backtracks were made; false (with every decision undone) when the
+  /// tree is exhausted or the budget is spent.
+  bool backtrack(int limit);
 
   Logic faulty_input(GateId gate, std::size_t pin) const;
   GateId activation_line() const;
@@ -106,6 +145,8 @@ class Podem {
   DepthDirective default_directive_;
   std::span<const GateType> types_;
   std::span<const std::uint32_t> levels_;
+  std::vector<std::uint8_t> decision_;     ///< decision-point mask
+  std::vector<std::uint8_t> can_control_;  ///< cone reaches a decision point
   std::vector<Logic> x_good_;          ///< good machine with every source X
   std::vector<std::uint8_t> observed_; ///< PO or DFF D driver
 
@@ -116,7 +157,7 @@ class Podem {
   std::vector<std::uint32_t> cone_stamp_;  ///< == stamp_ marks cone gates
   std::uint32_t stamp_ = 0;
 
-  std::vector<Logic> assign_;  ///< controllable-point assignment (by gate id)
+  std::vector<Logic> assign_;  ///< decision-point assignment (by gate id)
   std::vector<Logic> good_;
   std::vector<Logic> faulty_;
   std::vector<Decision> decisions_;

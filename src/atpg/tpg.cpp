@@ -14,9 +14,6 @@ TestSet generate_tests(const Netlist& nl, const TpgOptions& opts) {
   Rng rng(opts.seed);
   const std::vector<Fault> faults = collapse_faults(nl);
   FaultSimulator fsim(nl, opts.fault_sim);
-  // One candidate batch fills one packed block (64 patterns per word).
-  const std::size_t block_patterns =
-      static_cast<std::size_t>(fsim.options().block_words) * 64;
 
   TestSet ts;
   ts.seed = opts.seed;
@@ -33,8 +30,8 @@ TestSet generate_tests(const Netlist& nl, const TpgOptions& opts) {
        num_detected < faults.size();
        ++batch) {
     std::vector<TestPattern> cand;
-    cand.reserve(block_patterns);
-    for (std::size_t i = 0; i < block_patterns; ++i) {
+    cand.reserve(kTpgBatchPatterns);
+    for (std::size_t i = 0; i < kTpgBatchPatterns; ++i) {
       cand.push_back(random_pattern(nl, rng));
     }
     const FaultSimResult res = fsim.run(cand, faults, &detected);
@@ -58,7 +55,7 @@ TestSet generate_tests(const Netlist& nl, const TpgOptions& opts) {
                      ts.patterns.size()));
 
   // ---- Phase 2: PODEM top-off -----------------------------------------
-  // Generated patterns are fault-simulated in block-wide batches: collateral
+  // Generated patterns are fault-simulated in batches: collateral
   // dropping within a batch is deferred (a handful of redundant PODEM
   // calls), which is far cheaper than one fault-sim pass per pattern on
   // large fault lists.
@@ -96,7 +93,7 @@ TestSet generate_tests(const Netlist& nl, const TpgOptions& opts) {
     TestPattern pat = pr.pattern;
     pat.random_fill(rng);
     batch.push_back(std::move(pat));
-    if (batch.size() == block_patterns) flush_batch();
+    if (batch.size() == kTpgBatchPatterns) flush_batch();
   }
   flush_batch();
   Telemetry* telem = opts.fault_sim.telemetry;

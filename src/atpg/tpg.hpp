@@ -15,9 +15,14 @@
 
 namespace scanpower {
 
+/// Patterns per random-phase batch and per PODEM flush. Fixed rather than
+/// tied to the fault simulator's block width, so the TestSet is the same
+/// for every FaultSimOptions::block_words (256 = four 64-bit words).
+inline constexpr std::size_t kTpgBatchPatterns = 256;
+
 struct TpgOptions {
   std::uint64_t seed = 0xa70a70a7ULL;
-  int max_random_batches = 64;      ///< random batches of one fault-sim block
+  int max_random_batches = 64;      ///< random batches of kTpgBatchPatterns
   int unproductive_batch_limit = 2; ///< stop random phase after N dry batches
   int podem_backtrack_limit = 4000;
   bool compact = true;              ///< reverse-order compaction pass

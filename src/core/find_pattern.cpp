@@ -1,9 +1,10 @@
 #include "core/find_pattern.hpp"
 
 #include <algorithm>
-#include <memory>
+#include <optional>
 #include <set>
 
+#include "atpg/podem.hpp"
 #include "power/packed_leakage.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
@@ -51,17 +52,16 @@ FindPatternResult find_controlled_input_pattern(const Netlist& nl,
   }
 
   // Directive: leakage observability when provided (the paper), depth
-  // otherwise (the undirected baseline).
-  DepthDirective depth_directive;
-  std::unique_ptr<ObservabilityDirective> obs_directive;
-  const BacktraceDirective* directive = &depth_directive;
+  // otherwise (the undirected baseline, PodemOptions' default). Justify()
+  // is PODEM's justify() with the controlled inputs as decision points.
+  std::optional<ObservabilityDirective> obs_directive;
+  PodemOptions popts;
   if (opts.observability) {
     SP_CHECK(opts.observability->size() == nl.num_gates(),
              "find_controlled_input_pattern: observability size mismatch");
-    obs_directive = std::make_unique<ObservabilityDirective>(*opts.observability);
-    directive = obs_directive.get();
+    popts.directive = &obs_directive.emplace(*opts.observability);
   }
-  Justifier justifier(nl, controllable, directive);
+  Podem justifier(nl, popts, std::move(controllable));
 
   const std::vector<double> loads = caps.load_vector(nl);
 
@@ -166,7 +166,6 @@ FindPatternResult find_controlled_input_pattern(const Netlist& nl,
     // this one.
     bool blocked = false;
     std::vector<GateId> candidates;
-    bool all_side_settled = true;
     for (GateId f : nl.fanins(mc_tg)) {
       if (res.transition_nodes[f]) continue;
       const Logic v = justifier.value(f);
@@ -174,10 +173,7 @@ FindPatternResult find_controlled_input_pattern(const Netlist& nl,
         blocked = true;
         break;
       }
-      if (v == Logic::X) {
-        all_side_settled = false;
-        if (justifier.can_control(f)) candidates.push_back(f);
-      }
+      if (v == Logic::X && justifier.can_control(f)) candidates.push_back(f);
     }
     if (blocked) {
       ++res.gates_blocked;
@@ -212,7 +208,6 @@ FindPatternResult find_controlled_input_pattern(const Netlist& nl,
       continue;
     }
     ++res.gates_propagated;
-    (void)all_side_settled;
     // Blocking failed: the transition escapes through mc_tg.
     mark_transition(mc_tg);
     update();

@@ -20,6 +20,12 @@
 // propagates: mc_tg's output joins TNS and its fanout gates are
 // (re)examined.
 //
+// Justify() is Podem::justify() (atpg/podem.hpp): PODEM's search and
+// event-driven implication on the fault-free machine, with the controlled
+// inputs as decision points. Non-controlled pseudo-inputs stay X (their
+// values change every shift cycle, so nothing may depend on them), and
+// each successful justification is a commitment later ones must respect.
+//
 // Note on the published pseudocode: step f ("add all fan-out nodes of
 // mc_tg to TNS") is reached via the Goto in step d.iii even when blocking
 // *succeeded*; propagating a blocked gate's output would mark constant
@@ -30,7 +36,6 @@
 
 #include "atpg/backtrace_directive.hpp"
 #include "atpg/sim_backend.hpp"
-#include "core/justify.hpp"
 #include "netlist/netlist.hpp"
 #include "power/leakage_model.hpp"
 #include "scan/add_mux.hpp"

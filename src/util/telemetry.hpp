@@ -56,8 +56,8 @@ enum class CounterId : int {
   kFaultSimBlocks,
   kFaultSimDetected,   ///< faults detected and dropped (semantic)
   // PODEM top-off of generate_tests. Untestable/aborted are semantic; the
-  // others are work counters (the random phase's 64*W-pattern batches set
-  // which detectable faults are left for PODEM)
+  // others are work counters. All are invariant across (W, T): the ATPG
+  // batches are a fixed kTpgBatchPatterns
   kPodemCalls,         ///< Podem::generate() calls
   kPodemDecisions,     ///< source assignments made by backtrace
   kPodemBacktracks,    ///< decision flips

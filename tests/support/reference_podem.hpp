@@ -315,8 +315,6 @@ inline TestSet reference_generate_tests(const Netlist& nl,
   Rng rng(opts.seed);
   const std::vector<Fault> faults = collapse_faults(nl);
   FaultSimulator fsim(nl, opts.fault_sim);
-  const std::size_t block_patterns =
-      static_cast<std::size_t>(fsim.options().block_words) * 64;
 
   TestSet ts;
   ts.seed = opts.seed;
@@ -332,8 +330,8 @@ inline TestSet reference_generate_tests(const Netlist& nl,
        num_detected < faults.size();
        ++batch) {
     std::vector<TestPattern> cand;
-    cand.reserve(block_patterns);
-    for (std::size_t i = 0; i < block_patterns; ++i) {
+    cand.reserve(kTpgBatchPatterns);
+    for (std::size_t i = 0; i < kTpgBatchPatterns; ++i) {
       cand.push_back(random_pattern(nl, rng));
     }
     const FaultSimResult res = fsim.run(cand, faults, &detected);
@@ -381,7 +379,7 @@ inline TestSet reference_generate_tests(const Netlist& nl,
     TestPattern pat = pr.pattern;
     pat.random_fill(rng);
     batch.push_back(std::move(pat));
-    if (batch.size() == block_patterns) flush_batch();
+    if (batch.size() == kTpgBatchPatterns) flush_batch();
   }
   flush_batch();
 

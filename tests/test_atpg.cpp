@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "util/assert.hpp"
 #include "atpg/fault.hpp"
@@ -352,6 +353,29 @@ TEST(Tpg, CompactionDoesNotLoseCoverage) {
   const TestSet b = generate_tests(nl, without);
   EXPECT_EQ(a.detected_faults, b.detected_faults);
   EXPECT_LE(a.patterns.size(), b.patterns.size());
+}
+
+// The house rule: block width is a performance knob, never a result
+// knob. Batches are a fixed kTpgBatchPatterns, so every width yields the
+// same TestSet (a short PODEM budget keeps s713 quick).
+TEST(Tpg, TestSetIndependentOfBlockWidth) {
+  for (const char* name : {"s344", "s713"}) {
+    const Netlist nl = map_to_nand_nor_inv(make_iscas89_like(name));
+    TpgOptions opts;
+    opts.podem_backtrack_limit = 100;
+    opts.fault_sim.block_words = kBlockWords.front();
+    const TestSet want = generate_tests(nl, opts);
+    EXPECT_GT(want.untestable_faults + want.aborted_faults, 0u) << name;
+    for (const int w : kBlockWords) {
+      opts.fault_sim.block_words = w;
+      const TestSet got = generate_tests(nl, opts);
+      const std::string at = std::string(name) + " W=" + std::to_string(w);
+      EXPECT_EQ(got.detected_faults, want.detected_faults) << at;
+      EXPECT_EQ(got.untestable_faults, want.untestable_faults) << at;
+      EXPECT_EQ(got.aborted_faults, want.aborted_faults) << at;
+      EXPECT_EQ(got.patterns, want.patterns) << at;
+    }
+  }
 }
 
 TEST(Tpg, CoverageMatchesIndependentFaultSim) {

@@ -1,10 +1,10 @@
 #include <gtest/gtest.h>
 
 #include "util/assert.hpp"
+#include "atpg/podem.hpp"
 #include "benchgen/benchgen.hpp"
 #include "core/dont_care_fill.hpp"
 #include "core/find_pattern.hpp"
-#include "core/justify.hpp"
 #include "core/pin_reorder.hpp"
 #include "core/verify.hpp"
 #include "netlist/builder.hpp"
@@ -29,7 +29,9 @@ std::vector<bool> pis_only(const Netlist& nl) {
   return c;
 }
 
-// ---------- Justifier --------------------------------------------------------
+// ---------- Podem::justify ---------------------------------------------------
+
+constexpr int kJustifyLimit = 500;
 
 TEST(Justify, SimpleObjective) {
   NetlistBuilder b("j");
@@ -38,8 +40,8 @@ TEST(Justify, SimpleObjective) {
   b.add_gate(GateType::Nand, "g", {"a", "c"});
   b.add_output("g");
   const Netlist nl = b.link();
-  Justifier j(nl, all_sources_controllable(nl));
-  EXPECT_TRUE(j.justify(nl.find("g"), false));  // needs a=c=1
+  Podem j(nl, {}, all_sources_controllable(nl));
+  EXPECT_TRUE(j.justify(nl.find("g"), false, kJustifyLimit));  // needs a=c=1
   EXPECT_EQ(j.value(nl.find("a")), Logic::One);
   EXPECT_EQ(j.value(nl.find("c")), Logic::One);
 }
@@ -53,10 +55,11 @@ TEST(Justify, CommitsAreCumulative) {
   b.add_output("g1");
   b.add_output("g2");
   const Netlist nl = b.link();
-  Justifier j(nl, all_sources_controllable(nl));
-  ASSERT_TRUE(j.justify(nl.find("g1"), true));  // forces a=1, c=1
+  Podem j(nl, {}, all_sources_controllable(nl));
+  // Forces a=1, c=1.
+  ASSERT_TRUE(j.justify(nl.find("g1"), true, kJustifyLimit));
   // Now g2=0 requires a=0: must fail without disturbing commitments.
-  EXPECT_FALSE(j.justify(nl.find("g2"), false));
+  EXPECT_FALSE(j.justify(nl.find("g2"), false, kJustifyLimit));
   EXPECT_EQ(j.value(nl.find("g1")), Logic::One);
   EXPECT_EQ(j.value(nl.find("a")), Logic::One);
 }
@@ -68,34 +71,20 @@ TEST(Justify, FailureRestoresState) {
   b.add_gate(GateType::And, "g", {"a", "n"});  // g == 0 always
   b.add_output("g");
   const Netlist nl = b.link();
-  Justifier j(nl, all_sources_controllable(nl));
-  EXPECT_FALSE(j.justify(nl.find("g"), true));
+  Podem j(nl, {}, all_sources_controllable(nl));
+  EXPECT_FALSE(j.justify(nl.find("g"), true, kJustifyLimit));
   // Nothing committed.
   EXPECT_EQ(j.assignment()[nl.find("a")], Logic::X);
-  EXPECT_TRUE(j.justify(nl.find("g"), false));
+  EXPECT_TRUE(j.justify(nl.find("g"), false, kJustifyLimit));
 }
 
 TEST(Justify, NonControlledSourcesStayX) {
   const Netlist nl = make_s27();
-  Justifier j(nl, pis_only(nl));
+  Podem j(nl, {}, pis_only(nl));
   for (GateId ff : nl.dffs()) {
     EXPECT_EQ(j.value(ff), Logic::X);
     EXPECT_FALSE(j.can_control(ff));
   }
-}
-
-TEST(Justify, RespectsPreset) {
-  NetlistBuilder b("j");
-  b.add_input("a");
-  b.add_input("c");
-  b.add_gate(GateType::And, "g", {"a", "c"});
-  b.add_output("g");
-  const Netlist nl = b.link();
-  Justifier j(nl, all_sources_controllable(nl));
-  j.preset(nl.find("a"), false);
-  EXPECT_FALSE(j.justify(nl.find("g"), true));  // a=0 blocks AND=1
-  EXPECT_TRUE(j.justify(nl.find("g"), false));
-  EXPECT_THROW(j.preset(nl.find("a"), true), Error);  // contradiction
 }
 
 TEST(Justify, XorObjectivesSolvedViaBacktracking) {
@@ -108,8 +97,8 @@ TEST(Justify, XorObjectivesSolvedViaBacktracking) {
   b.add_output("x2");
   const Netlist nl = b.link();
   for (bool target : {false, true}) {
-    Justifier j(nl, all_sources_controllable(nl));
-    ASSERT_TRUE(j.justify(nl.find("x2"), target));
+    Podem j(nl, {}, all_sources_controllable(nl));
+    ASSERT_TRUE(j.justify(nl.find("x2"), target, kJustifyLimit));
     EXPECT_EQ(j.value(nl.find("x2")), from_bool(target));
   }
 }
@@ -128,8 +117,10 @@ TEST(Justify, DirectiveSteersChoice) {
   obs[nl.find("a")] = 10.0;   // prefers 0 strongly
   obs[nl.find("c")] = -10.0;  // prefers 1
   const ObservabilityDirective dir(obs);
-  Justifier j(nl, all_sources_controllable(nl), &dir);
-  ASSERT_TRUE(j.justify(nl.find("g"), true));
+  PodemOptions opts;
+  opts.directive = &dir;
+  Podem j(nl, opts, all_sources_controllable(nl));
+  ASSERT_TRUE(j.justify(nl.find("g"), true, kJustifyLimit));
   EXPECT_EQ(j.value(nl.find("a")), Logic::Zero);  // max obs chosen for 0
   EXPECT_EQ(j.assignment()[nl.find("c")], Logic::X);
 }
