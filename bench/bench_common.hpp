@@ -48,17 +48,16 @@ inline Netlist prepare_circuit(const std::string& name) {
 
 /// Flow options tuned by circuit size so the large profiles finish in
 /// laptop time without changing the method (only search budgets shrink).
-/// The fault-sim, observability and fill engines always run the 4-word
-/// packed block; the large profiles additionally fan the fault sweep and
-/// the Monte-Carlo observability out over all hardware threads (results
-/// are bit-identical to the serial engines at fixed block width). The
-/// packed power stack made the per-sample cost ~10x cheaper, so the large
-/// profiles now afford the full sample/trial budgets.
+/// The fault simulator runs the 4-word packed block (the observability
+/// and fill engines pick their own width); the large profiles
+/// additionally fan the fault sweep and the Monte-Carlo observability out
+/// over all hardware threads (results are bit-identical to the serial
+/// engines). The packed power stack made the per-sample cost ~10x
+/// cheaper, so the large profiles now afford the full sample/trial
+/// budgets.
 inline FlowOptions tuned_options(std::size_t num_gates) {
   FlowOptions opts;
   opts.tpg.fault_sim.block_words = 4;
-  opts.observability.block_words = 4;
-  opts.fill.block_words = 4;
   if (num_gates > 4000) {
     opts.tpg.podem_backtrack_limit = 60;
     opts.tpg.max_random_batches = 48;

@@ -588,20 +588,16 @@ BENCHMARK(BM_LeakageEval)
     });
 
 // The power-stack acceptance kernel: Monte-Carlo leakage observability of
-// the s9234-like profile, 256 samples. Args are (packed engine, block
-// words W, worker threads, kernel backend index); (0, _, _, _) is the
-// scalar per-sample baseline, (1, 4, 1, scalar) the single-thread
-// acceptance configuration (>= 4x required). Packed results are
-// bit-identical across thread counts and backends at fixed W.
+// the s9234-like profile, 256 samples (one 256-sample block). Args are
+// (worker threads, kernel backend index); results are bit-identical
+// across thread counts and backends.
 void BM_ObservabilityMC(benchmark::State& state) {
   const Netlist& nl = circuit("s9234");
   const LeakageModel model;
   ObservabilityOptions opts;
   opts.samples = 256;
-  opts.packed = state.range(0) != 0;
-  opts.block_words = static_cast<int>(state.range(1));
-  opts.num_threads = static_cast<int>(state.range(2));
-  opts.backend = bench_backend(state.range(3));
+  opts.num_threads = static_cast<int>(state.range(0));
+  opts.backend = bench_backend(state.range(1));
   for (auto _ : state) {
     LeakageObservability obs(nl, model, opts);
     benchmark::DoNotOptimize(obs.values().data());
@@ -611,14 +607,12 @@ void BM_ObservabilityMC(benchmark::State& state) {
 }
 BENCHMARK(BM_ObservabilityMC)
     ->Unit(benchmark::kMillisecond)
-    ->Args({0, 1, 1, 0})   // scalar per-sample baseline
-    ->Args({1, 1, 1, 0})
-    ->Args({1, 4, 1, 0})   // acceptance configuration
-    ->Args({1, 4, 4, 0})
+    ->Args({1, 0})  // single-thread scalar-backend acceptance configuration
+    ->Args({4, 0})
     ->Apply([](benchmark::internal::Benchmark* b) {
       for (std::int64_t be : available_backend_indices()) {
         if (be == 0) continue;  // scalar rows registered above
-        b->Args({1, 4, 1, be});
+        b->Args({1, be});
       }
     });
 

@@ -20,7 +20,8 @@
 //     --random <n>         use n random patterns instead of the ATPG set
 //     --seed <n>           pattern seed
 //     --threads <n>        candidate-scoring worker threads (0 = all cores)
-//     --block-words <w>    packed block width in 64-bit words
+//     --block-words <w>    fault-simulation and diagnosis block width in
+//                          64-bit words (results do not depend on it)
 //     --backend <b>        kernel backend (auto, scalar, avx2, avx512)
 //     --no-prune           score the whole fault list (skip cone back-trace)
 //     --top <n>            report size (default 10)
@@ -116,7 +117,9 @@ int usage(const char* argv0) {
       "  --json then emits one array with a result object per log (in\n"
       "  input order). --compact diagnoses MISR-compacted per-window\n"
       "  signatures for the injection modes; --misr-width/--misr-poly/\n"
-      "  --window configure the compactor (and imply --compact).\n",
+      "  --window configure the compactor (and imply --compact).\n"
+      "  --block-words sets the fault-simulation and diagnosis block width;\n"
+      "  results do not depend on it.\n",
       argv0);
   return 2;
 }
@@ -433,9 +436,7 @@ int main(int argc, char** argv) {
     fopts.tpg.fault_sim.block_words = dopts.block_words;
     fopts.tpg.fault_sim.num_threads = dopts.num_threads;
     fopts.tpg.fault_sim.backend = dopts.backend;
-    fopts.observability.block_words = dopts.block_words;
     fopts.observability.backend = dopts.backend;
-    fopts.fill.block_words = dopts.block_words;
     fopts.fill.backend = dopts.backend;
     ScanSession session(std::move(nl), fopts);
     const Netlist& design = session.netlist();

@@ -10,7 +10,8 @@
 //     --margin <ps>       extra slack demanded by AddMUX
 //     --seed <n>          ATPG/fill/observability seed
 //     --threads <n>       fault-simulation worker threads (0 = all cores)
-//     --block-words <w>   packed simulation block width in 64-bit words
+//     --block-words <w>   fault-simulation and diagnosis block width in
+//                         64-bit words (results do not depend on it)
 //     --backend <b>       kernel backend (auto, scalar, avx2, avx512)
 //     --json <file>       machine-readable result dump (includes a
 //                         "metrics" section with the session's counters)
@@ -47,7 +48,9 @@ int usage(const char* argv0) {
                " [--backend auto|scalar|avx2|avx512]"
                " [--json file] [--write out.bench] [--verbose]"
                " [--log-level debug|info|warn|error|off]"
-               " [--metrics | --metrics=json] [--trace file]\n",
+               " [--metrics | --metrics=json] [--trace file]\n"
+               "  --block-words sets the fault-simulation and diagnosis block"
+               " width; results do not depend on it.\n",
                argv0);
   return 2;
 }
@@ -127,8 +130,6 @@ int main(int argc, char** argv) {
     } else if (cli::value_flag(argc, argv, i, "--block-words",
                                opts.tpg.fault_sim.block_words)) {
       opts.diag.block_words = opts.tpg.fault_sim.block_words;
-      opts.observability.block_words = opts.tpg.fault_sim.block_words;
-      opts.fill.block_words = opts.tpg.fault_sim.block_words;
     } else if (cli::backend_flag(argc, argv, i, "--backend",
                                  opts.tpg.fault_sim.backend)) {
       opts.diag.backend = opts.tpg.fault_sim.backend;

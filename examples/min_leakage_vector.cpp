@@ -4,7 +4,7 @@
 // Shows, for one circuit: leakage observability of the primary inputs
 // (the [15] attribute the paper extends to internal lines) and the packed
 // minimum-leakage vector search ([14]'s random-sampling recipe, batched
-// 64*W vectors per sweep plus single-bit refinement), compared against
+// 256 vectors per sweep plus single-bit refinement), compared against
 // exhaustive search when the input space is small enough.
 
 #include <cstdio>
@@ -26,8 +26,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (cli::value_flag(argc, argv, i, "--sweeps", sopts.sweeps)) {
     } else if (cli::value_flag(argc, argv, i, "--threads", sopts.num_threads)) {
-    } else if (cli::value_flag(argc, argv, i, "--block-words",
-                               sopts.block_words)) {
     } else if (cli::backend_flag(argc, argv, i, "--backend", sopts.backend)) {
     } else {
       name = argv[i];
@@ -42,7 +40,6 @@ int main(int argc, char** argv) {
   // costs leakage; drive it to 0 in standby).
   ObservabilityOptions oopts;
   oopts.samples = 2048;
-  oopts.block_words = sopts.block_words;
   oopts.num_threads = sopts.num_threads;
   oopts.backend = sopts.backend;
   const LeakageObservability obs(nl, model, oopts);
@@ -54,7 +51,7 @@ int main(int argc, char** argv) {
                 obs.obs(pi) > 0 ? '0' : '1');
   }
 
-  // Packed minimum-leakage vector search over PIs + scan cells: 64*W
+  // Packed minimum-leakage vector search over PIs + scan cells: 256
   // random vectors per sweep, then steepest-descent bit flips.
   const std::size_t n_src = nl.inputs().size() + nl.dffs().size();
   const MinLeakageSearchResult search =

@@ -37,9 +37,6 @@ void validate_flow_options(const Netlist& nl, const FlowOptions& opts,
   check_block_words(who, opts.tpg.fault_sim.block_words,
                     "tpg.fault_sim.block_words");
   check_block_words(who, opts.diag.block_words, "diag.block_words");
-  check_block_words(who, opts.observability.block_words,
-                    "observability.block_words");
-  check_block_words(who, opts.fill.block_words, "fill.block_words");
   check_backend(who, opts.tpg.fault_sim.backend, "tpg.fault_sim");
   check_backend(who, opts.diag.backend, "diag");
   check_backend(who, opts.observability.backend, "observability");

@@ -91,7 +91,6 @@ FillResult fill_packed(const Netlist& nl, const LeakageModel& model,
                        const std::vector<std::size_t>& free_pi,
                        const std::vector<std::size_t>& free_mux,
                        FillResult res) {
-  check_block_words("fill", opts.block_words, "block_words");
   std::unique_ptr<const GateLeakageTables> owned_tables;
   if (opts.tables == nullptr) {
     owned_tables = std::make_unique<GateLeakageTables>(nl, model);
@@ -111,9 +110,10 @@ FillResult fill_packed(const Netlist& nl, const LeakageModel& model,
       res.free_inputs == 0 ? 1
                            : (opts.minimize_leakage ? std::max(1, opts.trials)
                                                     : 1);
-  // Clamp the block width to the candidate count: scoring 24 trials on a
-  // 256-lane block would aggregate leakage for 232 dead lanes.
-  int W = opts.block_words;
+  // Four words per sweep, narrowed to the candidate count: scoring 24
+  // trials on a 256-lane block would aggregate leakage for 232 dead lanes.
+  // Candidates are drawn per 64-trial word, so the width moves no result.
+  int W = 4;
   while (W > 1 &&
          static_cast<std::size_t>(W) * 32 >= static_cast<std::size_t>(trials)) {
     W /= 2;

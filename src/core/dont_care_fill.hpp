@@ -26,7 +26,7 @@ struct FillOptions {
   bool minimize_leakage = true;  ///< false: take the first random fill
                                  ///< (baseline behaviour)
   /// Packed engine: all candidate fills are scored as bit lanes of
-  /// 3-valued packed sweeps (64*block_words candidates each); the
+  /// 3-valued packed sweeps (up to 256 candidates each); the
   /// non-multiplexed cells stay X lanes-wide and contribute expected
   /// leakage through the (state, xmask) tables. Draws the same random
   /// stream and computes bit-identical leakage to the scalar engine, so
@@ -37,9 +37,6 @@ struct FillOptions {
   /// 64) alone -- in both engines -- so trial blocks are independent and
   /// the packed engine can partition them across a worker pool.
   bool packed = true;
-  /// Pattern words per packed sweep; must be in kBlockWords
-  /// (packed_sim.hpp).
-  int block_words = 4;
   /// Worker threads for the packed sweep; 1 = serial, 0 = all cores.
   /// Results are bit-identical across thread counts: candidate blocks
   /// have fixed per-block seeds and block results are merged in

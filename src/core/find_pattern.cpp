@@ -285,11 +285,9 @@ MinLeakageSearchResult min_leakage_vector_search(
     const MinLeakageSearchOptions& opts) {
   SP_CHECK(nl.finalized(),
            "min_leakage_vector_search requires a finalized netlist");
-  check_block_words("min_leakage_vector_search", opts.block_words,
-                    "block_words");
   SP_CHECK(opts.sweeps >= 1, "min_leakage_vector_search: need >= 1 sweep");
 
-  const int W = opts.block_words;
+  constexpr int W = 4;  // 256 vectors per sweep
   const std::size_t lanes = static_cast<std::size_t>(W) * 64;
   std::vector<GateId> sources;
   sources.reserve(nl.inputs().size() + nl.dffs().size());

@@ -80,19 +80,17 @@ FindPatternResult find_controlled_input_pattern(
 //
 // The standby-vector search ([14]'s random-sampling recipe, which the
 // paper reuses for don't-care filling) evaluated one scalar vector at a
-// time. The packed stage evaluates 64*block_words fully specified
-// candidate vectors per sweep on the BlockSimulator + GateLeakageTables
-// engine: a random-restart stage (each sweep drawn from a fixed per-sweep
-// seed, sweeps partitioned across a worker pool, partials merged in sweep
-// order so the result is bit-identical for any thread count) followed by
-// a steepest-descent refinement stage that scores every single-bit
+// time. The packed stage evaluates 256 fully specified candidate vectors
+// per sweep on the BlockSimulator + GateLeakageTables engine: a
+// random-restart stage (each sweep drawn from a fixed per-sweep seed,
+// sweeps partitioned across a worker pool, partials merged in sweep order
+// so the result is bit-identical for any thread count) followed by a
+// steepest-descent refinement stage that scores every single-bit
 // neighbour of the incumbent as lanes of one batch.
 
 struct MinLeakageSearchOptions {
-  int sweeps = 8;             ///< random-restart sweeps (64*W vectors each)
+  int sweeps = 8;             ///< random-restart sweeps (256 vectors each)
   int max_refine_flips = 64;  ///< accepted single-bit refinement moves
-  /// Pattern words per sweep; must be in kBlockWords (packed_sim.hpp).
-  int block_words = 4;
   int num_threads = 1;        ///< workers for the random stage (0 = all cores)
   /// Kernel backend for the packed sweeps; Auto = best available.
   /// Results are bit-identical across backends.

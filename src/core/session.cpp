@@ -119,7 +119,7 @@ ThreadPool& ScanSession::pool() {
 const LeakageObservability& ScanSession::observability() {
   if (!obs_) {
     ObservabilityOptions o = opts_.observability;
-    if (o.method == ObservabilityMethod::MonteCarlo && o.packed) {
+    if (o.method == ObservabilityMethod::MonteCarlo) {
       o.tables = &leakage_tables();
       o.pool = &pool();
     }

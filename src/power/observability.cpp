@@ -1,13 +1,10 @@
 #include "power/observability.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 #include <memory>
 
 #include "atpg/sim_kernels.hpp"
 #include "power/packed_leakage.hpp"
-#include "sim/simulator.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -20,63 +17,19 @@ LeakageObservability::LeakageObservability(const Netlist& nl,
   SP_CHECK(nl.finalized(), "observability requires a finalized netlist");
   obs_.assign(nl.num_gates(), 0.0);
   if (opts.method == ObservabilityMethod::MonteCarlo) {
-    if (opts.packed) {
-      compute_monte_carlo_packed(nl, model, opts);
-    } else {
-      compute_monte_carlo_scalar(nl, model, opts);
-    }
+    compute_monte_carlo(nl, model, opts);
   } else {
     compute_probabilistic(nl, model);
   }
 }
 
-void LeakageObservability::compute_monte_carlo_scalar(
+void LeakageObservability::compute_monte_carlo(
     const Netlist& nl, const LeakageModel& model,
     const ObservabilityOptions& opts) {
   SP_CHECK(opts.samples > 1, "observability: need at least 2 samples");
-  Rng rng(opts.seed);
-  Simulator sim(nl);
-  const std::size_t n = nl.num_gates();
-  std::vector<double> sum1(n, 0.0);
-  std::vector<double> sum0(n, 0.0);
-  std::vector<std::uint32_t> cnt1(n, 0);
-
-  double leak_total = 0.0;
-  for (int s = 0; s < opts.samples; ++s) {
-    for (GateId pi : nl.inputs()) sim.set_input(pi, from_bool(rng.next_bool()));
-    for (GateId ff : nl.dffs()) sim.set_state(ff, from_bool(rng.next_bool()));
-    sim.eval_incremental();
-    const double leak = model.circuit_leakage_na(nl, sim.values());
-    leak_total += leak;
-    for (GateId id = 0; id < n; ++id) {
-      if (sim.value(id) == Logic::One) {
-        sum1[id] += leak;
-        ++cnt1[id];
-      } else {
-        sum0[id] += leak;
-      }
-    }
-  }
-  mean_leakage_na_ = leak_total / opts.samples;
-  for (GateId id = 0; id < n; ++id) {
-    const std::uint32_t c1 = cnt1[id];
-    const std::uint32_t c0 = static_cast<std::uint32_t>(opts.samples) - c1;
-    if (c1 == 0 || c0 == 0) {
-      obs_[id] = 0.0;  // line never observed both ways: no preference signal
-      continue;
-    }
-    obs_[id] = sum1[id] / c1 - sum0[id] / c0;
-  }
-}
-
-void LeakageObservability::compute_monte_carlo_packed(
-    const Netlist& nl, const LeakageModel& model,
-    const ObservabilityOptions& opts) {
-  SP_CHECK(opts.samples > 1, "observability: need at least 2 samples");
-  check_block_words("observability", opts.block_words, "block_words");
   const std::size_t n = nl.num_gates();
   const std::size_t samples = static_cast<std::size_t>(opts.samples);
-  const int W = opts.block_words;
+  constexpr int W = kObservabilityBlockWords;
   const std::size_t lanes = static_cast<std::size_t>(W) * 64;
   const std::size_t nblocks = (samples + lanes - 1) / lanes;
   // Borrow the caller's pool/tables when provided (ScanSession); the
@@ -148,7 +101,7 @@ void LeakageObservability::compute_monte_carlo_packed(
 
         const std::size_t base = b * lanes;
         const std::size_t batch = std::min(lanes, samples - base);
-        PatternWord valid[32];
+        PatternWord valid[W];
         for (int w = 0; w < W; ++w) {
           const std::size_t lane0 = static_cast<std::size_t>(w) * 64;
           valid[w] = batch >= lane0 + 64 ? ~PatternWord{0}

@@ -14,7 +14,9 @@
 // Two estimation engines:
 //  - MonteCarlo: sample random source vectors, simulate, and average total
 //    leakage conditioned on each line's value. Exact in expectation,
-//    including reconvergent fanout correlations.
+//    including reconvergent fanout correlations. Samples are lanes of
+//    fixed 256-sample packed sweeps (kObservabilityBlockWords), so the
+//    values depend only on (netlist, model, samples, seed).
 //  - Probabilistic: independence-assumption signal probabilities; the
 //    conditional averages are computed by forcing p(line) to 1/0 and
 //    re-propagating probabilities through the line's fanout cone (in the
@@ -33,24 +35,20 @@ class ThreadPool;
 
 enum class ObservabilityMethod { MonteCarlo, Probabilistic };
 
+/// Words per MonteCarlo sample block: block b holds samples 256b..256b+255
+/// and draws, from Rng(block_seed(seed, b)), kObservabilityBlockWords
+/// words per primary input and then per DFF (lane l of a source is bit
+/// l % 64 of its word l / 64).
+inline constexpr int kObservabilityBlockWords = 4;
+
 struct ObservabilityOptions {
   ObservabilityMethod method = ObservabilityMethod::MonteCarlo;
   int samples = 256;                ///< MonteCarlo sample count
   std::uint64_t seed = 0xb5eeccaa11dd22ffULL;
-  /// Packed Monte-Carlo engine: 64*block_words samples per sweep on the
-  /// BlockSimulator, per-lane leakage from GateLeakageTables, sample
-  /// blocks partitioned across a worker pool. false = the scalar
-  /// reference engine (one Simulator pass per sample); kept for
-  /// cross-checks and as the benchmark baseline. The two engines draw
-  /// different (equally seeded-deterministic) sample streams.
-  bool packed = true;
-  /// Pattern words per packed sweep; must be in kBlockWords
-  /// (packed_sim.hpp).
-  int block_words = 4;
-  /// Kernel backend for the packed sweep; Auto = best available.
+  /// Kernel backend for the MonteCarlo sweep; Auto = best available.
   /// Results are bit-identical across backends.
   SimBackend backend = SimBackend::Auto;
-  /// Worker threads for the packed sweep; 1 = serial, 0 = all cores.
+  /// Worker threads for the MonteCarlo sweep; 1 = serial, 0 = all cores.
   /// Results are bit-identical across thread counts: every sample block
   /// has a fixed seed derived from (seed, block index) and block partials
   /// are reduced in block order.
@@ -79,10 +77,8 @@ class LeakageObservability {
   double mean_leakage_na() const { return mean_leakage_na_; }
 
  private:
-  void compute_monte_carlo_scalar(const Netlist& nl, const LeakageModel& model,
-                                  const ObservabilityOptions& opts);
-  void compute_monte_carlo_packed(const Netlist& nl, const LeakageModel& model,
-                                  const ObservabilityOptions& opts);
+  void compute_monte_carlo(const Netlist& nl, const LeakageModel& model,
+                           const ObservabilityOptions& opts);
   void compute_probabilistic(const Netlist& nl, const LeakageModel& model);
 
   std::vector<double> obs_;

@@ -3,8 +3,9 @@
 // results bit-identical to the scalar reference engine -- fault-sim
 // detections, diagnosis rankings (and suspect sets), observability sums
 // and fill choices -- at every (block width, thread count) in the
-// matrix, on the benchgen ISCAS89-like profiles and on the degenerate
-// netlist shapes from test_degenerate.cpp.
+// matrix (thread count alone for observability and fill, which pick
+// their own width), on the benchgen ISCAS89-like profiles and on the
+// degenerate netlist shapes from test_degenerate.cpp.
 //
 // Backends that the host cannot run (AVX TUs compiled out, CPU without
 // the features) are covered by the CI matrix on hosts that do have them;
@@ -337,20 +338,17 @@ TEST(BackendCrossCheck, ObservabilitySumsMatchScalar) {
   if (backends_under_test().empty()) GTEST_SKIP() << no_backend_note();
   const Netlist nl = map_to_nand_nor_inv(make_iscas89_like("s444"));
   const LeakageModel model;
+  ObservabilityOptions ref_opts;
+  ref_opts.samples = 512;
+  ref_opts.backend = SimBackend::Scalar;
+  const LeakageObservability ref(nl, model, ref_opts);
   for (SimBackend b : backends_under_test()) {
-    for (auto [w, t] : kMatrix) {
-      ObservabilityOptions ref_opts;
-      ref_opts.samples = 512;
-      ref_opts.block_words = w;
-      ref_opts.backend = SimBackend::Scalar;
-      const LeakageObservability ref(nl, model, ref_opts);
-
+    for (int t : {1, 4}) {
       ObservabilityOptions opts = ref_opts;
       opts.backend = b;
       opts.num_threads = t;
       const LeakageObservability got(nl, model, opts);
       const std::string what = std::string("backend=") + backend_name(b) +
-                               " W=" + std::to_string(w) +
                                " T=" + std::to_string(t);
       // Bit-identical doubles: the masked-add reduction has one defined
       // accumulation order shared by every backend.
@@ -367,19 +365,16 @@ TEST(BackendCrossCheck, FillChoicesMatchScalar) {
   const Netlist nl = map_to_nand_nor_inv(make_iscas89_like("s382"));
   const LeakageModel model;
   const std::vector<bool> eligible(nl.dffs().size(), true);
+  // Enough trials for several full-width candidate blocks.
+  FillOptions ref_opts;
+  ref_opts.trials = 4096;
+  ref_opts.backend = SimBackend::Scalar;
+  std::vector<Logic> ref_pi(nl.inputs().size(), Logic::X);
+  std::vector<Logic> ref_mux(nl.dffs().size(), Logic::X);
+  const FillResult ref = fill_dont_cares_min_leakage(nl, model, ref_pi,
+                                                     ref_mux, eligible, ref_opts);
   for (SimBackend b : backends_under_test()) {
-    for (auto [w, t] : kMatrix) {
-      FillOptions ref_opts;
-      // Enough trials that the candidate-count clamp never narrows any
-      // width in the matrix.
-      ref_opts.trials = 4096;
-      ref_opts.block_words = w;
-      ref_opts.backend = SimBackend::Scalar;
-      std::vector<Logic> ref_pi(nl.inputs().size(), Logic::X);
-      std::vector<Logic> ref_mux(nl.dffs().size(), Logic::X);
-      const FillResult ref = fill_dont_cares_min_leakage(
-          nl, model, ref_pi, ref_mux, eligible, ref_opts);
-
+    for (int t : {1, 4}) {
       FillOptions opts = ref_opts;
       opts.backend = b;
       opts.num_threads = t;
@@ -389,7 +384,6 @@ TEST(BackendCrossCheck, FillChoicesMatchScalar) {
           fill_dont_cares_min_leakage(nl, model, pi, mux, eligible, opts);
 
       const std::string what = std::string("backend=") + backend_name(b) +
-                               " W=" + std::to_string(w) +
                                " T=" + std::to_string(t);
       EXPECT_EQ(ref_pi, pi) << what;
       EXPECT_EQ(ref_mux, mux) << what;
@@ -407,8 +401,7 @@ TEST(BackendCrossCheck, ThreadedFillMatchesSerial) {
   const LeakageModel model;
   const std::vector<bool> eligible(nl.dffs().size(), true);
   FillOptions serial;
-  serial.trials = 1024;
-  serial.block_words = 1;
+  serial.trials = 1024;  // four 256-candidate blocks
   serial.num_threads = 1;
   std::vector<Logic> ref_pi(nl.inputs().size(), Logic::X);
   std::vector<Logic> ref_mux(nl.dffs().size(), Logic::X);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "benchgen/benchgen.hpp"
 #include "core/dont_care_fill.hpp"
@@ -15,6 +16,7 @@
 #include "power/observability.hpp"
 #include "power/packed_leakage.hpp"
 #include "sim/simulator.hpp"
+#include "support/reference_observability.hpp"
 #include "techmap/techmap.hpp"
 #include "util/rng.hpp"
 
@@ -172,38 +174,62 @@ TEST(PackedLeakage, TernaryMatchesScalarWithXSources) {
 // ---------- packed Monte-Carlo observability --------------------------------
 
 // Acceptance: at a fixed seed the packed reduction must be bit-identical
-// across thread counts, for every profile and both block widths.
+// across thread counts, for every profile.
 TEST(PackedObservability, BitIdenticalAcrossThreadCounts) {
   const LeakageModel model;
   for (const SynthProfile& profile : iscas89_profiles()) {
     const Netlist nl = map_to_nand_nor_inv(make_iscas89_like(profile.name));
-    for (int words : {1, 4}) {
-      std::vector<double> ref;
-      double ref_mean = 0.0;
+    std::vector<double> ref;
+    double ref_mean = 0.0;
+    for (int threads : {1, 4}) {
+      ObservabilityOptions opts;
+      opts.samples = 96;  // deliberately not a multiple of the lane count
+      opts.num_threads = threads;
+      const LeakageObservability obs(nl, model, opts);
+      if (threads == 1) {
+        ref = obs.values();
+        ref_mean = obs.mean_leakage_na();
+        continue;
+      }
+      ASSERT_EQ(obs.values().size(), ref.size());
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        ASSERT_EQ(obs.values()[i], ref[i]) << profile.name << " gate " << i;
+      }
+      ASSERT_EQ(obs.mean_leakage_na(), ref_mean) << profile.name;
+    }
+  }
+}
+
+// The packed engine equals the scalar per-sample oracle, which replays its
+// sample stream and reduction order, bit for bit: 96 samples leave most of
+// one block masked, 512 fill two blocks.
+TEST(PackedObservability, MatchesReferenceOracleExactly) {
+  const LeakageModel model;
+  for (const SynthProfile& profile : iscas89_profiles()) {
+    const Netlist nl = map_to_nand_nor_inv(make_iscas89_like(profile.name));
+    for (int samples : {96, 512}) {
+      ObservabilityOptions opts;
+      opts.samples = samples;
+      const oracle::ReferenceObservability ref =
+          oracle::reference_observability(nl, model, opts);
       for (int threads : {1, 4}) {
-        ObservabilityOptions opts;
-        opts.samples = 96;  // deliberately not a multiple of the lane count
-        opts.block_words = words;
         opts.num_threads = threads;
         const LeakageObservability obs(nl, model, opts);
-        if (threads == 1) {
-          ref = obs.values();
-          ref_mean = obs.mean_leakage_na();
-          continue;
+        const std::string tag = profile.name + " samples=" +
+                                std::to_string(samples) +
+                                " T=" + std::to_string(threads);
+        EXPECT_EQ(obs.mean_leakage_na(), ref.mean_leakage_na) << tag;
+        ASSERT_EQ(obs.values().size(), ref.values.size()) << tag;
+        for (std::size_t i = 0; i < ref.values.size(); ++i) {
+          ASSERT_EQ(obs.values()[i], ref.values[i]) << tag << " gate " << i;
         }
-        ASSERT_EQ(obs.values().size(), ref.size());
-        for (std::size_t i = 0; i < ref.size(); ++i) {
-          ASSERT_EQ(obs.values()[i], ref[i])
-              << profile.name << " W=" << words << " gate " << i;
-        }
-        ASSERT_EQ(obs.mean_leakage_na(), ref_mean) << profile.name;
       }
     }
   }
 }
 
 // On a single inverter the conditional averages are exact whatever the
-// sampling engine: obs(a) = L(1) - L(0) = -61 nA.
+// sample stream: obs(a) = L(1) - L(0) = -61 nA.
 TEST(PackedObservability, InverterExactValue) {
   NetlistBuilder b("inv");
   b.add_input("a");
@@ -213,32 +239,8 @@ TEST(PackedObservability, InverterExactValue) {
   const LeakageModel model;
   ObservabilityOptions opts;
   opts.samples = 300;
-  opts.packed = true;
-  const LeakageObservability packed(nl, model, opts);
-  EXPECT_NEAR(packed.obs(nl.find("a")), -61.0, 1e-6);
-  opts.packed = false;
-  const LeakageObservability scalar(nl, model, opts);
-  EXPECT_NEAR(scalar.obs(nl.find("a")), -61.0, 1e-6);
-}
-
-// Packed and scalar engines draw different sample streams but estimate
-// the same quantity; with enough samples they must agree loosely.
-TEST(PackedObservability, AgreesWithScalarEstimatorOnS27) {
-  const Netlist nl = map_to_nand_nor_inv(make_s27());
-  const LeakageModel model;
-  ObservabilityOptions opts;
-  opts.samples = 4096;
-  opts.packed = true;
-  const LeakageObservability packed(nl, model, opts);
-  opts.packed = false;
-  const LeakageObservability scalar(nl, model, opts);
-  EXPECT_NEAR(packed.mean_leakage_na(), scalar.mean_leakage_na(),
-              0.02 * scalar.mean_leakage_na());
-  for (GateId id = 0; id < nl.num_gates(); ++id) {
-    EXPECT_NEAR(packed.obs(id), scalar.obs(id),
-                std::max(40.0, std::abs(scalar.obs(id)) * 0.5))
-        << nl.gate_name(id);
-  }
+  const LeakageObservability obs(nl, model, opts);
+  EXPECT_NEAR(obs.obs(nl.find("a")), -61.0, 1e-6);
 }
 
 // ---------- packed don't-care fill ------------------------------------------
@@ -263,8 +265,7 @@ TEST(PackedFill, MatchesScalarFillExactly) {
           nl, model, spi, smux, eligible, sopts);
 
       FillOptions popts = sopts;
-      popts.packed = true;
-      popts.block_words = 1;  // force multi-block batches at 300 trials
+      popts.packed = true;  // 300 trials still span two 256-lane blocks
       std::vector<Logic> ppi(nl.inputs().size(), Logic::X);
       std::vector<Logic> pmux(nl.dffs().size(), Logic::X);
       const FillResult pres = fill_dont_cares_min_leakage(

@@ -116,14 +116,6 @@ TEST(SessionValidationTest, RejectsBadBlockWords) {
     expect_ctor_error(nl, opts, "(got " + std::to_string(w) + ")");
 
     opts = FlowOptions{};
-    opts.observability.block_words = w;
-    expect_ctor_error(nl, opts, "observability.block_words must be");
-
-    opts = FlowOptions{};
-    opts.fill.block_words = w;
-    expect_ctor_error(nl, opts, "fill.block_words must be");
-
-    opts = FlowOptions{};
     opts.tpg.fault_sim.block_words = w;
     expect_ctor_error(nl, opts, "tpg.fault_sim.block_words must be");
   }
@@ -372,10 +364,8 @@ TEST(SessionReuseAcceptance, InterleavedCallsMatchOneShotOnAllProfiles) {
         opts.diag.num_threads = threads;
         opts.misr.window = 16;  // 3 windows over 48 patterns
         opts.observability.samples = 64;
-        opts.observability.block_words = words;
         opts.observability.num_threads = threads;
         opts.fill.trials = 8;
-        opts.fill.block_words = words;
 
         ScanSession session(Netlist(nl), opts);
         session.bind_patterns(pats);
