@@ -50,11 +50,12 @@ inline Netlist prepare_circuit(const std::string& name) {
 /// laptop time without changing the method (only search budgets shrink).
 /// The fault simulator runs the 4-word packed block (the observability
 /// and fill engines pick their own width); the large profiles
-/// additionally fan the fault sweep and the Monte-Carlo observability out
-/// over all hardware threads (results are bit-identical to the serial
-/// engines). The packed power stack made the per-sample cost ~10x
-/// cheaper, so the large profiles now afford the full sample/trial
-/// budgets.
+/// additionally fan the fault sweep out over all hardware threads
+/// (results are bit-identical to the serial engine). Observability stays
+/// serial: at the default 256 samples it is a single block, and blocks
+/// are its unit of parallel work. The packed power stack made the
+/// per-sample cost ~10x cheaper, so the large profiles now afford the
+/// full sample/trial budgets.
 inline FlowOptions tuned_options(std::size_t num_gates) {
   FlowOptions opts;
   opts.tpg.fault_sim.block_words = 4;
@@ -64,13 +65,11 @@ inline FlowOptions tuned_options(std::size_t num_gates) {
     opts.justify_backtrack_limit = 60;
     opts.max_power_patterns = 256;
     opts.tpg.fault_sim.num_threads = 0;  // hardware concurrency
-    opts.observability.num_threads = 0;
   } else if (num_gates > 1500) {
     opts.tpg.podem_backtrack_limit = 200;
     opts.justify_backtrack_limit = 120;
     opts.max_power_patterns = 512;
     opts.tpg.fault_sim.num_threads = 0;  // hardware concurrency
-    opts.observability.num_threads = 0;
   }
   return opts;
 }

@@ -1,20 +1,19 @@
 #pragma once
 // Shared helpers for the example command-line front ends (diag_cli,
-// flow_cli, min_leakage_vector): uniform "--flag <value>" parsing and
-// design loading, so every CLI agrees on conventions instead of each
-// re-implementing its own strcmp/atoi ladder.
+// diag_server, flow_cli, min_leakage_vector): uniform "--flag <value>"
+// parsing, so every CLI agrees on conventions instead of each
+// re-implementing its own strcmp/atoi ladder. Designs load through the
+// library's load_design() (techmap/techmap.hpp), which the diagnosis
+// service uses too.
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <string>
+#include <type_traits>
 
 #include "atpg/sim_backend.hpp"
-#include "netlist/bench_io.hpp"
-#include "netlist/netlist.hpp"
-#include "netlist/verilog_io.hpp"
-#include "techmap/techmap.hpp"
 #include "util/log.hpp"
 
 namespace scanpower::cli {
@@ -53,35 +52,21 @@ inline bool value_flag(int argc, char** argv, int& i, const char* name,
   return true;
 }
 
+/// Numeric "--name <value>": the whole value must parse as a T (no
+/// trailing bytes, no sign for unsigned T); anything else is a fatal
+/// usage error instead of atoi-style prefix parsing ("4x" is not 4).
+template <class T>
+  requires std::is_arithmetic_v<T>
 inline bool value_flag(int argc, char** argv, int& i, const char* name,
-                       int& out) {
+                       T& out) {
   const char* v = nullptr;
   if (!value_flag(argc, argv, i, name, v)) return false;
-  out = std::atoi(v);
-  return true;
-}
-
-inline bool value_flag(int argc, char** argv, int& i, const char* name,
-                       long& out) {
-  const char* v = nullptr;
-  if (!value_flag(argc, argv, i, name, v)) return false;
-  out = std::atol(v);
-  return true;
-}
-
-inline bool value_flag(int argc, char** argv, int& i, const char* name,
-                       double& out) {
-  const char* v = nullptr;
-  if (!value_flag(argc, argv, i, name, v)) return false;
-  out = std::atof(v);
-  return true;
-}
-
-inline bool value_flag(int argc, char** argv, int& i, const char* name,
-                       std::uint64_t& out) {
-  const char* v = nullptr;
-  if (!value_flag(argc, argv, i, name, v)) return false;
-  out = std::strtoull(v, nullptr, 10);
+  const char* end = v + std::strlen(v);
+  const auto [ptr, ec] = std::from_chars(v, end, out);
+  if (ec != std::errc() || ptr != end) {
+    std::fprintf(stderr, "error: %s needs a number (got \"%s\")\n", name, v);
+    std::exit(2);
+  }
   return true;
 }
 
@@ -108,19 +93,6 @@ inline bool hex_value_flag(int argc, char** argv, int& i, const char* name,
   if (!value_flag(argc, argv, i, name, v)) return false;
   out = std::strtoull(v, nullptr, 16);
   return true;
-}
-
-inline bool is_verilog_path(const std::string& path) {
-  return path.size() > 2 && path.rfind(".v") == path.size() - 2;
-}
-
-/// Loads a .bench / structural .v design (picked by extension) and, when
-/// `do_map` is set, maps it onto the paper's NAND/NOR/INV library.
-inline Netlist load_design(const std::string& path, bool do_map) {
-  Netlist nl = is_verilog_path(path) ? parse_verilog_file(path)
-                                     : parse_bench_file(path);
-  if (do_map && !is_mapped(nl)) nl = map_to_nand_nor_inv(nl);
-  return nl;
 }
 
 }  // namespace scanpower::cli

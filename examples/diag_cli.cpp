@@ -26,9 +26,13 @@
 //     --no-prune           score the whole fault list (skip cone back-trace)
 //     --top <n>            report size (default 10)
 //     --json <file>        machine-readable result dump (an object for a
-//                          single log, an array of objects for a batch;
-//                          each object carries a "metrics" section with
-//                          the query's phase timings and work tallies)
+//                          single log, an array of objects for a batch);
+//                          each object holds the same result fields as a
+//                          diag_server result line (net::result_json),
+//                          plus this run's "options", "noise" (with the
+//                          --noise-* flags), "misr" (signature logs) and
+//                          "metrics" (the query's phase timings and work
+//                          tallies)
 //     --no-map             skip NAND/NOR/INV technology mapping
 //     --verbose            narrate progress (same as --log-level info)
 //     --log-level <l>      stderr log threshold: debug|info|warn|error|off
@@ -79,13 +83,16 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
 #include "cli_common.hpp"
 #include "core/session.hpp"
 #include "diag/noise.hpp"
+#include "net/framing.hpp"
 #include "netlist/stats.hpp"
+#include "techmap/techmap.hpp"
 #include "util/assert.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
@@ -115,7 +122,9 @@ int usage(const char* argv0) {
       "  --log / --signature-log are repeatable and may be mixed: all logs\n"
       "  are diagnosed in one batch against one shared engine session, and\n"
       "  --json then emits one array with a result object per log (in\n"
-      "  input order). --compact diagnoses MISR-compacted per-window\n"
+      "  input order); each object holds the diag_server result fields\n"
+      "  plus this run's options, noise, misr and metrics sections.\n"
+      "  --compact diagnoses MISR-compacted per-window\n"
       "  signatures for the injection modes; --misr-width/--misr-poly/\n"
       "  --window configure the compactor (and imply --compact).\n"
       "  --block-words sets the fault-simulation and diagnosis block width;\n"
@@ -124,17 +133,18 @@ int usage(const char* argv0) {
   return 2;
 }
 
-void json_result(JsonWriter& j, const Netlist& nl, const DiagnosisOptions& dopts,
-                 const std::string& source, const Evidence& ev,
-                 const DiagnosisResult& res, std::size_t num_patterns,
-                 std::size_t top, const NoiseOptions* nopts,
-                 const NoiseStats* nstats) {
-  const SignatureLog* slog = std::get_if<SignatureLog>(&ev);
-  const FailureLog* flog = std::get_if<FailureLog>(&ev);
+/// One --json entry: the result fields every diagnosis front end emits
+/// (net::write_result_fields, byte for byte what a diag_server result
+/// line carries) plus this run's context -- engine options, the noise
+/// harness, a signature log's MISR configuration and the query's timings.
+void write_json_entry(JsonWriter& j, const Netlist& nl,
+                      const DiagnosisOptions& dopts, const std::string& source,
+                      const Evidence& ev, const DiagnosisResult& res,
+                      std::size_t num_patterns, const NoiseOptions* nopts,
+                      const NoiseStats* nstats) {
   j.begin_object();
-  j.field("circuit", nl.name());
-  j.field("source", source);
-  j.field("num_patterns", static_cast<std::uint64_t>(num_patterns));
+  net::write_result_fields(j, res, nl, nl.name(), source, num_patterns,
+                           dopts.max_report);
   j.begin_object("options");
   j.field("block_words", dopts.block_words);
   j.field("backend", backend_name(dopts.backend));
@@ -152,30 +162,14 @@ void json_result(JsonWriter& j, const Netlist& nl, const DiagnosisOptions& dopts
     j.field("flipped", static_cast<std::uint64_t>(nstats->flipped));
     j.end_object();
   }
-  if (slog != nullptr) {
-    j.begin_object("compact");
-    j.field("misr_width", slog->misr.width);
-    j.field("misr_poly", strprintf("%llx", static_cast<unsigned long long>(
-                                               slog->misr.resolved_poly())));
+  if (const SignatureLog* slog = std::get_if<SignatureLog>(&ev)) {
+    j.begin_object("misr");
+    j.field("width", slog->misr.width);
+    j.field("poly", strprintf("%llx", static_cast<unsigned long long>(
+                                          slog->misr.resolved_poly())));
     j.field("window", slog->misr.window);
-    j.field("num_windows", static_cast<std::uint64_t>(res.num_windows));
-    j.field("num_failing_windows",
-            static_cast<std::uint64_t>(res.num_failing_windows));
-    j.field("num_masked", static_cast<std::uint64_t>(res.num_masked));
     j.end_object();
   }
-  j.begin_object("log");
-  j.field("num_failures",
-          static_cast<std::uint64_t>(flog ? flog->failures.size()
-                                          : res.num_failures));
-  j.field("num_failing_patterns",
-          static_cast<std::uint64_t>(res.num_failing_patterns));
-  j.field("num_failing_points",
-          static_cast<std::uint64_t>(res.num_failing_points));
-  j.end_object();
-  j.field("num_faults", static_cast<std::uint64_t>(res.num_faults));
-  j.field("num_candidates", static_cast<std::uint64_t>(res.num_candidates));
-  j.field("num_dropped", static_cast<std::uint64_t>(res.num_dropped));
   j.begin_object("metrics");
   j.field("prune_us", res.stats.prune_us);
   j.field("score_us", res.stats.score_us);
@@ -185,38 +179,6 @@ void json_result(JsonWriter& j, const Netlist& nl, const DiagnosisOptions& dopts
   j.field("cone_cache_hits", res.stats.cone_cache_hits);
   j.field("cone_cache_misses", res.stats.cone_cache_misses);
   j.end_object();
-  j.begin_array("ranked");
-  for (std::size_t i = 0; i < res.ranked.size() && i < top; ++i) {
-    const CandidateScore& sc = res.ranked[i];
-    j.begin_object();
-    j.field("rank", static_cast<std::uint64_t>(res.rank_of(sc.fault)));
-    j.field("fault", sc.fault.to_string(nl));
-    j.field("tfsf", sc.tfsf);
-    j.field("tfsp", sc.tfsp);
-    j.field("tpsf", sc.tpsf);
-    j.field("exact", sc.exact());
-    j.end_object();
-  }
-  j.end_array();
-  j.field("union_fallback", res.union_fallback);
-  j.begin_array("suspect_sets");
-  for (const SuspectSet& set : res.multiplets) {
-    j.begin_object();
-    j.field("covered", static_cast<std::uint64_t>(set.covered));
-    j.field("uncovered", static_cast<std::uint64_t>(set.uncovered));
-    j.begin_array("faults");
-    for (const CandidateScore& sc : set.members) {
-      j.begin_object();
-      j.field("fault", sc.fault.to_string(nl));
-      j.field("tfsf", sc.tfsf);
-      j.field("tfsp", sc.tfsp);
-      j.field("tpsf", sc.tpsf);
-      j.end_object();
-    }
-    j.end_array();
-    j.end_object();
-  }
-  j.end_array();
   j.end_object();
 }
 
@@ -307,7 +269,7 @@ int main(int argc, char** argv) {
   };
   std::vector<FileLog> file_logs;  // in argv order
   const char* inject_spec = nullptr;
-  long inject_index = -1;
+  const char* inject_index = nullptr;
   const char* save_log_path = nullptr;
   const char* json_path = nullptr;
   const char* trace_path = nullptr;
@@ -362,11 +324,10 @@ int main(int argc, char** argv) {
     } else if (cli::value_flag(argc, argv, i, "--noise-seed", nopts.seed)) {
     } else if (cli::value_flag(argc, argv, i, "--tolerance",
                                dopts.noise_tolerance)) {
-    } else if (cli::value_flag(argc, argv, i, "--top-set", v)) {
-      dopts.max_multiplets = static_cast<std::size_t>(std::atol(v));
+    } else if (cli::value_flag(argc, argv, i, "--top-set",
+                               dopts.max_multiplets)) {
       dopts.multiplets = dopts.max_multiplets > 0;
-    } else if (cli::value_flag(argc, argv, i, "--top", v)) {
-      dopts.max_report = static_cast<std::size_t>(std::atol(v));
+    } else if (cli::value_flag(argc, argv, i, "--top", dopts.max_report)) {
     } else if (cli::value_flag(argc, argv, i, "--json", json_path)) {
     } else if (cli::value_flag(argc, argv, i, "--trace", trace_path)) {
     } else if (cli::flag(argv, i, "--metrics")) {
@@ -386,8 +347,8 @@ int main(int argc, char** argv) {
     }
   }
   if (!path) return usage(argv[0]);
-  const bool inject_mode = inject_spec != nullptr || inject_index >= 0;
-  if (inject_mode ? !file_logs.empty() || (inject_spec && inject_index >= 0)
+  const bool inject_mode = inject_spec != nullptr || inject_index != nullptr;
+  if (inject_mode ? !file_logs.empty() || (inject_spec && inject_index)
                   : file_logs.empty()) {
     std::fprintf(stderr,
                  "error: give either one --inject / --inject-index, or any "
@@ -422,7 +383,7 @@ int main(int argc, char** argv) {
   }
 
   try {
-    Netlist nl = cli::load_design(path, do_map);
+    Netlist nl = load_design(path, do_map);
     std::printf("%s: %s\n", nl.name().c_str(),
                 compute_stats(nl).to_string().c_str());
 
@@ -461,130 +422,95 @@ int main(int argc, char** argv) {
     const std::size_t num_patterns = session.patterns().size();
 
     // ---- evidence -------------------------------------------------------
-    // Tester-noise harness: every log (synthetic or loaded) is corrupted
-    // before --save-log sees it, so the noisy log can be written out and
-    // re-diagnosed later. Stats are kept per log for the JSON dump.
+    // Every log, synthetic or loaded, takes one path: checked against the
+    // applied pattern count, corrupted by the tester-noise harness, then
+    // written by --save-log (so the noisy log can be re-diagnosed later).
+    // Noise stats are kept per log for the JSON dump.
     const NoiseModel noise_model(nopts);  // validates the rates up front
     std::vector<NoiseStats> noise_stats;
-    const auto corrupt_full = [&](FailureLog& log) {
-      NoiseStats st;
-      if (noise) {
-        log = noise_model.corrupt(log, session.points().size(), &st);
-        std::printf("noise: dropped %zu failing records, flipped %zu "
-                    "(seed 0x%llx)\n", st.dropped, st.flipped,
-                    static_cast<unsigned long long>(nopts.seed));
-      }
-      noise_stats.push_back(st);
-    };
-    const auto corrupt_sig = [&](SignatureLog& slog) {
-      NoiseStats st;
-      if (noise) {
-        slog = noise_model.corrupt(slog, &st);
-        std::printf("noise: dropped %zu failing windows, garbled %zu "
-                    "(seed 0x%llx)\n", st.dropped, st.flipped,
-                    static_cast<unsigned long long>(nopts.seed));
-      }
-      noise_stats.push_back(st);
-    };
     std::vector<Evidence> evidence;
     std::vector<std::string> sources;
-    if (inject_mode) {
-      Fault injected;
-      if (inject_spec) {
-        injected = parse_fault(design, inject_spec);
-      } else {
-        SP_CHECK(static_cast<std::size_t>(inject_index) <
-                     session.faults().size(),
-                 "--inject-index out of range");
-        injected = session.faults()[static_cast<std::size_t>(inject_index)];
+    const auto admit = [&](auto log, const std::string& source) {
+      constexpr bool kSig = std::is_same_v<decltype(log), SignatureLog>;
+      const char* kind = kSig ? "signature" : "failure";
+      SP_CHECK(log.num_patterns == num_patterns,
+               strprintf("%s: %s log pattern count does not match the "
+                         "applied set",
+                         source.c_str(), kind));
+      NoiseStats st;
+      if (noise) {
+        if constexpr (kSig) {
+          log = noise_model.corrupt(log, &st);
+        } else {
+          log = noise_model.corrupt(log, session.points().size(), &st);
+        }
+        std::printf("noise: dropped %zu failing %s, %s %zu (seed 0x%llx)\n",
+                    st.dropped, kSig ? "windows" : "records",
+                    kSig ? "garbled" : "flipped", st.flipped,
+                    static_cast<unsigned long long>(nopts.seed));
       }
+      if (save_log_path) {
+        if constexpr (kSig) {
+          save_signature_log_file(save_log_path, log);
+        } else {
+          save_failure_log_file(save_log_path, log, &design,
+                                &session.points(), named_log);
+        }
+        std::printf("wrote %s log to %s\n", kind, save_log_path);
+      }
+      noise_stats.push_back(st);
+      evidence.push_back(std::move(log));
+      sources.push_back(source);
+    };
+    if (inject_mode) {
+      const Fault injected =
+          inject_spec ? parse_fault(design, inject_spec)
+                      : parse_fault_index(session.faults(), inject_index);
+      const std::string source = "injected " + injected.to_string(design);
       if (compact) {
         SignatureLog slog = session.inject_compacted(injected);
-        std::printf("injected %s: %zu/%zu failing windows\n",
-                    injected.to_string(design).c_str(),
+        std::printf("%s: %zu/%zu failing windows\n", source.c_str(),
                     slog.num_failing_windows(), slog.num_windows());
-        corrupt_sig(slog);
         std::printf("MISR width %d, poly %llx, window %d patterns\n",
                     slog.misr.width,
                     static_cast<unsigned long long>(slog.misr.resolved_poly()),
                     slog.misr.window);
-        if (save_log_path) {
-          save_signature_log_file(save_log_path, slog);
-          std::printf("wrote signature log to %s\n", save_log_path);
-        }
-        evidence.push_back(std::move(slog));
+        admit(std::move(slog), source);
       } else {
         FailureLog log = session.inject(injected);
-        std::printf("injected %s: %zu failures\n",
-                    injected.to_string(design).c_str(), log.failures.size());
-        corrupt_full(log);
-        if (save_log_path) {
-          save_failure_log_file(save_log_path, log, &design, &session.points(),
-                                named_log);
-          std::printf("wrote failure log to %s\n", save_log_path);
-        }
-        evidence.push_back(std::move(log));
+        std::printf("%s: %zu failures\n", source.c_str(), log.failures.size());
+        admit(std::move(log), source);
       }
-      sources.push_back("injected " + injected.to_string(design));
     } else {
       // Load in argv order: batch results come back index-aligned, so the
       // report / JSON array order must match the flags as given.
       for (const FileLog& f : file_logs) {
         if (f.signature) {
-          SignatureLog slog = load_signature_log_file(f.path);
-          SP_CHECK(slog.num_patterns == num_patterns,
-                   std::string(f.path) +
-                       ": signature log pattern count does not match the "
-                       "applied set");
-          corrupt_sig(slog);
-          if (save_log_path) {
-            save_signature_log_file(save_log_path, slog);
-            std::printf("wrote signature log to %s\n", save_log_path);
-          }
-          evidence.push_back(std::move(slog));
+          admit(load_signature_log_file(f.path), f.path);
         } else {
-          FailureLog log =
-              load_failure_log_file(f.path, &design, &session.points());
-          SP_CHECK(log.num_patterns == num_patterns,
-                   std::string(f.path) +
-                       ": failure log pattern count does not match the "
-                       "applied set");
-          corrupt_full(log);
-          if (save_log_path) {
-            save_failure_log_file(save_log_path, log, &design,
-                                  &session.points(), named_log);
-            std::printf("wrote failure log to %s\n", save_log_path);
-          }
-          evidence.push_back(std::move(log));
+          admit(load_failure_log_file(f.path, &design, &session.points()),
+                f.path);
         }
-        sources.push_back(f.path);
       }
     }
 
     // ---- diagnosis ------------------------------------------------------
     // A log with nothing failing means an undetected fault: diagnosing it
     // would rank every fault as a perfect explanation, so such entries are
-    // skipped (empty result object) and flagged instead. The filtered
-    // copy is only built when something actually needs skipping.
-    const bool all_fail = std::all_of(evidence.begin(), evidence.end(),
-                                      evidence_has_failures);
-    std::vector<DiagnosisResult> results;
-    if (all_fail) {
-      results = session.diagnose_batch(evidence);
-    } else {
-      std::vector<Evidence> todo;
-      std::vector<std::size_t> todo_at;
-      for (std::size_t i = 0; i < evidence.size(); ++i) {
-        if (evidence_has_failures(evidence[i])) {
-          todo.push_back(evidence[i]);
-          todo_at.push_back(i);
-        }
+    // skipped (empty result object) and flagged instead.
+    std::vector<Evidence> todo;
+    std::vector<std::size_t> todo_at;
+    for (std::size_t i = 0; i < evidence.size(); ++i) {
+      if (evidence_has_failures(evidence[i])) {
+        todo.push_back(std::move(evidence[i]));
+        todo_at.push_back(i);
       }
-      results.resize(evidence.size());
-      std::vector<DiagnosisResult> done = session.diagnose_batch(todo);
-      for (std::size_t k = 0; k < done.size(); ++k) {
-        results[todo_at[k]] = std::move(done[k]);
-      }
+    }
+    std::vector<DiagnosisResult> results(evidence.size());
+    std::vector<DiagnosisResult> done = session.diagnose_batch(todo);
+    for (std::size_t k = 0; k < done.size(); ++k) {
+      results[todo_at[k]] = std::move(done[k]);
+      evidence[todo_at[k]] = std::move(todo[k]);
     }
     for (std::size_t i = 0; i < results.size(); ++i) {
       if (!evidence_has_failures(evidence[i])) {
@@ -604,9 +530,9 @@ int main(int argc, char** argv) {
       const bool array = results.size() > 1;
       if (array) j.begin_array();
       for (std::size_t i = 0; i < results.size(); ++i) {
-        json_result(j, design, dopts, sources[i], evidence[i], results[i],
-                    num_patterns, dopts.max_report, noise ? &nopts : nullptr,
-                    noise ? &noise_stats[i] : nullptr);
+        write_json_entry(j, design, dopts, sources[i], evidence[i],
+                         results[i], num_patterns, noise ? &nopts : nullptr,
+                         noise ? &noise_stats[i] : nullptr);
       }
       if (array) j.end_array();
       std::printf("\nwrote JSON result%s to %s\n", array ? " array" : "",

@@ -5,20 +5,22 @@
 // one design costs one engine setup plus K scoring passes, and results
 // stay bit-identical to sequential diagnose() calls.
 //
-// Two transports over the same command grammar (net::CommandSession):
+// Two transports over the same command grammar and the same responses
+// (net::CommandSession): every command is answered with one JSON line on
+// the channel it came in on -- {"ok":...} acks, {"error":...,"line":N}
+// rejects, one result object per pending log on `flush` -- and an
+// overloaded queue rejects evidence with
+// {"error":"overloaded","retry_after_ms":...}.
 //
-//   stdin (default)        newline-delimited commands on stdin, results
-//                          on stdout, errors on stderr -- the PR 9
-//                          behavior.
-//   --listen <port>        TCP wire mode on 127.0.0.1:<port> (0 = let
-//                          the kernel pick; the bound port is printed as
-//                          "listening <port>" on stdout). Every command
-//                          is answered with one JSON line; an overloaded
-//                          queue rejects evidence with
-//                          {"error":"overloaded","retry_after_ms":...}.
-//                          stdin stays live for `quit` (EOF also stops);
-//                          shutdown stops accepting, drains pending
-//                          work, answers it, then closes.
+//   stdin (default)        newline-delimited commands on stdin, every
+//                          response on stdout. EOF answers what is
+//                          still pending, then exits.
+//   --listen <port>        TCP on 127.0.0.1:<port> (0 = let the kernel
+//                          pick; the bound port is printed as
+//                          "listening <port>" on stdout). stdin stays
+//                          live for `quit` (EOF also stops); shutdown
+//                          stops accepting, drains pending work,
+//                          answers it, then closes.
 //
 // Line protocol (# starts a comment):
 //
@@ -32,11 +34,12 @@
 //   inject <fault>             synthesize + submit "net/sa0" style fault
 //   inject-index <n>           ... the n-th collapsed fault
 //   flush                      wait for every pending result and print one
-//                              compact JSON object per line (input order)
-//   stats                      print the server telemetry report (the
-//                              sessions.* / queue.* / net.* counters with
-//                              the pool, queue-depth and connection
-//                              gauges)
+//                              compact JSON object per line (input
+//                              order), then {"ok":"flush","results":N}
+//   stats                      print the server telemetry as one JSON
+//                              object (the sessions.* / queue.* / net.*
+//                              counters with the pool, queue-depth and
+//                              connection gauges)
 //   quit                       flush and exit
 //
 // Startup flags:
@@ -88,6 +91,7 @@ int usage(const char* argv0) {
       "  Without --listen, reads newline-delimited commands on stdin;\n"
       "  with --listen, serves the same grammar over TCP on\n"
       "  127.0.0.1:<port> (0 = ephemeral; prints \"listening <port>\").\n"
+      "  Either way every command is answered with one JSON line.\n"
       "  Commands:\n"
       "    design <path> [nomap]   load a design, make it current\n"
       "    patterns <n> [seed]     bind n random patterns to it\n"
@@ -96,7 +100,7 @@ int usage(const char* argv0) {
       "    inject <fault>          synthesize + submit net/sa0-style fault\n"
       "    inject-index <n>        ... the n-th collapsed fault\n"
       "    flush                   print pending results (one JSON/line)\n"
-      "    stats                   print server telemetry\n"
+      "    stats                   print server telemetry (one JSON line)\n"
       "    quit                    flush and exit\n",
       argv0);
   return 2;
@@ -116,17 +120,15 @@ int main(int argc, char** argv) {
   DiagnosisOptions dopts;
   for (int i = 1; i < argc; ++i) {
     const char* v = nullptr;
-    if (cli::value_flag(argc, argv, i, "--listen", v)) {
+    if (cli::value_flag(argc, argv, i, "--listen", listen_port)) {
       listen = true;
-      listen_port = std::atoi(v);
       if (listen_port < 0 || listen_port > 65535) {
         std::fprintf(stderr, "error: --listen port must be 0..65535\n");
         return 2;
       }
-    } else if (cli::value_flag(argc, argv, i, "--max-connections", v)) {
-      max_connections = static_cast<std::size_t>(std::atol(v));
-    } else if (cli::value_flag(argc, argv, i, "--max-pending", v)) {
-      max_pending = static_cast<std::size_t>(std::atol(v));
+    } else if (cli::value_flag(argc, argv, i, "--max-connections",
+                               max_connections)) {
+    } else if (cli::value_flag(argc, argv, i, "--max-pending", max_pending)) {
     } else if (cli::value_flag(argc, argv, i, "--overload", v)) {
       if (std::strcmp(v, "block") == 0) {
         overload = DiagnosisQueue::OverloadPolicy::Block;
@@ -139,12 +141,10 @@ int main(int argc, char** argv) {
                      v);
         return 2;
       }
-    } else if (cli::value_flag(argc, argv, i, "--pool-capacity", v)) {
-      pool_capacity = static_cast<std::size_t>(std::atol(v));
-    } else if (cli::value_flag(argc, argv, i, "--max-batch", v)) {
-      max_batch = static_cast<std::size_t>(std::atol(v));
-    } else if (cli::value_flag(argc, argv, i, "--top", v)) {
-      top = static_cast<std::size_t>(std::atol(v));
+    } else if (cli::value_flag(argc, argv, i, "--pool-capacity",
+                               pool_capacity)) {
+    } else if (cli::value_flag(argc, argv, i, "--max-batch", max_batch)) {
+    } else if (cli::value_flag(argc, argv, i, "--top", top)) {
     } else if (cli::value_flag(argc, argv, i, "--threads",
                                dopts.num_threads)) {
     } else if (cli::value_flag(argc, argv, i, "--block-words",
@@ -173,7 +173,6 @@ int main(int argc, char** argv) {
   sopts.flow.tpg.fault_sim.backend = dopts.backend;
 
   if (listen) {
-    sopts.wire_mode = true;
     net::NetServer::Options nopts;
     nopts.port = static_cast<std::uint16_t>(listen_port);
     nopts.max_connections = max_connections;
@@ -196,22 +195,18 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  sopts.wire_mode = false;
-  net::CommandSession session(
-      queue, &telemetry, sopts,
-      /*out=*/[](std::string_view s) {
-        std::cout << s << "\n";
-        std::cout.flush();
-      },
-      /*err=*/[](std::string_view msg) {
-        std::fprintf(stderr, "error: %.*s\n", static_cast<int>(msg.size()),
-                     msg.data());
-      });
+  net::CommandSession session(queue, &telemetry, sopts,
+                              /*out=*/[](std::string_view s) {
+                                std::cout << s << "\n";
+                                std::cout.flush();
+                              });
   std::string line;
+  std::uint64_t line_no = 0;
   bool open = true;
   while (open && std::getline(std::cin, line)) {
-    open = session.handle_line(line, 0);
+    open = session.handle_line(line, ++line_no);
   }
-  if (open) session.flush();  // EOF without quit: answer what's pending
+  // EOF without quit: answer what is pending, like a TCP disconnect.
+  if (open && session.pending() > 0) session.flush();
   return 0;
 }

@@ -31,8 +31,10 @@
 #include "cli_common.hpp"
 #include "core/session.hpp"
 #include "core/verify.hpp"
+#include "netlist/bench_io.hpp"
 #include "netlist/stats.hpp"
 #include "scan/add_mux.hpp"
+#include "techmap/techmap.hpp"
 #include "util/assert.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
@@ -160,7 +162,7 @@ int main(int argc, char** argv) {
   }
 
   try {
-    Netlist nl = cli::load_design(path, do_map);
+    Netlist nl = load_design(path, do_map);
     std::printf("%s: %s\n\n", nl.name().c_str(),
                 compute_stats(nl).to_string().c_str());
 

@@ -8,6 +8,7 @@
 // exhaustive search when the input space is small enough.
 
 #include <cstdio>
+#include <string>
 
 #include "benchgen/benchgen.hpp"
 #include "cli_common.hpp"
@@ -15,6 +16,7 @@
 #include "power/leakage_model.hpp"
 #include "power/observability.hpp"
 #include "sim/simulator.hpp"
+#include "techmap/techmap.hpp"
 #include "util/rng.hpp"
 
 using namespace scanpower;

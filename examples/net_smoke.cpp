@@ -4,7 +4,9 @@
 // byte-compares every wire result against the in-process
 // ScanSession::diagnose() reference -- the full acceptance loop
 // (process spawn -> TCP -> queue -> engine -> JSON -> client parse) in
-// one ctest. Usage:
+// one ctest. A second leg pipes the same commands to `diag_server` on
+// stdin and requires one JSON line per command, with results
+// byte-identical to the TCP leg's. Usage:
 //
 //   net_smoke <path-to-diag_server>
 //
@@ -16,8 +18,10 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -29,6 +33,7 @@
 #include "techmap/techmap.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
+#include "util/telemetry.hpp"
 
 using namespace scanpower;
 
@@ -81,6 +86,19 @@ int fail(const std::string& what, const std::string& got,
   return 1;
 }
 
+/// A `stats` reply names `key` -- or, in a -DSCANPOWER_TELEMETRY=OFF
+/// build, has empty sections.
+int check_stats(const std::string& resp, const std::string& key) {
+  if constexpr (!kTelemetryEnabled) {
+    const char* empty =
+        R"({"ok":"stats","counters":{},"gauges":{},"histograms":{}})";
+    return resp == empty ? 0 : fail("stats", resp, empty);
+  }
+  return resp.find("\"" + key + "\":") != std::string::npos
+             ? 0
+             : fail("stats", resp, "contains \"" + key + "\":");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -123,6 +141,7 @@ int main(int argc, char** argv) {
 
   const Server srv = spawn_server(argv[1]);
   int rc = 0;
+  std::vector<std::string> results;
   try {
     const std::uint16_t port = read_port(srv.from_child);
     net::DiagClient client("127.0.0.1", port);
@@ -140,7 +159,7 @@ int main(int argc, char** argv) {
     for (const std::size_t p : picks) {
       client.submit("inject-index " + std::to_string(p));
     }
-    const std::vector<std::string> results = client.flush();
+    results = client.flush();
     if (results.size() != expected.size()) {
       rc |= fail("flush count", std::to_string(results.size()),
                  std::to_string(expected.size()));
@@ -152,11 +171,8 @@ int main(int argc, char** argv) {
       }
     }
     resp = client.request("stats");
-    for (const char* key : {"\"net.requests\":", "\"queue.submitted\":"}) {
-      if (resp.find(key) == std::string::npos) {
-        rc |= fail("stats", resp, std::string("contains ") + key);
-      }
-    }
+    rc |= check_stats(resp, "net.requests") |
+          check_stats(resp, "queue.submitted");
     client.quit();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "FAIL exception: %s\n", e.what());
@@ -173,8 +189,57 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL server exit status %d\n", status);
     rc = 1;
   }
+
+  // The stdin leg: the same commands, each answered with one JSON line
+  // (quit: its empty flush terminator, then its ack). The stats line
+  // ("stats" in `want`) is checked on its own.
+  std::string script = "design " + bench_path + "\n" +
+                       strprintf("patterns %zu %llu\n", kPatterns,
+                                 static_cast<unsigned long long>(kSeed));
+  std::vector<std::string> want = {
+      R"({"ok":"design","circuit":"s344"})",
+      strprintf(R"({"ok":"patterns","circuit":"s344","num_patterns":%zu})",
+                kPatterns)};
+  for (std::size_t i = 0; i < std::size(picks); ++i) {
+    script += "inject-index " + std::to_string(picks[i]) + "\n";
+    want.push_back(strprintf(R"({"ok":"queued","pending":%zu})", i + 1));
+  }
+  script += "flush\nstats\nquit\n";
+  want.insert(want.end(), results.begin(), results.end());
+  want.insert(want.end(),
+              {R"({"ok":"flush","results":3})", "stats",
+               R"({"ok":"flush","results":0})", R"({"ok":"quit"})"});
+  const std::string script_path = dir + "/script";
+  std::ofstream(script_path) << script;
+  FILE* pipe = popen(
+      ("'" + std::string(argv[1]) + "' < '" + script_path + "'").c_str(), "r");
+  SP_CHECK(pipe != nullptr, "popen diag_server failed");
+  std::vector<std::string> got;
+  char* buf = nullptr;
+  std::size_t cap = 0;
+  for (ssize_t n; (n = getline(&buf, &cap, pipe)) > 0;) {
+    got.emplace_back(buf, static_cast<std::size_t>(n) - 1);  // drop '\n'
+  }
+  std::free(buf);
+  if (pclose(pipe) != 0) rc |= fail("stdin server exit", "nonzero", "0");
+  if (got.size() != want.size()) {
+    rc |= fail("stdin line count", std::to_string(got.size()),
+               std::to_string(want.size()));
+  }
+  for (std::size_t i = 0; i < got.size() && i < want.size(); ++i) {
+    if (want[i] == "stats") {
+      rc |= check_stats(got[i], "queue.submitted");
+    } else if (got[i] != want[i]) {
+      rc |= fail("stdin line " + std::to_string(i + 1), got[i], want[i]);
+    }
+  }
+
+  std::remove(script_path.c_str());
   std::remove(bench_path.c_str());
   rmdir(dir.c_str());
-  if (rc == 0) std::printf("net_smoke: PASS (3 results byte-identical)\n");
+  if (rc == 0) {
+    std::printf("net_smoke: PASS (3 results byte-identical over TCP and "
+                "stdin)\n");
+  }
   return rc;
 }

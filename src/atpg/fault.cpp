@@ -1,6 +1,7 @@
 #include "atpg/fault.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 
 #include "util/assert.hpp"
@@ -103,6 +104,17 @@ Fault parse_fault(const Netlist& nl, const std::string& spec) {
              "parse_fault: pin out of range in \"" + spec + "\"");
   }
   return f;
+}
+
+const Fault& parse_fault_index(const std::vector<Fault>& faults,
+                               const std::string& index) {
+  std::size_t i = 0;
+  const char* end = index.data() + index.size();
+  const auto [ptr, ec] = std::from_chars(index.data(), end, i);
+  SP_CHECK(ec == std::errc() && ptr == end && i < faults.size(),
+           strprintf("fault index must be a decimal in [0, %zu), got '%s'",
+                     faults.size(), index.c_str()));
+  return faults[i];
 }
 
 std::vector<Fault> collapse_faults(const Netlist& nl) {

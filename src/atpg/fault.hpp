@@ -47,4 +47,10 @@ Fault collapse_representative(const Netlist& nl, const Fault& f);
 /// out-of-range pins or malformed specs.
 Fault parse_fault(const Netlist& nl, const std::string& spec);
 
+/// The fault a decimal index names in `faults` (a collapsed fault list).
+/// Only a full non-negative decimal below faults.size() is accepted --
+/// "5abc" is not fault 5; anything else throws Error naming the range.
+const Fault& parse_fault_index(const std::vector<Fault>& faults,
+                               const std::string& index);
+
 }  // namespace scanpower

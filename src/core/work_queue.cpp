@@ -164,10 +164,6 @@ void DiagnosisQueue::dispatcher_loop() {
     lock.unlock();
     run_batch(*best, std::move(jobs));
     lock.lock();
-    best->busy = false;
-    pending_ -= n;
-    update_depth_gauge();
-    done_cv_.notify_all();
   }
 }
 
@@ -187,12 +183,10 @@ void DiagnosisQueue::run_batch(Tenant& tenant, std::vector<Job> jobs) {
   std::vector<Evidence> evidence;
   evidence.reserve(jobs.size());
   for (Job& j : jobs) evidence.push_back(std::move(j.evidence));
+  std::vector<DiagnosisResult> results(jobs.size());
+  std::vector<std::exception_ptr> errors(jobs.size());
   try {
-    std::vector<DiagnosisResult> results =
-        tenant.session->diagnose_batch(evidence);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      jobs[i].promise.set_value(std::move(results[i]));
-    }
+    results = tenant.session->diagnose_batch(evidence);
   } catch (...) {
     // One malformed log fails batch validation before any scoring; retry
     // per log so it poisons only its own future. Results stay
@@ -200,10 +194,26 @@ void DiagnosisQueue::run_batch(Tenant& tenant, std::vector<Job> jobs) {
     // semantics.
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       try {
-        jobs[i].promise.set_value(tenant.session->diagnose(evidence[i]));
+        results[i] = tenant.session->diagnose(evidence[i]);
       } catch (...) {
-        jobs[i].promise.set_exception(std::current_exception());
+        errors[i] = std::current_exception();
       }
+    }
+  }
+  // Retire the batch before answering it: a client holding every result
+  // may rebind the design's patterns at once, and that needs it idle.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    tenant.busy = false;
+    pending_ -= jobs.size();
+    update_depth_gauge();
+  }
+  done_cv_.notify_all();
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    if (errors[i]) {
+      jobs[i].promise.set_exception(errors[i]);
+    } else {
+      jobs[i].promise.set_value(std::move(results[i]));
     }
   }
 }

@@ -158,6 +158,9 @@ class DiagnosisQueue {
   };
 
   void dispatcher_loop();
+  /// Runs one batch without mu_, retires it (tenant idle, depth down),
+  /// then answers its jobs -- so a client holding every result finds the
+  /// design idle.
   void run_batch(Tenant& tenant, std::vector<Job> jobs);
   void update_depth_gauge();  ///< callers hold mu_
   Tenant* pick_round_robin(); ///< callers hold mu_

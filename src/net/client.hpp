@@ -1,9 +1,10 @@
 #pragma once
 // DiagClient: a small blocking client for the TCP diagnosis service.
 //
-// Speaks the wire mode of the CommandSession grammar: one command line
-// out, one JSON response line back (flush is the exception: K result
-// lines then the {"ok":"flush","results":K} terminator). The client
+// Speaks the CommandSession grammar and its one response mode: one
+// command line out, one JSON response line back (flush is the
+// exception: K result lines then the {"ok":"flush","results":K}
+// terminator). The client
 // adds the two behaviors a production tester front end needs and the
 // raw protocol does not give:
 //

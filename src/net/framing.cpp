@@ -50,54 +50,88 @@ std::string LineReader::take_partial() {
 
 // ---------- response serialization ------------------------------------------
 
-std::string result_json(const DiagnosisResult& res, const Netlist& nl,
-                        const std::string& circuit, const std::string& source,
-                        std::size_t num_patterns, std::size_t top) {
+std::string json_object_line(const std::function<void(JsonWriter&)>& body) {
   std::ostringstream os;
-  JsonWriter j(os, /*indent=*/0);  // compact: one object per line
+  JsonWriter j(os, /*indent=*/0);
   j.begin_object();
-  j.field("circuit", circuit);
-  j.field("source", source);
-  j.field("num_patterns", static_cast<std::uint64_t>(num_patterns));
-  j.field("num_faults", static_cast<std::uint64_t>(res.num_faults));
-  j.field("num_candidates", static_cast<std::uint64_t>(res.num_candidates));
-  j.field("num_failing_patterns",
-          static_cast<std::uint64_t>(res.num_failing_patterns));
-  j.field("union_fallback", res.union_fallback);
-  j.begin_array("ranked");
-  for (std::size_t i = 0; i < res.ranked.size() && i < top; ++i) {
-    const CandidateScore& sc = res.ranked[i];
-    j.begin_object();
+  body(j);
+  j.end_object();
+  return os.str();
+}
+
+void write_result_fields(JsonWriter& j, const DiagnosisResult& res,
+                         const Netlist& nl, const std::string& circuit,
+                         const std::string& source, std::size_t num_patterns,
+                         std::size_t top) {
+  const auto u64 = [](std::size_t v) { return static_cast<std::uint64_t>(v); };
+  const auto score = [&](const CandidateScore& sc) {
     j.field("fault", sc.fault.to_string(nl));
     j.field("tfsf", sc.tfsf);
     j.field("tfsp", sc.tfsp);
     j.field("tpsf", sc.tpsf);
+  };
+  j.field("circuit", circuit);
+  j.field("source", source);
+  j.field("num_patterns", u64(num_patterns));
+  j.field("num_faults", u64(res.num_faults));
+  j.field("num_candidates", u64(res.num_candidates));
+  j.field("num_dropped", u64(res.num_dropped));
+  j.field("num_failures", u64(res.num_failures));
+  j.field("num_failing_patterns", u64(res.num_failing_patterns));
+  j.field("num_failing_points", u64(res.num_failing_points));
+  if (res.num_windows != 0) {  // compacted (signature) evidence
+    j.field("num_windows", u64(res.num_windows));
+    j.field("num_failing_windows", u64(res.num_failing_windows));
+    j.field("num_masked", u64(res.num_masked));
+  }
+  j.begin_array("ranked");
+  for (std::size_t i = 0; i < res.ranked.size() && i < top; ++i) {
+    const CandidateScore& sc = res.ranked[i];
+    j.begin_object();
+    j.field("rank", u64(res.rank_of(sc.fault)));
+    score(sc);
     j.field("exact", sc.exact());
     j.end_object();
   }
   j.end_array();
-  j.end_object();
-  return os.str();
+  j.field("union_fallback", res.union_fallback);
+  j.begin_array("suspect_sets");
+  for (const SuspectSet& set : res.multiplets) {
+    j.begin_object();
+    j.field("covered", u64(set.covered));
+    j.field("uncovered", u64(set.uncovered));
+    j.begin_array("faults");
+    for (const CandidateScore& sc : set.members) {
+      j.begin_object();
+      score(sc);
+      j.end_object();
+    }
+    j.end_array();
+    j.end_object();
+  }
+  j.end_array();
+}
+
+std::string result_json(const DiagnosisResult& res, const Netlist& nl,
+                        const std::string& circuit, const std::string& source,
+                        std::size_t num_patterns, std::size_t top) {
+  return json_object_line([&](JsonWriter& j) {
+    write_result_fields(j, res, nl, circuit, source, num_patterns, top);
+  });
 }
 
 std::string error_json(std::string_view msg, std::uint64_t line_no) {
-  std::ostringstream os;
-  JsonWriter j(os, /*indent=*/0);
-  j.begin_object();
-  j.field("error", msg);
-  if (line_no != 0) j.field("line", static_cast<std::uint64_t>(line_no));
-  j.end_object();
-  return os.str();
+  return json_object_line([&](JsonWriter& j) {
+    j.field("error", msg);
+    if (line_no != 0) j.field("line", line_no);
+  });
 }
 
 std::string overloaded_json(std::uint64_t retry_after_ms) {
-  std::ostringstream os;
-  JsonWriter j(os, /*indent=*/0);
-  j.begin_object();
-  j.field("error", "overloaded");
-  j.field("retry_after_ms", retry_after_ms);
-  j.end_object();
-  return os.str();
+  return json_object_line([&](JsonWriter& j) {
+    j.field("error", "overloaded");
+    j.field("retry_after_ms", retry_after_ms);
+  });
 }
 
 // ---------- minimal JSON field extraction -----------------------------------

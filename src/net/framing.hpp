@@ -19,16 +19,17 @@
 //   - CR/LF tolerance: a trailing '\r' is stripped, so telnet-style
 //     clients work.
 //
-// Response serialization lives here too (result_json / error_json /
-// overloaded_json and the JSON field extractors the client uses), so a
-// byte of diagnosis output is produced by exactly one function no
-// matter which transport carried the request -- that is what makes the
-// "TCP responses byte-identical to in-process diagnose()" acceptance
-// testable at the string level.
+// Response serialization lives here too (write_result_fields /
+// result_json / error_json / overloaded_json and the JSON field
+// extractors the client uses), so a byte of diagnosis output is
+// produced by exactly one function no matter which front end carried
+// the request -- that is what makes the "TCP responses byte-identical
+// to in-process diagnose()" acceptance testable at the string level.
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -37,6 +38,7 @@
 
 namespace scanpower {
 struct DiagnosisResult;
+class JsonWriter;
 class Netlist;
 }  // namespace scanpower
 
@@ -100,10 +102,22 @@ class LineReader {
 
 // ---------- response serialization ------------------------------------------
 
-/// Compact single-line JSON for one diagnosis result: circuit/source
-/// metadata, counters and the top-`top` ranked candidates. No trailing
-/// newline. Shared by every transport -- byte-identical output by
-/// construction.
+/// One compact single-line JSON object whose fields `body` writes, no
+/// trailing newline: the shape of every response frame.
+std::string json_object_line(const std::function<void(JsonWriter&)>& body);
+
+/// The one serializer of a DiagnosisResult, into the object `j` has
+/// open: metadata, counts (window counts only for compacted evidence),
+/// the top-`top` ranked candidates with their rank, union_fallback and
+/// the suspect sets. Never timings, so results stay byte-identical to
+/// in-process diagnose().
+void write_result_fields(JsonWriter& j, const DiagnosisResult& res,
+                         const Netlist& nl, const std::string& circuit,
+                         const std::string& source, std::size_t num_patterns,
+                         std::size_t top);
+
+/// write_result_fields() as a compact single-line object, no trailing
+/// newline: the wire result every front end sends.
 std::string result_json(const DiagnosisResult& res, const Netlist& nl,
                         const std::string& circuit, const std::string& source,
                         std::size_t num_patterns, std::size_t top);

@@ -7,8 +7,6 @@
 #include "atpg/pattern.hpp"
 #include "compact/signature_log.hpp"
 #include "diag/response.hpp"
-#include "netlist/bench_io.hpp"
-#include "netlist/verilog_io.hpp"
 #include "techmap/techmap.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
@@ -16,70 +14,29 @@
 
 namespace scanpower::net {
 
-namespace {
-
-bool is_verilog_path(const std::string& path) {
-  return path.size() > 2 && path.rfind(".v") == path.size() - 2;
-}
-
-/// Extension-dispatched design load (same convention as the CLIs), with
-/// parse failures as typed errors instead of process exits.
-Netlist load_design(const std::string& path, bool do_map) {
-  Netlist nl = is_verilog_path(path) ? parse_verilog_file(path)
-                                     : parse_bench_file(path);
-  if (do_map && !is_mapped(nl)) nl = map_to_nand_nor_inv(nl);
-  return nl;
-}
-
-/// The per-log failure frame of the flush stream: the result's metadata
-/// with an "error" field instead of counters and rankings.
-std::string pending_error_json(const std::string& circuit,
-                               const std::string& source,
-                               std::string_view msg) {
-  std::ostringstream os;
-  JsonWriter j(os, /*indent=*/0);
-  j.begin_object();
-  j.field("circuit", circuit);
-  j.field("source", source);
-  j.field("error", msg);
-  j.end_object();
-  return os.str();
-}
-
-}  // namespace
-
 // ---------- CommandSession ---------------------------------------------------
 
 CommandSession::CommandSession(DiagnosisQueue& queue, Telemetry* telemetry,
-                               ServiceOptions opts, Sink out, Sink err)
+                               ServiceOptions opts, Sink out)
     : queue_(queue),
       telemetry_(telemetry),
       opts_(std::move(opts)),
-      out_(std::move(out)),
-      err_(std::move(err)) {
+      out_(std::move(out)) {
   SP_CHECK(out_ != nullptr, "CommandSession: out sink is required");
 }
 
 CommandSession::~CommandSession() = default;
 
 void CommandSession::error(std::string_view msg, std::uint64_t line_no) {
-  if (opts_.wire_mode) {
-    out_(error_json(msg, line_no));
-  } else if (err_) {
-    err_(msg);
-  }
+  out_(error_json(msg, line_no));
 }
 
 void CommandSession::ok(std::string_view what,
                         const std::function<void(JsonWriter&)>& extra) {
-  if (!opts_.wire_mode) return;  // stdin mode: control commands are silent
-  std::ostringstream os;
-  JsonWriter j(os, /*indent=*/0);
-  j.begin_object();
-  j.field("ok", what);
-  if (extra) extra(j);
-  j.end_object();
-  out_(os.str());
+  out_(json_object_line([&](JsonWriter& j) {
+    j.field("ok", what);
+    if (extra) extra(j);
+  }));
 }
 
 void CommandSession::cmd_design(std::istream& in, std::uint64_t line_no) {
@@ -133,12 +90,10 @@ void CommandSession::cmd_patterns(std::istream& in, std::uint64_t line_no) {
   for (std::size_t i = 0; i < n; ++i) {
     patterns.push_back(random_pattern(*nl, rng));
   }
-  // Rebinding different patterns needs the design idle. The single-
-  // client stdin mode can safely force that by draining the queue; a
-  // shared TCP server must not stall every other connection, so there
-  // open() itself decides: identical patterns are a lock-free no-op,
-  // different patterns require this design idle (flush first).
-  if (!opts_.wire_mode) queue_.drain();
+  // Rebinding different patterns needs the design idle, and a shared
+  // queue must not stall every other client to get there, so open()
+  // decides: identical patterns are a no-op, different patterns require
+  // this design idle (flush first).
   const auto key = queue_.open(*nl, opts_.flow, patterns);
   Design& d = designs_[nl->name()];
   d.key = key;
@@ -175,15 +130,12 @@ void CommandSession::cmd_evidence(const std::string& cmd, std::istream& in,
   } else if (cmd == "signature-log") {
     ev = load_signature_log_file(arg);
   } else {
-    const Fault f =
-        cmd == "inject"
-            ? parse_fault(current_->ctx->netlist(), arg)
-            : current_->ctx->faults().at(
-                  static_cast<std::size_t>(std::stol(arg)));
+    const Fault f = cmd == "inject"
+                        ? parse_fault(current_->ctx->netlist(), arg)
+                        : parse_fault_index(current_->ctx->faults(), arg);
     ev = current_->front->inject(f);
   }
   Pending p;
-  p.circuit = current_->ctx->netlist().name();
   p.source = cmd + " " + arg;
   p.num_patterns = current_->num_patterns;
   p.ctx = current_->ctx;
@@ -191,11 +143,7 @@ void CommandSession::cmd_evidence(const std::string& cmd, std::istream& in,
     p.result = queue_.submit(current_->key, std::move(ev));
   } catch (const OverloadError& e) {
     // The admission-control reject: the client backs off and resends.
-    if (opts_.wire_mode) {
-      out_(overloaded_json(e.retry_after_ms()));
-    } else if (err_) {
-      err_(e.what());
-    }
+    out_(overloaded_json(e.retry_after_ms()));
     return;
   }
   pending_.push_back(std::move(p));
@@ -210,33 +158,25 @@ void CommandSession::cmd_stats() {
     return;
   }
   const MetricsSnapshot snap = telemetry_->metrics.snapshot();
-  if (!opts_.wire_mode) {
-    std::ostringstream os;
-    snap.write_text(os);
-    std::string text = os.str();
-    if (!text.empty() && text.back() == '\n') text.pop_back();
-    out_(text);  // the sink appends the final newline
-    return;
-  }
-  std::ostringstream os;
-  JsonWriter j(os, /*indent=*/0);
-  j.begin_object();
-  j.field("ok", "stats");
-  snap.write_json(j);
-  j.end_object();
-  out_(os.str());
+  ok("stats", [&](JsonWriter& j) { snap.write_json(j); });
 }
 
 void CommandSession::write_pending(Pending& p) {
+  const Netlist& nl = p.ctx->netlist();
   DiagnosisResult res;
   try {
     res = p.result.get();
   } catch (const std::exception& e) {
-    out_(pending_error_json(p.circuit, p.source, e.what()));
+    // The result's metadata with an "error" field instead of counters
+    // and rankings.
+    out_(json_object_line([&](JsonWriter& j) {
+      j.field("circuit", nl.name());
+      j.field("source", p.source);
+      j.field("error", e.what());
+    }));
     return;
   }
-  out_(result_json(res, p.ctx->netlist(), p.circuit, p.source,
-                   p.num_patterns, opts_.top));
+  out_(result_json(res, nl, nl.name(), p.source, p.num_patterns, opts_.top));
 }
 
 void CommandSession::flush() {

@@ -4,22 +4,17 @@
 // CommandSession is the one implementation of the diag_server line
 // grammar (design / patterns / log / signature-log / inject /
 // inject-index / flush / stats / quit), shared verbatim by the stdin
-// front end and every TCP connection -- both transports route the same
-// commands into the same shared DiagnosisQueue and serialize results
-// through the same framing.hpp writers, which is what keeps responses
-// byte-identical across transports and to in-process diagnose().
+// front end and every TCP connection -- both route the same commands
+// into the same shared DiagnosisQueue and serialize results through the
+// same framing.hpp writers, which is what keeps responses byte-identical
+// across front ends and to in-process diagnose().
 //
-// Two response modes:
-//   wire mode (TCP)    -- every command is answered with exactly one
-//                         JSON line ({"ok":...} acks, {"error":...}
-//                         rejects); `flush` emits one result object per
-//                         pending log then an {"ok":"flush","results":N}
-//                         terminator; `stats` is a single JSON object.
-//                         An overloaded queue (Reject policy) answers
-//                         {"error":"overloaded","retry_after_ms":...}.
-//   stdin mode         -- the PR 9 behavior: control commands are
-//                         silent, errors go to the error sink (stderr),
-//                         `stats` prints the text report.
+// One response mode, whatever carries the commands: every command is
+// answered with exactly one JSON line ({"ok":...} acks, {"error":...,
+// "line":N} rejects); `flush` emits one result object per pending log
+// then an {"ok":"flush","results":N} terminator; `stats` is a single
+// JSON object. An overloaded queue (Reject policy) answers
+// {"error":"overloaded","retry_after_ms":...}.
 //
 // NetServer is the transport in front of it: an accept loop (ephemeral-
 // capable port), one reader thread per connection feeding a bounded
@@ -57,9 +52,6 @@ struct ServiceOptions {
   FlowOptions flow;
   /// Ranked candidates serialized per result.
   std::size_t top = 5;
-  /// true: one JSON response line per command (TCP). false: the legacy
-  /// silent-ack stdin behavior with text stats.
-  bool wire_mode = true;
 };
 
 /// One client's view of the service: current design, registered designs
@@ -70,11 +62,10 @@ class CommandSession {
  public:
   using Sink = std::function<void(std::string_view line)>;
 
-  /// `out` receives response lines (no trailing newline). `err` is the
-  /// stdin-mode error channel; ignored in wire mode (errors become
-  /// {"error":...} frames on `out`).
+  /// `out` receives response lines (no trailing newline), errors
+  /// included.
   CommandSession(DiagnosisQueue& queue, Telemetry* telemetry,
-                 ServiceOptions opts, Sink out, Sink err = {});
+                 ServiceOptions opts, Sink out);
   ~CommandSession();
 
   CommandSession(const CommandSession&) = delete;
@@ -88,9 +79,8 @@ class CommandSession {
   /// Emits every pending result, in submission order.
   void flush();
 
-  /// Emits an error response (wire mode: JSON frame; stdin mode: err
-  /// sink) -- also the entry point for transport-level rejects like
-  /// LineTooLongError.
+  /// Emits an {"error":...} frame -- also the entry point for
+  /// transport-level rejects like LineTooLongError.
   void error(std::string_view msg, std::uint64_t line_no = 0);
 
   std::size_t pending() const { return pending_.size(); }
@@ -103,7 +93,6 @@ class CommandSession {
     std::size_t num_patterns = 0;
   };
   struct Pending {
-    std::string circuit;
     std::string source;
     std::size_t num_patterns = 0;
     std::shared_ptr<const DesignContext> ctx;  ///< keeps names resolvable
@@ -123,7 +112,6 @@ class CommandSession {
   Telemetry* telemetry_;
   ServiceOptions opts_;
   Sink out_;
-  Sink err_;
   std::map<std::string, Design> designs_;  ///< by netlist name
   Design* current_ = nullptr;
   std::unique_ptr<Netlist> loaded_;  ///< awaiting its `patterns` command

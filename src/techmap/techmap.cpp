@@ -4,7 +4,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "netlist/bench_io.hpp"
 #include "netlist/builder.hpp"
+#include "netlist/verilog_io.hpp"
 #include "util/assert.hpp"
 #include "util/strings.hpp"
 
@@ -209,6 +211,10 @@ class Mapper {
   unsigned counter_ = 0;
 };
 
+bool is_verilog_path(const std::string& path) {
+  return path.size() > 2 && path.rfind(".v") == path.size() - 2;
+}
+
 }  // namespace
 
 Netlist map_to_nand_nor_inv(const Netlist& nl, const TechmapOptions& opts) {
@@ -236,6 +242,13 @@ bool is_mapped(const Netlist& nl, const TechmapOptions& opts) {
     }
   }
   return true;
+}
+
+Netlist load_design(const std::string& path, bool do_map) {
+  Netlist nl = is_verilog_path(path) ? parse_verilog_file(path)
+                                     : parse_bench_file(path);
+  if (do_map && !is_mapped(nl)) nl = map_to_nand_nor_inv(nl);
+  return nl;
 }
 
 }  // namespace scanpower

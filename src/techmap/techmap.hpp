@@ -16,6 +16,8 @@
 // Primary outputs keep their original net names so test vectors and
 // response comparison remain valid across mapping.
 
+#include <string>
+
 #include "netlist/netlist.hpp"
 
 namespace scanpower {
@@ -32,5 +34,11 @@ Netlist map_to_nand_nor_inv(const Netlist& nl, const TechmapOptions& opts = {});
 
 /// True iff every gate of `nl` belongs to the target library.
 bool is_mapped(const Netlist& nl, const TechmapOptions& opts = {});
+
+/// Loads a .bench or structural .v design (picked by the file extension)
+/// and, when `do_map` is set and it is not mapped yet, maps it onto the
+/// target library. The one design loader of the CLIs and the diagnosis
+/// service; parse failures throw the parsers' line-numbered errors.
+Netlist load_design(const std::string& path, bool do_map);
 
 }  // namespace scanpower

@@ -76,6 +76,11 @@ Dut make_dut(const std::string& name) {
   return d;
 }
 
+/// The `stats` reply of a -DSCANPOWER_TELEMETRY=OFF build: the metrics
+/// registry is a no-op there, so every section is empty.
+constexpr std::string_view kEmptyStats =
+    R"({"ok":"stats","counters":{},"gauges":{},"histograms":{}})";
+
 FlowOptions make_opts(int block_words, int threads) {
   FlowOptions o;
   o.diag.block_words = block_words;
@@ -222,12 +227,34 @@ TEST(QueueAdmissionTest, OpenWithIdenticalPatternsIsANoOpMidTraffic) {
   // replays design+patterns on connect).
   EXPECT_EQ(queue.open(dut.nl, opts, pats), key);
   for (auto& f : futures) EXPECT_GT(f.get().num_faults, 0u);
-  // Different patterns do require the design idle -- drain() makes it so
-  // (a ready future only means the result was delivered; the dispatcher
-  // clears the busy flag moments later).
+  // Different patterns do require the design idle -- drain() makes it so.
   queue.drain();
   const auto pats2 = random_patterns(dut.nl, 48, 8);
   EXPECT_EQ(queue.open(dut.nl, opts, pats2), key);
+}
+
+// A batch is retired before its futures are answered, so a client that
+// holds every result may rebind different patterns at once -- what a
+// `flush` then `patterns` command pair does. Answering first left a
+// window in which open() still saw the design busy.
+TEST(QueueAdmissionTest, RebindRightAfterEveryResultIsAccepted) {
+  const Dut dut = make_dut("s27");
+  const FlowOptions opts = make_opts(1, 1);
+  const std::vector<TestPattern> pats[2] = {random_patterns(dut.nl, 16, 1),
+                                            random_patterns(dut.nl, 16, 2)};
+  ScanSession inj(dut.nl, opts);
+  Evidence ev[2];
+  for (int k = 0; k < 2; ++k) {
+    inj.bind_patterns(pats[k]);
+    ev[k] = inj.inject(dut.faults[3]);
+  }
+  DiagnosisQueue queue;
+  for (int round = 0; round < 2000; ++round) {
+    const auto key = queue.open(dut.nl, opts, pats[round % 2]);
+    (void)queue.submit(key, ev[round % 2]).get();
+    ASSERT_NO_THROW(queue.open(dut.nl, opts, pats[(round + 1) % 2]))
+        << "round " << round;
+  }
 }
 
 TEST(QueueAdmissionTest, RejectPolicyThrowsTypedOverloadWithRetryHint) {
@@ -398,6 +425,54 @@ TEST(CommandSessionTest, SameNameDifferentStructureIsRefused) {
             std::optional<std::string>("design"));
 }
 
+// `inject-index` takes a full non-negative decimal below the fault count;
+// anything else is one error frame naming the valid range and the line,
+// nothing is queued, and the session keeps serving.
+void expect_inject_index_refused(const std::string& arg) {
+  const std::string path = temp_path("inject_index.bench");
+  {
+    std::ofstream f(path);
+    write_bench(f, map_to_nand_nor_inv(make_circuit("s27")));
+  }
+  const std::size_t num_faults = collapse_faults(parse_bench_file(path)).size();
+  DiagnosisQueue queue;
+  std::vector<std::string> out;
+  net::CommandSession session(queue, nullptr, {}, [&](std::string_view line) {
+    out.emplace_back(line);
+  });
+  session.handle_line("design " + path, 1);
+  session.handle_line("patterns 16 7", 2);
+  session.handle_line("inject-index " + arg, 3);
+  ASSERT_EQ(out.size(), 3u);
+  const std::optional<std::string> err =
+      net::json_string_field(out[2], "error");
+  ASSERT_TRUE(err.has_value()) << out[2];
+  EXPECT_NE(err->find("[0, " + std::to_string(num_faults) + ")"),
+            std::string::npos)
+      << *err;
+  EXPECT_NE(err->find("'" + arg + "'"), std::string::npos) << *err;
+  EXPECT_EQ(net::json_u64_field(out[2], "line"),
+            std::optional<std::uint64_t>(3));
+  EXPECT_EQ(session.pending(), 0u);
+  session.handle_line("inject-index 0", 4);
+  ASSERT_EQ(out.size(), 4u);
+  EXPECT_EQ(net::json_string_field(out[3], "ok"),
+            std::optional<std::string>("queued"));
+  session.flush();
+}
+
+TEST(CommandSessionTest, InjectIndexWithTrailingGarbageIsRefused) {
+  expect_inject_index_refused("5abc");  // not fault 5
+}
+
+TEST(CommandSessionTest, InjectIndexNonNumericIsRefused) {
+  expect_inject_index_refused("x");
+}
+
+TEST(CommandSessionTest, InjectIndexNegativeIsRefused) {
+  expect_inject_index_refused("-1");
+}
+
 // ---------- TCP end to end ---------------------------------------------------
 
 /// Raw line-oriented wire access for the framing/shutdown tests (the
@@ -550,7 +625,11 @@ TEST(NetServerTest, FramingHardeningOverTcp) {
     EXPECT_EQ(net::json_string_field(*resp, "ok"),
               std::optional<std::string>("stats"));
     // The torn command was counted as a framing error, not executed.
-    EXPECT_NE(resp->find("\"net.framing_errors\":"), std::string::npos);
+    if constexpr (kTelemetryEnabled) {
+      EXPECT_NE(resp->find("\"net.framing_errors\":"), std::string::npos);
+    } else {
+      EXPECT_EQ(*resp, kEmptyStats);
+    }
   }
   server.shutdown();
 }
@@ -656,8 +735,10 @@ TEST(NetServerTest, OverloadFloodBackoffClientCompletesEverything) {
   for (auto& w : workers) w.join();
   EXPECT_GE(total_retries.load(), 1u)
       << "4 clients flooding a 1-deep Reject queue never got rejected";
-  const MetricsSnapshot snap = telem.metrics.snapshot();
-  EXPECT_GE(snap.counter(CounterId::kQueueRejected), total_retries.load());
+  if constexpr (kTelemetryEnabled) {
+    const MetricsSnapshot snap = telem.metrics.snapshot();
+    EXPECT_GE(snap.counter(CounterId::kQueueRejected), total_retries.load());
+  }
   server.shutdown();
 }
 
@@ -733,7 +814,9 @@ TEST(NetServerTest, StatsExposesQueueDepthAndNetCounters) {
   for (int i = 0; i < 8; ++i) {
     futures.push_back(queue.submit(key, inj.inject(dut.faults[i * 29 + 1])));
   }
-  EXPECT_GE(telem.metrics.snapshot().gauge(GaugeId::kQueueDepth), 1);
+  if constexpr (kTelemetryEnabled) {
+    EXPECT_GE(telem.metrics.snapshot().gauge(GaugeId::kQueueDepth), 1);
+  }
   for (auto& f : futures) (void)f.get();
   queue.drain();
   EXPECT_EQ(telem.metrics.snapshot().gauge(GaugeId::kQueueDepth), 0);
@@ -749,11 +832,15 @@ TEST(NetServerTest, StatsExposesQueueDepthAndNetCounters) {
   const std::string stats = client.request("stats");
   EXPECT_EQ(net::json_string_field(stats, "ok"),
             std::optional<std::string>("stats"));
-  for (const char* k :
-       {"\"queue.submitted\":", "\"net.accepted\":", "\"net.requests\":",
-        "\"net.bytes_in\":", "\"net.bytes_out\":",
-        "\"net.active_connections\":", "\"net.request_us\":"}) {
-    EXPECT_NE(stats.find(k), std::string::npos) << k << "\n" << stats;
+  if constexpr (kTelemetryEnabled) {
+    for (const char* k :
+         {"\"queue.submitted\":", "\"net.accepted\":", "\"net.requests\":",
+          "\"net.bytes_in\":", "\"net.bytes_out\":",
+          "\"net.active_connections\":", "\"net.request_us\":"}) {
+      EXPECT_NE(stats.find(k), std::string::npos) << k << "\n" << stats;
+    }
+  } else {
+    EXPECT_EQ(stats, kEmptyStats);
   }
   client.quit();
   server.shutdown();

@@ -309,8 +309,8 @@ TEST(DiagnosisQueueTest, SubmitMatchesSequentialAcrossDesigns) {
   for (PendingRef& p : pending) {
     expect_same_result(p.fut.get(), *p.ref, p.what);
   }
-  // Futures resolve before the dispatcher retires the batch, so quiesce
-  // through drain() (the documented barrier) before reading depth.
+  // Quiesce through drain() (the documented barrier) before reading
+  // depth.
   queue.drain();
   EXPECT_EQ(queue.depth(), 0u);
 }
