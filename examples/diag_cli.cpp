@@ -37,8 +37,7 @@
 //     --verbose            narrate progress (same as --log-level info)
 //     --log-level <l>      stderr log threshold: debug|info|warn|error|off
 //
-//   Telemetry (compiled out under SCANPOWER_TELEMETRY=OFF; the flags then
-//   print zero counters / an empty trace):
+//   Telemetry (the session's own metrics registry and trace recorder):
 //     --metrics            print the session's metrics snapshot (text)
 //     --metrics=json       ... as a JSON object on stdout
 //     --trace <file>       record nested phase spans (session -> diagnose
@@ -239,16 +238,14 @@ void print_result(const Netlist& nl, const std::string& source,
   }
   print_ranked(nl, res, top);
   print_multiplets(nl, res);
-  if constexpr (kTelemetryEnabled) {
-    const DiagnosisStats& st = res.stats;
-    std::printf("timing: prune %llu us, score %llu us, cover %llu us "
-                "(%llu sweeps, %llu aborted)\n",
-                static_cast<unsigned long long>(st.prune_us),
-                static_cast<unsigned long long>(st.score_us),
-                static_cast<unsigned long long>(st.cover_us),
-                static_cast<unsigned long long>(st.sweep_calls),
-                static_cast<unsigned long long>(st.sweep_aborts));
-  }
+  const DiagnosisStats& st = res.stats;
+  std::printf("timing: prune %llu us, score %llu us, cover %llu us "
+              "(%llu sweeps, %llu aborted)\n",
+              static_cast<unsigned long long>(st.prune_us),
+              static_cast<unsigned long long>(st.score_us),
+              static_cast<unsigned long long>(st.cover_us),
+              static_cast<unsigned long long>(st.sweep_calls),
+              static_cast<unsigned long long>(st.sweep_aborts));
 }
 
 bool evidence_has_failures(const Evidence& ev) {

@@ -21,8 +21,7 @@
 //     --metrics           print the session's metrics snapshot (text)
 //     --metrics=json      ... as a JSON object on stdout
 //     --trace <file>      record phase spans and write a Chrome trace_event
-//                         JSON file (compiled out under
-//                         SCANPOWER_TELEMETRY=OFF)
+//                         JSON file
 
 #include <cstdio>
 #include <fstream>

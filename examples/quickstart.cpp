@@ -74,9 +74,9 @@ int main() {
               compacted.num_failing_windows, compacted.num_windows);
 
   // 4. What did all of that cost? Every engine the session built reported
-  //    into its telemetry scope; metrics() snapshots the counters (all
-  //    zero when built with SCANPOWER_TELEMETRY=OFF). Individual results
-  //    also carry per-query timings in DiagnosisResult::stats.
+  //    into its telemetry scope; metrics() snapshots the counters.
+  //    Individual results also carry per-query timings in
+  //    DiagnosisResult::stats.
   const MetricsSnapshot m = session.metrics();
   std::printf("\ntelemetry: %llu diagnoses over %llu candidates, "
               "%llu cone sweeps (%llu skipped unexcited), "

@@ -31,6 +31,7 @@
 #include "atpg/pattern.hpp"
 #include "atpg/sim_kernels.hpp"
 #include "netlist/netlist.hpp"
+#include "util/telemetry.hpp"
 #include "util/thread_pool.hpp"
 
 namespace scanpower {
@@ -179,25 +180,20 @@ class FaultSimulator {
 double fault_coverage(const Netlist& nl, std::span<const TestPattern> patterns,
                       FaultSimOptions opts = {});
 
-/// Adds already-drained sweep tallies into a telemetry scope.
-inline void add_sweep_stats(Telemetry* t, int shard,
-                            const FaultConeEvaluator::SweepStats& s) {
-  if constexpr (!kTelemetryEnabled) return;
-  if (t == nullptr) return;
-  t->metrics.add(shard, CounterId::kSweepCalls, s.calls);
-  t->metrics.add(shard, CounterId::kSweepUnexcited, s.unexcited);
-  t->metrics.add(shard, CounterId::kSweepConeGates, s.cone_gates);
-  t->metrics.add(shard, CounterId::kSweepActiveGates, s.active_gates);
-  t->metrics.add(shard, CounterId::kSweepAborts, s.aborts);
-}
-
-/// Flushes one evaluator's sweep tallies into a telemetry scope (and resets
-/// them). Callers flush their workers serially in ascending worker order.
-inline void flush_sweep_stats(Telemetry* t, int shard,
-                              FaultConeEvaluator& eval) {
-  if constexpr (!kTelemetryEnabled) return;
-  if (t == nullptr) return;
-  add_sweep_stats(t, shard, eval.take_stats());
+/// Drains one evaluator's sweep tallies (resetting them) into a telemetry
+/// scope and returns them. Callers drain their workers serially in
+/// ascending worker order, each into its own shard.
+inline FaultConeEvaluator::SweepStats flush_sweep_stats(
+    Telemetry* t, int shard, FaultConeEvaluator& eval) {
+  const FaultConeEvaluator::SweepStats s = eval.take_stats();
+  if (t != nullptr) {
+    t->metrics.add(shard, CounterId::kSweepCalls, s.calls);
+    t->metrics.add(shard, CounterId::kSweepUnexcited, s.unexcited);
+    t->metrics.add(shard, CounterId::kSweepConeGates, s.cone_gates);
+    t->metrics.add(shard, CounterId::kSweepActiveGates, s.active_gates);
+    t->metrics.add(shard, CounterId::kSweepAborts, s.aborts);
+  }
+  return s;
 }
 
 // ---- FaultConeEvaluator::propagate (template body) -------------------------

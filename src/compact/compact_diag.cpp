@@ -205,11 +205,8 @@ DiagnosisResult SignatureDiagnoser::diagnose(
   Telemetry* const telem = opts_.telemetry;
   DiagnosisResult res;
   std::uint64_t total_us = 0;
-  std::uint64_t cone_h0 = 0, cone_m0 = 0;
-  if constexpr (kTelemetryEnabled) {
-    cone_h0 = cones_->hits();
-    cone_m0 = cones_->misses();
-  }
+  const std::uint64_t cone_h0 = cones_->hits();
+  const std::uint64_t cone_m0 = cones_->misses();
   {
     TraceSpan span_all(telem, "compact_diagnose", 0, CounterId::kCount,
                        &total_us);
@@ -254,29 +251,17 @@ DiagnosisResult SignatureDiagnoser::diagnose(
     std::sort(scores.begin(), scores.end());
     res.ranked = std::move(scores);
 
-    if constexpr (kTelemetryEnabled) {
-      FaultConeEvaluator::SweepStats tot;
-      for (std::size_t t = 0; t < workers_.size(); ++t) {
-        const FaultConeEvaluator::SweepStats s = workers_[t]->eval.take_stats();
-        tot.calls += s.calls;
-        tot.unexcited += s.unexcited;
-        tot.cone_gates += s.cone_gates;
-        tot.active_gates += s.active_gates;
-        tot.aborts += s.aborts;
-        add_sweep_stats(telem, static_cast<int>(t), s);
-      }
-      res.stats.sweep_calls = tot.calls;
-      res.stats.sweep_aborts = tot.aborts;
-      res.stats.cone_cache_hits = cones_->hits() - cone_h0;
-      res.stats.cone_cache_misses = cones_->misses() - cone_m0;
+    for (std::size_t t = 0; t < workers_.size(); ++t) {
+      res.stats.add_sweeps(
+          flush_sweep_stats(telem, static_cast<int>(t), workers_[t]->eval));
     }
+    res.stats.cone_cache_hits = cones_->hits() - cone_h0;
+    res.stats.cone_cache_misses = cones_->misses() - cone_m0;
   }
-  if constexpr (kTelemetryEnabled) {
-    if (telem != nullptr) {
-      telem->metrics.add(0, CounterId::kCompactQueries, 1);
-      telem->metrics.add(0, CounterId::kCompactCandidates, res.num_candidates);
-      telem->metrics.record_hist(HistId::kCompactDiagnoseUs, total_us);
-    }
+  if (telem != nullptr) {
+    telem->metrics.add(0, CounterId::kCompactQueries, 1);
+    telem->metrics.add(0, CounterId::kCompactCandidates, res.num_candidates);
+    telem->metrics.record_hist(HistId::kCompactDiagnoseUs, total_us);
   }
   return res;
 }

@@ -75,32 +75,30 @@ ScanSession::~ScanSession() = default;
 
 MetricsSnapshot ScanSession::metrics() {
   MetricsSnapshot snap = telemetry_.metrics.snapshot();
-  if constexpr (kTelemetryEnabled) {
-    const auto set = [&snap](CounterId id, std::uint64_t v) {
-      snap.counters[static_cast<std::size_t>(id)] = v;
-    };
-    // Cache and pool tallies live on the owning objects as absolute
-    // lifetime values; overwrite (never add) the registry slots so
-    // repeated snapshots stay correct.
-    // Cone tallies are design-wide: under a shared context they aggregate
-    // across every tenant.
-    set(CounterId::kConeCacheHits, ctx_->cone_hits());
-    set(CounterId::kConeCacheMisses, ctx_->cone_misses());
-    set(CounterId::kGoodCacheBinds, goods_.binds());
-    set(CounterId::kGoodCacheBuiltBlocks, goods_.built_blocks());
-    set(CounterId::kGoodCacheBuildUs, goods_.build_us());
-    set(CounterId::kGoodCacheCachedReads, goods_.cached_reads());
-    set(CounterId::kGoodCacheStreamedReads, goods_.streamed_reads());
-    snap.gauges[static_cast<std::size_t>(GaugeId::kGoodBlocksCached)] =
-        static_cast<std::int64_t>(goods_.blocks_cached());
-    if (pool_) {
-      const ThreadPool::Stats ps = pool_->stats();
-      set(CounterId::kPoolRuns, ps.runs);
-      set(CounterId::kPoolJobs, ps.jobs);
-      set(CounterId::kPoolBusyUs, ps.busy_us);
-      snap.gauges[static_cast<std::size_t>(GaugeId::kPoolWorkers)] =
-          pool_->size();
-    }
+  const auto set = [&snap](CounterId id, std::uint64_t v) {
+    snap.counters[static_cast<std::size_t>(id)] = v;
+  };
+  // Cache and pool tallies live on the owning objects as absolute
+  // lifetime values; overwrite (never add) the registry slots so
+  // repeated snapshots stay correct.
+  // Cone tallies are design-wide: under a shared context they aggregate
+  // across every tenant.
+  set(CounterId::kConeCacheHits, ctx_->cone_hits());
+  set(CounterId::kConeCacheMisses, ctx_->cone_misses());
+  set(CounterId::kGoodCacheBinds, goods_.binds());
+  set(CounterId::kGoodCacheBuiltBlocks, goods_.built_blocks());
+  set(CounterId::kGoodCacheBuildUs, goods_.build_us());
+  set(CounterId::kGoodCacheCachedReads, goods_.cached_reads());
+  set(CounterId::kGoodCacheStreamedReads, goods_.streamed_reads());
+  snap.gauges[static_cast<std::size_t>(GaugeId::kGoodBlocksCached)] =
+      static_cast<std::int64_t>(goods_.blocks_cached());
+  if (pool_) {
+    const ThreadPool::Stats ps = pool_->stats();
+    set(CounterId::kPoolRuns, ps.runs);
+    set(CounterId::kPoolJobs, ps.jobs);
+    set(CounterId::kPoolBusyUs, ps.busy_us);
+    snap.gauges[static_cast<std::size_t>(GaugeId::kPoolWorkers)] =
+        pool_->size();
   }
   return snap;
 }

@@ -94,8 +94,9 @@ class ScanSession {
   /// Session-scoped metrics registry and phase-trace recorder: every
   /// engine this session builds writes its counters and spans here (the
   /// options' telemetry pointer is wired up in the constructor). Enable
-  /// span recording with telemetry().trace.set_enabled(true). All of it
-  /// compiles to nothing under SCANPOWER_TELEMETRY=OFF.
+  /// span recording with telemetry().trace.set_enabled(true). The scope
+  /// is always live; a standalone engine given a null `Telemetry*` writes
+  /// nothing.
   Telemetry& telemetry() { return telemetry_; }
   /// Point-in-time snapshot of the session's counters. Registry slots are
   /// summed over shards; cache and pool tallies are copied from the owning

@@ -35,11 +35,9 @@ std::shared_ptr<const DesignContext> SessionPool::acquire(
   }
   entries_.emplace(key, Entry{ctx, ++tick_});
   evict_to_capacity_locked();
-  if constexpr (kTelemetryEnabled) {
-    if (telemetry_) {
-      telemetry_->metrics.set_gauge(GaugeId::kCtxPoolSize,
-                                    static_cast<std::int64_t>(entries_.size()));
-    }
+  if (telemetry_) {
+    telemetry_->metrics.set_gauge(GaugeId::kCtxPoolSize,
+                                  static_cast<std::int64_t>(entries_.size()));
   }
   return ctx;
 }
@@ -65,9 +63,7 @@ std::size_t SessionPool::size() const {
 void SessionPool::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.clear();
-  if constexpr (kTelemetryEnabled) {
-    if (telemetry_) telemetry_->metrics.set_gauge(GaugeId::kCtxPoolSize, 0);
-  }
+  if (telemetry_) telemetry_->metrics.set_gauge(GaugeId::kCtxPoolSize, 0);
 }
 
 }  // namespace scanpower

@@ -54,9 +54,10 @@ DiagnosisQueue::DesignKey DiagnosisQueue::open(
     return key;
   }
   SP_CHECK(!t.busy && t.fifo.empty(),
-           strprintf("DiagnosisQueue::open: design %016llx has pending or "
-                     "in-flight jobs; drain() before rebinding patterns",
-                     static_cast<unsigned long long>(key)));
+           strprintf("DiagnosisQueue::open: design '%s' (key %016llx) has "
+                     "pending or in-flight jobs; collect their results "
+                     "before rebinding patterns",
+                     nl.name().c_str(), static_cast<unsigned long long>(key)));
   t.session->bind_patterns(patterns);
   return key;
 }
@@ -99,11 +100,9 @@ std::future<DiagnosisResult> DiagnosisQueue::submit(DesignKey key,
 }
 
 void DiagnosisQueue::update_depth_gauge() {
-  if constexpr (kTelemetryEnabled) {
-    if (telemetry_) {
-      telemetry_->metrics.set_gauge(GaugeId::kQueueDepth,
-                                    static_cast<std::int64_t>(pending_));
-    }
+  if (telemetry_) {
+    telemetry_->metrics.set_gauge(GaugeId::kQueueDepth,
+                                  static_cast<std::int64_t>(pending_));
   }
 }
 

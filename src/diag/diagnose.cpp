@@ -548,17 +548,28 @@ void Diagnoser::build_multiplets(int worker, std::span<const Fault> faults,
   for (std::size_t i : order) res.multiplets.push_back(std::move(sets[i]));
 }
 
+namespace {
+
+/// Adds one full-response query's semantic counters to the registry.
+void report_query(Telemetry* t, const DiagnosisResult& r) {
+  if (t == nullptr) return;
+  t->metrics.add(0, CounterId::kDiagQueries, 1);
+  t->metrics.add(0, CounterId::kDiagCandidates, r.num_candidates);
+  t->metrics.add(0, CounterId::kDiagDropped, r.num_dropped);
+  if (r.union_fallback) t->metrics.add(0, CounterId::kDiagUnionFallbacks, 1);
+  t->metrics.add(0, CounterId::kDiagMultiplets, r.multiplets.size());
+}
+
+}  // namespace
+
 DiagnosisResult Diagnoser::diagnose(std::span<const TestPattern> patterns,
                                     std::span<const Fault> faults,
                                     const FailureLog& log) {
   Telemetry* const telem = opts_.telemetry;
   DiagnosisResult out;
   std::uint64_t total_us = 0;
-  std::uint64_t cone_h0 = 0, cone_m0 = 0;
-  if constexpr (kTelemetryEnabled) {
-    cone_h0 = cones_->hits();
-    cone_m0 = cones_->misses();
-  }
+  const std::uint64_t cone_h0 = cones_->hits();
+  const std::uint64_t cone_m0 = cones_->misses();
   {
     TraceSpan span_all(telem, "diagnose", 0, CounterId::kCount, &total_us);
     // Validate + prune before ensure_goods, so a malformed log reports
@@ -593,40 +604,22 @@ DiagnosisResult Diagnoser::diagnose(std::span<const TestPattern> patterns,
       }
     });
 
-    if constexpr (kTelemetryEnabled) {
-      // Drain the workers' sweep tallies in ascending order: the per-query
-      // totals go on the result, the per-shard values into the registry.
-      // Every query drains every worker, so tallies always start at zero.
-      FaultConeEvaluator::SweepStats tot;
-      for (std::size_t t = 0; t < workers_.size(); ++t) {
-        const FaultConeEvaluator::SweepStats s = workers_[t].take_stats();
-        tot.calls += s.calls;
-        tot.unexcited += s.unexcited;
-        tot.cone_gates += s.cone_gates;
-        tot.active_gates += s.active_gates;
-        tot.aborts += s.aborts;
-        add_sweep_stats(telem, static_cast<int>(t), s);
-      }
-      p.res.stats.sweep_calls = tot.calls;
-      p.res.stats.sweep_aborts = tot.aborts;
-      // Serial wrt the cone cache (scoring never touches it), so the
-      // deltas are exactly this query's lookups.
-      p.res.stats.cone_cache_hits = cones_->hits() - cone_h0;
-      p.res.stats.cone_cache_misses = cones_->misses() - cone_m0;
+    // Drain the workers' sweep tallies in ascending order: the per-query
+    // totals go on the result, the per-shard values into the registry.
+    // Every query drains every worker, so tallies always start at zero.
+    for (std::size_t t = 0; t < workers_.size(); ++t) {
+      p.res.stats.add_sweeps(
+          flush_sweep_stats(telem, static_cast<int>(t), workers_[t]));
     }
+    // Serial wrt the cone cache (scoring never touches it), so the deltas
+    // are exactly this query's lookups.
+    p.res.stats.cone_cache_hits = cones_->hits() - cone_h0;
+    p.res.stats.cone_cache_misses = cones_->misses() - cone_m0;
     out = std::move(p.res);
   }
-  if constexpr (kTelemetryEnabled) {
-    if (telem != nullptr) {
-      telem->metrics.add(0, CounterId::kDiagQueries, 1);
-      telem->metrics.add(0, CounterId::kDiagCandidates, out.num_candidates);
-      telem->metrics.add(0, CounterId::kDiagDropped, out.num_dropped);
-      if (out.union_fallback) {
-        telem->metrics.add(0, CounterId::kDiagUnionFallbacks, 1);
-      }
-      telem->metrics.add(0, CounterId::kDiagMultiplets, out.multiplets.size());
-      telem->metrics.record_hist(HistId::kDiagnoseUs, total_us);
-    }
+  report_query(telem, out);
+  if (telem != nullptr) {
+    telem->metrics.record_hist(HistId::kDiagnoseUs, total_us);
   }
   return out;
 }
@@ -654,23 +647,18 @@ std::vector<DiagnosisResult> Diagnoser::diagnose_batch(
   std::vector<Prepared> prepared;
   prepared.reserve(logs.size());
   for (const FailureLog* log : logs) {
-    std::uint64_t cone_h0 = 0, cone_m0 = 0;
-    if constexpr (kTelemetryEnabled) {
-      cone_h0 = cones_->hits();
-      cone_m0 = cones_->misses();
-    }
+    const std::uint64_t cone_h0 = cones_->hits();
+    const std::uint64_t cone_m0 = cones_->misses();
     std::uint64_t prune_us = 0;
     {
       TraceSpan span(telem, "prune", 0, CounterId::kDiagPruneUs, &prune_us);
       prepared.push_back(
           prepare(patterns, faults, *log, PruneMode::kIntersect));
     }
-    if constexpr (kTelemetryEnabled) {
-      DiagnosisStats& st = prepared.back().res.stats;
-      st.prune_us = prune_us;
-      st.cone_cache_hits = cones_->hits() - cone_h0;
-      st.cone_cache_misses = cones_->misses() - cone_m0;
-    }
+    DiagnosisStats& st = prepared.back().res.stats;
+    st.prune_us = prune_us;
+    st.cone_cache_hits = cones_->hits() - cone_h0;
+    st.cone_cache_misses = cones_->misses() - cone_m0;
   }
   ensure_goods(patterns);
 
@@ -704,15 +692,10 @@ std::vector<DiagnosisResult> Diagnoser::diagnose_batch(
                          &p.res.stats.cover_us);
           recover_noise<W>(t, patterns, faults, p, stream, /*serial=*/true);
         }
-        if constexpr (kTelemetryEnabled) {
-          // This log ran wholly in worker t, so its evaluator's tallies
-          // are exactly this log's sweeps.
-          const FaultConeEvaluator::SweepStats s =
-              workers_[static_cast<std::size_t>(t)].take_stats();
-          p.res.stats.sweep_calls = s.calls;
-          p.res.stats.sweep_aborts = s.aborts;
-          add_sweep_stats(telem, t, s);
-        }
+        // This log ran wholly in worker t, so its evaluator's tallies are
+        // exactly this log's sweeps.
+        p.res.stats.add_sweeps(flush_sweep_stats(
+            telem, t, workers_[static_cast<std::size_t>(t)]));
       }
     });
   });
@@ -720,19 +703,7 @@ std::vector<DiagnosisResult> Diagnoser::diagnose_batch(
   std::vector<DiagnosisResult> results;
   results.reserve(prepared.size());
   for (Prepared& p : prepared) {
-    if constexpr (kTelemetryEnabled) {
-      if (telem != nullptr) {
-        telem->metrics.add(0, CounterId::kDiagQueries, 1);
-        telem->metrics.add(0, CounterId::kDiagCandidates,
-                           p.res.num_candidates);
-        telem->metrics.add(0, CounterId::kDiagDropped, p.res.num_dropped);
-        if (p.res.union_fallback) {
-          telem->metrics.add(0, CounterId::kDiagUnionFallbacks, 1);
-        }
-        telem->metrics.add(0, CounterId::kDiagMultiplets,
-                           p.res.multiplets.size());
-      }
-    }
+    report_query(telem, p.res);
     results.push_back(std::move(p.res));
   }
   return results;

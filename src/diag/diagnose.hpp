@@ -129,8 +129,8 @@ struct DiagnosisOptions {
   Telemetry* telemetry = nullptr;
 };
 
-/// Per-query telemetry carried on a DiagnosisResult. All-zero when the
-/// library is built with SCANPOWER_TELEMETRY=OFF. Wall-clock fields are
+/// Per-query telemetry carried on a DiagnosisResult, populated whether or
+/// not a telemetry scope is attached. Wall-clock fields are
 /// non-deterministic by nature; the count fields equal what the query
 /// added to the corresponding registry counters. Cone-cache deltas are
 /// only attributed on serial prepare paths (single-log diagnose, and the
@@ -144,6 +144,12 @@ struct DiagnosisStats {
   std::uint64_t sweep_aborts = 0;     ///< sweeps cut short by early-exit
   std::uint64_t cone_cache_hits = 0;
   std::uint64_t cone_cache_misses = 0;
+
+  /// Attributes one worker's drained sweep tallies to this query.
+  void add_sweeps(const FaultConeEvaluator::SweepStats& s) {
+    sweep_calls += s.calls;
+    sweep_aborts += s.aborts;
+  }
 };
 
 /// One scored candidate fault.

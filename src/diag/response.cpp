@@ -116,14 +116,10 @@ ObservationConeCache::ObservationConeCache(const Netlist& nl,
 
 const std::vector<GateId>& ObservationConeCache::cone(std::size_t op) {
   if (cached_[op]) {
-    if constexpr (kTelemetryEnabled) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-    }
+    hits_.fetch_add(1, std::memory_order_relaxed);
     return cache_[op];
   }
-  if constexpr (kTelemetryEnabled) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-  }
+  misses_.fetch_add(1, std::memory_order_relaxed);
   build(op);
   return cache_[op];
 }
@@ -374,7 +370,7 @@ void GoodBlockCache::bind(const Netlist& nl,
   nblocks_ = (patterns.size() + lanes - 1) / lanes;
   cached_ = nblocks_ <= max_cached_blocks;
   blocks_.clear();
-  if constexpr (kTelemetryEnabled) ++binds_;
+  ++binds_;
   if (!cached_) return;
   const auto t0 = std::chrono::steady_clock::now();
   blocks_.reserve(nblocks_);
@@ -383,13 +379,11 @@ void GoodBlockCache::bind(const Netlist& nl,
     load_pattern_block(nl, patterns, base, blocks_.back());
     blocks_.back().eval();
   }
-  if constexpr (kTelemetryEnabled) {
-    built_blocks_ += nblocks_;
-    build_us_ += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-  }
+  built_blocks_ += nblocks_;
+  build_us_ += static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
 }
 
 void GoodBlockCache::reset() {
@@ -403,9 +397,7 @@ void GoodBlockCache::reset() {
 
 void GoodBlockCache::stream(std::size_t b, BlockSimulator& scratch) const {
   SP_ASSERT(bound() && b < nblocks_, "GoodBlockCache: block out of range");
-  if constexpr (kTelemetryEnabled) {
-    streamed_reads_.fetch_add(1, std::memory_order_relaxed);
-  }
+  streamed_reads_.fetch_add(1, std::memory_order_relaxed);
   load_pattern_block(*nl_, patterns_, b * lanes(), scratch);
   scratch.eval();
 }

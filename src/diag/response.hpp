@@ -170,9 +170,7 @@ class GoodBlockCache {
   bool cached() const { return cached_; }
   /// Cached good machine of block `b` (cached() only).
   const BlockSimulator& block(std::size_t b) const {
-    if constexpr (kTelemetryEnabled) {
-      cached_reads_.fetch_add(1, std::memory_order_relaxed);
-    }
+    cached_reads_.fetch_add(1, std::memory_order_relaxed);
     return blocks_[b];
   }
   /// Replays block `b` into `scratch` (load + eval); the values equal the
@@ -180,7 +178,7 @@ class GoodBlockCache {
   void stream(std::size_t b, BlockSimulator& scratch) const;
 
   /// Lifetime telemetry tallies (relaxed atomics where batch workers read
-  /// concurrently; all-zero when telemetry is compiled out).
+  /// concurrently).
   std::uint64_t binds() const { return binds_; }
   std::uint64_t built_blocks() const { return built_blocks_; }
   std::uint64_t build_us() const { return build_us_; }

@@ -140,7 +140,9 @@ namespace {
 
 /// Position right after `"key":`, or npos.
 std::size_t find_value(std::string_view line, std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
+  std::string needle;
+  needle.reserve(key.size() + 3);
+  needle.append(1, '"').append(key).append("\":");
   const std::size_t at = line.find(needle);
   return at == std::string_view::npos ? at : at + needle.size();
 }

@@ -230,11 +230,9 @@ NetServer::NetServer(DiagnosisQueue& queue, Telemetry* telemetry, Options opts)
 NetServer::~NetServer() { shutdown(); }
 
 void NetServer::set_conn_gauge(std::size_t n) {
-  if constexpr (kTelemetryEnabled) {
-    if (telemetry_) {
-      telemetry_->metrics.set_gauge(GaugeId::kNetActiveConns,
-                                    static_cast<std::int64_t>(n));
-    }
+  if (telemetry_) {
+    telemetry_->metrics.set_gauge(GaugeId::kNetActiveConns,
+                                  static_cast<std::int64_t>(n));
   }
 }
 
@@ -325,11 +323,9 @@ void NetServer::serve(Conn& c) {
         SP_TELEM_ADD(telemetry_, 0, CounterId::kNetRequests, 1);
         const std::uint64_t t0 = telemetry_now_us();
         open = session.handle_line(line, reader.line_no() - 1);
-        if constexpr (kTelemetryEnabled) {
-          if (telemetry_) {
-            telemetry_->metrics.record_hist(HistId::kNetRequestUs,
-                                            telemetry_now_us() - t0);
-          }
+        if (telemetry_) {
+          telemetry_->metrics.record_hist(HistId::kNetRequestUs,
+                                          telemetry_now_us() - t0);
         }
         if (!open) break;
       }

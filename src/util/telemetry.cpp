@@ -172,7 +172,6 @@ std::size_t MetricsRegistry::hist_bucket(std::uint64_t us) {
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot s;
-  if constexpr (!kTelemetryEnabled) return s;
   // Ascending shard order: irrelevant for a sum, but keeps the merge
   // discipline uniform with every other deterministic reduction in the repo.
   for (int shard = 0; shard < kMaxShards; ++shard) {
@@ -193,7 +192,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
 }
 
 void MetricsRegistry::reset() {
-  if constexpr (!kTelemetryEnabled) return;
   for (auto& shard : shards_) {
     for (auto& c : shard.counters) c.store(0, std::memory_order_relaxed);
   }
@@ -206,22 +204,14 @@ void MetricsRegistry::reset() {
 // ---------- TraceRecorder ----------------------------------------------------
 
 int TraceRecorder::open_span(int shard) {
-  if constexpr (!kTelemetryEnabled) return 0;
-  const int s = shard < 0 ? 0
-                          : (shard >= MetricsRegistry::kMaxShards
-                                 ? MetricsRegistry::kMaxShards - 1
-                                 : shard);
+  const int s = MetricsRegistry::clamp_shard(shard);
   std::lock_guard<std::mutex> lock(mu_);
   return depth_[static_cast<std::size_t>(s)]++;
 }
 
 void TraceRecorder::close_span(const char* name, int shard, int depth,
                                std::uint64_t start_us, std::uint64_t end_us) {
-  if constexpr (!kTelemetryEnabled) return;
-  const int s = shard < 0 ? 0
-                          : (shard >= MetricsRegistry::kMaxShards
-                                 ? MetricsRegistry::kMaxShards - 1
-                                 : shard);
+  const int s = MetricsRegistry::clamp_shard(shard);
   std::lock_guard<std::mutex> lock(mu_);
   depth_[static_cast<std::size_t>(s)]--;
   events_.push_back(TraceEvent{name, s, depth, start_us,
@@ -230,7 +220,6 @@ void TraceRecorder::close_span(const char* name, int shard, int depth,
 
 std::vector<TraceEvent> TraceRecorder::events() const {
   std::vector<TraceEvent> out;
-  if constexpr (!kTelemetryEnabled) return out;
   {
     std::lock_guard<std::mutex> lock(mu_);
     out = events_;
@@ -267,7 +256,6 @@ void TraceRecorder::write_chrome_trace(std::ostream& os) const {
 }
 
 void TraceRecorder::clear() {
-  if constexpr (!kTelemetryEnabled) return;
   std::lock_guard<std::mutex> lock(mu_);
   events_.clear();
   depth_.fill(0);

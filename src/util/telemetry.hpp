@@ -18,10 +18,10 @@
 //   - counters whose name ends in "_us" are wall-clock time and carry no
 //     determinism guarantee.
 //
-// Everything here compiles to nothing when the library is configured with
-// -DSCANPOWER_TELEMETRY=OFF (the SCANPOWER_TELEMETRY_DISABLED macro): the
-// hot-path entry points start with `if constexpr (!kTelemetryEnabled)
-// return;`, so the disabled build carries no atomics, clocks or branches.
+// A null `Telemetry*` is the off switch: every instrumented engine takes a
+// maybe-null scope, and with none attached a counter add or a span is one
+// null check (a span that also feeds a result's stats still reads the
+// clock).
 
 #include <array>
 #include <atomic>
@@ -35,12 +35,6 @@
 namespace scanpower {
 
 class JsonWriter;
-
-#if defined(SCANPOWER_TELEMETRY_DISABLED)
-inline constexpr bool kTelemetryEnabled = false;
-#else
-inline constexpr bool kTelemetryEnabled = true;
-#endif
 
 // ---------- metric identifiers ----------------------------------------------
 
@@ -199,18 +193,15 @@ class MetricsRegistry {
   /// (0 for caller-thread code); shards only spread contention -- any shard
   /// is correct, and a snapshot sums them in ascending order.
   void add(int shard, CounterId id, std::uint64_t n = 1) {
-    if constexpr (!kTelemetryEnabled) return;
     shard_(shard).counters[static_cast<std::size_t>(id)].fetch_add(
         n, std::memory_order_relaxed);
   }
 
   void set_gauge(GaugeId id, std::int64_t v) {
-    if constexpr (!kTelemetryEnabled) return;
     gauges_[static_cast<std::size_t>(id)].store(v, std::memory_order_relaxed);
   }
 
   void record_hist(HistId id, std::uint64_t us) {
-    if constexpr (!kTelemetryEnabled) return;
     hists_[static_cast<std::size_t>(id)][hist_bucket(us)].fetch_add(
         1, std::memory_order_relaxed);
   }
@@ -222,6 +213,10 @@ class MetricsRegistry {
   void reset();
 
   static std::size_t hist_bucket(std::uint64_t us);
+  /// A writer's shard index clamped into [0, kMaxShards).
+  static int clamp_shard(int shard) {
+    return shard < 0 ? 0 : (shard >= kMaxShards ? kMaxShards - 1 : shard);
+  }
 
  private:
   struct alignas(64) CounterShard {
@@ -229,8 +224,7 @@ class MetricsRegistry {
   };
 
   CounterShard& shard_(int shard) {
-    const int s = shard < 0 ? 0 : (shard >= kMaxShards ? kMaxShards - 1 : shard);
-    return shards_[static_cast<std::size_t>(s)];
+    return shards_[static_cast<std::size_t>(clamp_shard(shard))];
   }
 
   std::array<CounterShard, kMaxShards> shards_{};
@@ -259,16 +253,13 @@ class TraceRecorder {
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
   void set_enabled(bool on) {
-    if constexpr (!kTelemetryEnabled) return;
     enabled_.store(on, std::memory_order_relaxed);
   }
   bool enabled() const {
-    if constexpr (!kTelemetryEnabled) return false;
     return enabled_.load(std::memory_order_relaxed);
   }
 
   std::uint64_t now_us() const {
-    if constexpr (!kTelemetryEnabled) return 0;
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - epoch_)
@@ -311,10 +302,8 @@ struct Telemetry {
 /// tools).
 Telemetry& global_telemetry();
 
-/// Steady-clock microseconds (arbitrary epoch; deltas only). 0 when
-/// telemetry is compiled out.
+/// Steady-clock microseconds (arbitrary epoch; deltas only).
 inline std::uint64_t telemetry_now_us() {
-  if constexpr (!kTelemetryEnabled) return 0;
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
@@ -333,7 +322,6 @@ class TraceSpan {
                      std::uint64_t* elapsed_out = nullptr)
       : t_(t), name_(name), shard_(shard), dur_counter_(dur_counter),
         elapsed_out_(elapsed_out) {
-    if constexpr (!kTelemetryEnabled) return;
     const bool tracing = t_ != nullptr && t_->trace.enabled();
     const bool counting = t_ != nullptr && dur_counter_ != CounterId::kCount;
     if (tracing || counting || elapsed_out_ != nullptr) {
@@ -343,7 +331,6 @@ class TraceSpan {
     }
   }
   ~TraceSpan() {
-    if constexpr (!kTelemetryEnabled) return;
     if (!armed_) return;
     const std::uint64_t end =
         t_ != nullptr ? t_->trace.now_us() : telemetry_now_us();
@@ -367,15 +354,12 @@ class TraceSpan {
   bool armed_ = false;
 };
 
-/// Counter add through a maybe-null Telemetry*. Compiles to nothing when
-/// telemetry is disabled at build time.
+/// Counter add through a maybe-null Telemetry* (nullptr = off).
 #define SP_TELEM_ADD(telem, shard, id, n)                               \
   do {                                                                  \
-    if constexpr (::scanpower::kTelemetryEnabled) {                     \
-      if ((telem) != nullptr)                                           \
-        (telem)->metrics.add((shard), (id),                             \
-                             static_cast<std::uint64_t>(n));            \
-    }                                                                   \
+    if ((telem) != nullptr)                                             \
+      (telem)->metrics.add((shard), (id),                               \
+                           static_cast<std::uint64_t>(n));              \
   } while (0)
 
 }  // namespace scanpower

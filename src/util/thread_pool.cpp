@@ -14,6 +14,14 @@ inline std::uint64_t busy_clock_ns() {
 }
 }  // namespace
 
+void ThreadPool::run_timed(const std::function<void(int)>& fn, int index) {
+  WorkerSlot& slot = slots_[static_cast<std::size_t>(index)];
+  const std::uint64_t t0 = busy_clock_ns();
+  fn(index);
+  slot.busy_ns += busy_clock_ns() - t0;
+  ++slot.jobs;
+}
+
 int ThreadPool::resolve_threads(int requested) {
   if (requested > 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
@@ -51,15 +59,7 @@ void ThreadPool::worker_loop(int index) {
       seen_generation = generation_;
       job = job_;
     }
-    if constexpr (kTelemetryEnabled) {
-      WorkerSlot& slot = slots_[static_cast<std::size_t>(index)];
-      const std::uint64_t t0 = busy_clock_ns();
-      (*job)(index);
-      slot.busy_ns += busy_clock_ns() - t0;
-      ++slot.jobs;
-    } else {
-      (*job)(index);
-    }
+    run_timed(*job, index);
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (--outstanding_ == 0) done_cv_.notify_one();
@@ -68,20 +68,9 @@ void ThreadPool::worker_loop(int index) {
 }
 
 void ThreadPool::run_on_all(const std::function<void(int)>& fn) {
-  const auto run_local = [&] {
-    if constexpr (kTelemetryEnabled) {
-      WorkerSlot& slot = slots_[0];
-      const std::uint64_t t0 = busy_clock_ns();
-      fn(0);
-      slot.busy_ns += busy_clock_ns() - t0;
-      ++slot.jobs;
-      ++runs_;
-    } else {
-      fn(0);
-    }
-  };
+  ++runs_;
   if (size_ == 1) {
-    run_local();
+    run_timed(fn, 0);
     return;
   }
   {
@@ -91,7 +80,7 @@ void ThreadPool::run_on_all(const std::function<void(int)>& fn) {
     ++generation_;
   }
   work_cv_.notify_all();
-  run_local();
+  run_timed(fn, 0);
   {
     std::unique_lock<std::mutex> lock(mu_);
     done_cv_.wait(lock, [&] { return outstanding_ == 0; });
@@ -101,7 +90,6 @@ void ThreadPool::run_on_all(const std::function<void(int)>& fn) {
 
 ThreadPool::Stats ThreadPool::stats() const {
   Stats s;
-  if constexpr (!kTelemetryEnabled) return s;
   s.runs = runs_;
   for (const WorkerSlot& slot : slots_) {  // ascending worker order
     s.jobs += slot.jobs;

@@ -22,8 +22,6 @@
 #include <thread>
 #include <vector>
 
-#include "util/telemetry.hpp"
-
 namespace scanpower {
 
 class ThreadPool {
@@ -48,7 +46,7 @@ class ThreadPool {
   /// Lifetime telemetry totals. Each worker slot is written only by the
   /// thread running that worker index; call while the pool is idle (the
   /// run_on_all completion hand-off makes every slot visible to the
-  /// caller). All-zero when telemetry is compiled out.
+  /// caller).
   struct Stats {
     std::uint64_t runs = 0;     ///< run_on_all invocations
     std::uint64_t jobs = 0;     ///< per-worker fn invocations
@@ -58,6 +56,8 @@ class ThreadPool {
 
  private:
   void worker_loop(int index);
+  /// fn(index), timed into worker slot `index`.
+  void run_timed(const std::function<void(int)>& fn, int index);
 
   struct alignas(64) WorkerSlot {
     std::uint64_t jobs = 0;

@@ -11,9 +11,11 @@
 // readers, shutdown drain and the queue dispatcher all cross threads.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <future>
 #include <string>
@@ -51,8 +53,24 @@ std::vector<TestPattern> random_patterns(const Netlist& nl, int n,
   return pats;
 }
 
+/// This process's scratch directory under the test temp dir, made before
+/// and removed after each run of the suite. The process id keeps
+/// concurrent test_net processes that share one TEST_TMPDIR off each
+/// other's files.
+std::filesystem::path scratch_dir() {
+  return std::filesystem::path(testing::TempDir()) /
+         ("test_net_" + std::to_string(::getpid()));
+}
+
+struct ScratchDir : testing::Environment {
+  void SetUp() override { std::filesystem::create_directories(scratch_dir()); }
+  void TearDown() override { std::filesystem::remove_all(scratch_dir()); }
+};
+[[maybe_unused]] testing::Environment* const kScratchDir =
+    testing::AddGlobalTestEnvironment(new ScratchDir);
+
 std::string temp_path(const std::string& name) {
-  return testing::TempDir() + "test_net_" + name;
+  return (scratch_dir() / name).string();
 }
 
 /// Writes `name` as a mapped .bench file and re-parses it, so the test
@@ -75,11 +93,6 @@ Dut make_dut(const std::string& name) {
   d.faults = collapse_faults(d.nl);
   return d;
 }
-
-/// The `stats` reply of a -DSCANPOWER_TELEMETRY=OFF build: the metrics
-/// registry is a no-op there, so every section is empty.
-constexpr std::string_view kEmptyStats =
-    R"({"ok":"stats","counters":{},"gauges":{},"histograms":{}})";
 
 FlowOptions make_opts(int block_words, int threads) {
   FlowOptions o;
@@ -473,6 +486,48 @@ TEST(CommandSessionTest, InjectIndexNegativeIsRefused) {
   expect_inject_index_refused("-1");
 }
 
+// Rebinding different patterns while the design still has queued work is
+// refused with an error frame that names the circuit and tells a wire
+// client to collect its results (a `flush`) -- not to call the library's
+// drain(), which no client can reach. After the flush the rebind goes
+// through.
+TEST(CommandSessionTest, RebindWithResultsPendingNamesTheCircuit) {
+  const Dut dut = make_dut("s1423");
+  DiagnosisQueue::Options qo;
+  qo.max_batch = 1;  // one diagnosis per dispatch: a backlog persists
+  DiagnosisQueue queue(qo);
+  std::vector<std::string> out;
+  net::CommandSession session(queue, nullptr, {}, [&](std::string_view line) {
+    out.emplace_back(line);
+  });
+  session.handle_line("design " + dut.bench_path, 1);
+  session.handle_line("patterns 128 7", 2);
+  // The dispatcher may (rarely) clear the backlog before the rebind
+  // arrives; a few rounds make the refusal certain without a sleep.
+  std::optional<std::string> err;
+  for (int round = 0; round < 8 && !err; ++round) {
+    for (int i = 0; i < 16; ++i) {
+      session.handle_line("inject-index " + std::to_string(i * 37 + round),
+                          3);
+    }
+    const std::size_t at = out.size();
+    session.handle_line("patterns 128 " + std::to_string(100 + round), 4);
+    ASSERT_EQ(out.size(), at + 1);
+    err = net::json_string_field(out[at], "error");
+    session.flush();
+  }
+  ASSERT_TRUE(err.has_value()) << "no rebind ever met pending work";
+  EXPECT_NE(err->find("'" + dut.nl.name() + "'"), std::string::npos) << *err;
+  EXPECT_NE(err->find("collect their results"), std::string::npos) << *err;
+  EXPECT_EQ(err->find("drain()"), std::string::npos) << *err;
+  // Every result is collected now, so the same rebind is accepted.
+  const std::size_t at = out.size();
+  session.handle_line("patterns 128 200", 5);
+  ASSERT_EQ(out.size(), at + 1);
+  EXPECT_EQ(net::json_string_field(out[at], "ok"),
+            std::optional<std::string>("patterns"));
+}
+
 // ---------- TCP end to end ---------------------------------------------------
 
 /// Raw line-oriented wire access for the framing/shutdown tests (the
@@ -625,11 +680,7 @@ TEST(NetServerTest, FramingHardeningOverTcp) {
     EXPECT_EQ(net::json_string_field(*resp, "ok"),
               std::optional<std::string>("stats"));
     // The torn command was counted as a framing error, not executed.
-    if constexpr (kTelemetryEnabled) {
-      EXPECT_NE(resp->find("\"net.framing_errors\":"), std::string::npos);
-    } else {
-      EXPECT_EQ(*resp, kEmptyStats);
-    }
+    EXPECT_NE(resp->find("\"net.framing_errors\":"), std::string::npos);
   }
   server.shutdown();
 }
@@ -735,10 +786,8 @@ TEST(NetServerTest, OverloadFloodBackoffClientCompletesEverything) {
   for (auto& w : workers) w.join();
   EXPECT_GE(total_retries.load(), 1u)
       << "4 clients flooding a 1-deep Reject queue never got rejected";
-  if constexpr (kTelemetryEnabled) {
-    const MetricsSnapshot snap = telem.metrics.snapshot();
-    EXPECT_GE(snap.counter(CounterId::kQueueRejected), total_retries.load());
-  }
+  EXPECT_GE(telem.metrics.snapshot().counter(CounterId::kQueueRejected),
+            total_retries.load());
   server.shutdown();
 }
 
@@ -814,9 +863,7 @@ TEST(NetServerTest, StatsExposesQueueDepthAndNetCounters) {
   for (int i = 0; i < 8; ++i) {
     futures.push_back(queue.submit(key, inj.inject(dut.faults[i * 29 + 1])));
   }
-  if constexpr (kTelemetryEnabled) {
-    EXPECT_GE(telem.metrics.snapshot().gauge(GaugeId::kQueueDepth), 1);
-  }
+  EXPECT_GE(telem.metrics.snapshot().gauge(GaugeId::kQueueDepth), 1);
   for (auto& f : futures) (void)f.get();
   queue.drain();
   EXPECT_EQ(telem.metrics.snapshot().gauge(GaugeId::kQueueDepth), 0);
@@ -832,15 +879,11 @@ TEST(NetServerTest, StatsExposesQueueDepthAndNetCounters) {
   const std::string stats = client.request("stats");
   EXPECT_EQ(net::json_string_field(stats, "ok"),
             std::optional<std::string>("stats"));
-  if constexpr (kTelemetryEnabled) {
-    for (const char* k :
-         {"\"queue.submitted\":", "\"net.accepted\":", "\"net.requests\":",
-          "\"net.bytes_in\":", "\"net.bytes_out\":",
-          "\"net.active_connections\":", "\"net.request_us\":"}) {
-      EXPECT_NE(stats.find(k), std::string::npos) << k << "\n" << stats;
-    }
-  } else {
-    EXPECT_EQ(stats, kEmptyStats);
+  for (const char* k :
+       {"\"queue.submitted\":", "\"net.accepted\":", "\"net.requests\":",
+        "\"net.bytes_in\":", "\"net.bytes_out\":",
+        "\"net.active_connections\":", "\"net.request_us\":"}) {
+    EXPECT_NE(stats.find(k), std::string::npos) << k << "\n" << stats;
   }
   client.quit();
   server.shutdown();

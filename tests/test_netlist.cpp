@@ -6,7 +6,6 @@
 #include "netlist/bench_io.hpp"
 #include "netlist/builder.hpp"
 #include "netlist/gate_types.hpp"
-#include "netlist/levelize.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/stats.hpp"
 #include "util/assert.hpp"
@@ -249,26 +248,6 @@ TEST(BenchIo, InputAsGateRejected) {
   EXPECT_THROW(parse_bench_string("x = INPUT(y)\n", "c"), ParseError);
 }
 
-TEST(Levelize, FaninCone) {
-  const Netlist nl = make_s27();
-  const auto cone = fanin_cone(nl, {nl.find("G17")});
-  // G17 = NOT(G11); G11 = NOR(G5, G9); ... reaches back to inputs.
-  EXPECT_NE(std::find(cone.begin(), cone.end(), nl.find("G11")), cone.end());
-  EXPECT_NE(std::find(cone.begin(), cone.end(), nl.find("G5")), cone.end());
-}
-
-TEST(Levelize, ReachabilityStopsAtDff) {
-  const Netlist nl = make_s27();
-  const auto mask = reachable_from(nl, {nl.find("G0")});
-  // G0 -> G14 -> G8/G10 ... combinational reach.
-  EXPECT_TRUE(mask[nl.find("G14")]);
-  EXPECT_TRUE(mask[nl.find("G8")]);
-  // G5 is a DFF fed by G10: marked as a sink but its fanouts must not be
-  // reached *through* it. G5 feeds G11; G11 is reachable through other
-  // paths, so check a DFF whose only contribution is sequential: G7.
-  EXPECT_TRUE(mask[nl.find("G10")]);
-}
-
 TEST(Stats, ToStringMentionsCounts) {
   const Netlist nl = make_s27();
   const std::string s = compute_stats(nl).to_string();
@@ -327,14 +306,6 @@ TEST(Netlist, MarkOutputIdempotent) {
   Netlist nl = b.link();
   nl.mark_output(nl.find("y"));  // second time
   EXPECT_EQ(nl.outputs().size(), 1u);
-}
-
-TEST(Levelize, FanoutConeIncludesSinkDffs) {
-  const Netlist nl = make_s27();
-  // G12 = NOR(G1, G7) feeds G13/G15; G13 feeds DFF G7.
-  const auto cone = fanout_cone(nl, {nl.find("G12")});
-  EXPECT_NE(std::find(cone.begin(), cone.end(), nl.find("G13")), cone.end());
-  EXPECT_NE(std::find(cone.begin(), cone.end(), nl.find("G7")), cone.end());
 }
 
 }  // namespace

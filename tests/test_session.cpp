@@ -263,13 +263,11 @@ TEST(SessionDiagnoseTest, StreamedGoodMachineMatchesCached) {
                        cached.diagnose(Evidence(slog)), tag + " compact");
   }
   EXPECT_EQ(compared, 4);
-  if (kTelemetryEnabled) {
-    const auto streamed_reads = [](ScanSession& s) {
-      return s.metrics().counter(CounterId::kGoodCacheStreamedReads);
-    };
-    EXPECT_GT(streamed_reads(streamed), 0u);
-    EXPECT_EQ(streamed_reads(cached), 0u);
-  }
+  const auto streamed_reads = [](ScanSession& s) {
+    return s.metrics().counter(CounterId::kGoodCacheStreamedReads);
+  };
+  EXPECT_GT(streamed_reads(streamed), 0u);
+  EXPECT_EQ(streamed_reads(cached), 0u);
 }
 
 // The engines never bind the good machine themselves: a borrowed cache

@@ -8,16 +8,12 @@
 //     invariant across thread counts at fixed block_words. `_us` counters
 //     and pool counters carry no guarantee and are excluded. PODEM's
 //     verdict counters also match generate_tests()' TestSet.
-//  3. Exactness -- the registry deltas around one diagnose() equal the
-//     DiagnosisResult::stats fields for that query (same single
-//     measurement feeds both).
+//  3. Exactness -- the registry deltas around a full-response query, a
+//     compacted query and a multi-log batch equal the DiagnosisResult::stats
+//     fields of those queries (same single measurement feeds both).
 //  4. Tracing -- spans nest correctly per shard, the Chrome trace_event
 //     export is well-formed JSON, and enabling telemetry never perturbs
 //     rankings (byte-identical with a scope attached vs nullptr).
-//
-// Every test compiles (and passes, mostly as skips or zero-checks) under
-// -DSCANPOWER_TELEMETRY=OFF -- that build's whole point is that this API
-// surface still exists and costs nothing.
 
 #include <gtest/gtest.h>
 
@@ -104,16 +100,9 @@ TEST(MetricsRegistryTest, ShardsMergeIntoOneSum) {
   reg.set_gauge(GaugeId::kPoolWorkers, 7);
   reg.record_hist(HistId::kDiagnoseUs, 100);
   const MetricsSnapshot s = reg.snapshot();
-  if constexpr (kTelemetryEnabled) {
-    EXPECT_EQ(s.counter(CounterId::kDiagQueries), 15u);
-    EXPECT_EQ(s.gauge(GaugeId::kPoolWorkers), 7);
-    EXPECT_EQ(s.hist_count(HistId::kDiagnoseUs), 1u);
-  } else {
-    // Disabled build: every entry point is a no-op and snapshots are zero.
-    EXPECT_EQ(s.counter(CounterId::kDiagQueries), 0u);
-    EXPECT_EQ(s.gauge(GaugeId::kPoolWorkers), 0);
-    EXPECT_EQ(s.hist_count(HistId::kDiagnoseUs), 0u);
-  }
+  EXPECT_EQ(s.counter(CounterId::kDiagQueries), 15u);
+  EXPECT_EQ(s.gauge(GaugeId::kPoolWorkers), 7);
+  EXPECT_EQ(s.hist_count(HistId::kDiagnoseUs), 1u);
 }
 
 TEST(MetricsRegistryTest, ResetZeroesEverything) {
@@ -142,7 +131,6 @@ TEST(MetricsRegistryTest, HistBucketsArePowersOfTwo) {
 }
 
 TEST(MetricsSnapshotTest, TextAndJsonSerialization) {
-  if (!kTelemetryEnabled) GTEST_SKIP() << "telemetry compiled out";
   MetricsRegistry reg;
   reg.add(0, CounterId::kDiagQueries, 2);
   reg.add(1, CounterId::kSweepCalls, 10);
@@ -233,7 +221,6 @@ const CounterId kWorkCounters[] = {
 };
 
 TEST(TelemetryDeterminismTest, CountersStableAcrossBlockWordsAndThreads) {
-  if (!kTelemetryEnabled) GTEST_SKIP() << "telemetry compiled out";
   const Netlist nl = map_to_nand_nor_inv(make_iscas89_like("s344"));
   const auto pats = random_patterns(nl, 96, 0x7e1e);
 
@@ -286,7 +273,6 @@ const CounterId kPodemCounters[] = {
 };
 
 TEST(TelemetryPodemTest, CountersMatchTestSetAndStayStableAcrossConfigs) {
-  if (!kTelemetryEnabled) GTEST_SKIP() << "telemetry compiled out";
   const Netlist nl = map_to_nand_nor_inv(make_iscas89_like("s344"));
   struct Cfg { int w, t; };
   const Cfg cfgs[] = {{1, 1}, {1, 4}, {4, 1}, {4, 4}};
@@ -327,7 +313,6 @@ TEST(TelemetryPodemTest, CountersMatchTestSetAndStayStableAcrossConfigs) {
 // ---------- registry <-> DiagnosisResult::stats exactness --------------------
 
 TEST(TelemetryExactnessTest, RegistryDeltasMatchDiagnosisStats) {
-  if (!kTelemetryEnabled) GTEST_SKIP() << "telemetry compiled out";
   const Netlist nl = map_to_nand_nor_inv(make_iscas89_like("s344"));
   const auto pats = random_patterns(nl, 96, 0xbeef);
   FlowOptions opts;
@@ -362,12 +347,58 @@ TEST(TelemetryExactnessTest, RegistryDeltasMatchDiagnosisStats) {
   // Stats populate even without a registry attached, so they are never
   // all-zero on a non-trivial query.
   EXPECT_GT(res.stats.sweep_calls, 0u);
+
+  // A compacted query reports through the same drain: its sweeps, prune
+  // and score time land in the registry exactly as on its stats.
+  const Evidence sig{session.inject_compacted(defect)};
+  const MetricsSnapshot c_before = session.metrics();
+  const DiagnosisResult c_res = session.diagnose(sig);
+  const MetricsSnapshot c_after = session.metrics();
+  const auto c_delta = [&](CounterId id) {
+    return c_after.counter(id) - c_before.counter(id);
+  };
+  EXPECT_EQ(c_delta(CounterId::kCompactQueries), 1u);
+  EXPECT_EQ(c_delta(CounterId::kDiagQueries), 0u);
+  EXPECT_EQ(c_delta(CounterId::kSweepCalls), c_res.stats.sweep_calls);
+  EXPECT_EQ(c_delta(CounterId::kSweepAborts), c_res.stats.sweep_aborts);
+  EXPECT_EQ(c_delta(CounterId::kDiagPruneUs), c_res.stats.prune_us);
+  EXPECT_EQ(c_delta(CounterId::kDiagScoreUs), c_res.stats.score_us);
+  EXPECT_EQ(c_delta(CounterId::kCompactCandidates), c_res.num_candidates);
+  EXPECT_EQ(c_after.hist_count(HistId::kCompactDiagnoseUs) -
+                c_before.hist_count(HistId::kCompactDiagnoseUs),
+            1u);
+  EXPECT_GT(c_res.stats.sweep_calls, 0u);
+
+  // A multi-log full-response batch drains each log's worker separately;
+  // the per-log stats still sum to the registry deltas.
+  std::vector<Evidence> batch;
+  const std::size_t n = session.faults().size();
+  for (const std::size_t at : {n / 3, n / 2, 2 * n / 3}) {
+    batch.push_back(Evidence{session.inject(session.faults()[at])});
+  }
+  const MetricsSnapshot b_before = session.metrics();
+  const std::vector<DiagnosisResult> b_res = session.diagnose_batch(batch);
+  const MetricsSnapshot b_after = session.metrics();
+  const auto b_delta = [&](CounterId id) {
+    return b_after.counter(id) - b_before.counter(id);
+  };
+  ASSERT_EQ(b_res.size(), batch.size());
+  std::uint64_t sweeps = 0, aborts = 0, candidates = 0;
+  for (const DiagnosisResult& r : b_res) {
+    EXPECT_GT(r.stats.sweep_calls, 0u);
+    sweeps += r.stats.sweep_calls;
+    aborts += r.stats.sweep_aborts;
+    candidates += r.num_candidates;
+  }
+  EXPECT_EQ(b_delta(CounterId::kDiagQueries), batch.size());
+  EXPECT_EQ(b_delta(CounterId::kSweepCalls), sweeps);
+  EXPECT_EQ(b_delta(CounterId::kSweepAborts), aborts);
+  EXPECT_EQ(b_delta(CounterId::kDiagCandidates), candidates);
 }
 
 // ---------- tracing ----------------------------------------------------------
 
 TEST(TraceRecorderTest, SpansNestAndExportIsWellFormed) {
-  if (!kTelemetryEnabled) GTEST_SKIP() << "telemetry compiled out";
   const Netlist nl = map_to_nand_nor_inv(make_iscas89_like("s344"));
   const auto pats = random_patterns(nl, 64, 0x77ace);
   ScanSession session(Netlist(nl), FlowOptions{});
@@ -417,7 +448,6 @@ TEST(TraceRecorderTest, SpansNestAndExportIsWellFormed) {
 }
 
 TEST(TraceRecorderTest, FlowSpansEveryScanPowerEvaluation) {
-  if (!kTelemetryEnabled) GTEST_SKIP() << "telemetry compiled out";
   ScanSession session(map_to_nand_nor_inv(make_s27()), FlowOptions{});
   session.telemetry().trace.set_enabled(true);
   (void)session.run_flow();
@@ -455,15 +485,11 @@ TEST(TraceRecorderTest, DisabledRecorderStaysEmpty) {
   const Netlist nl = map_to_nand_nor_inv(make_iscas89_like("s344"));
   const auto pats = random_patterns(nl, 32, 0x50ff);
   ScanSession session(Netlist(nl), FlowOptions{});
-  // Recording is off by default (and unconditionally off when compiled out).
+  // Recording is off by default.
   session.bind_patterns(pats);
   const Fault defect = session.faults()[0];
   (void)session.diagnose(Evidence{session.inject(defect)});
   EXPECT_TRUE(session.telemetry().trace.events().empty());
-  if (!kTelemetryEnabled) {
-    session.telemetry().trace.set_enabled(true);
-    EXPECT_FALSE(session.telemetry().trace.enabled());
-  }
 }
 
 // ---------- telemetry never perturbs results ---------------------------------
@@ -499,11 +525,9 @@ TEST(TelemetryNeutralityTest, RankingsIdenticalWithAndWithoutScope) {
   expect_same_ranking(r_off, r_on, "telemetry on vs off");
   EXPECT_EQ(r_off.num_candidates, r_on.num_candidates);
   // The nullptr-scope run still timed itself into the result stats.
-  if (kTelemetryEnabled) {
-    EXPECT_EQ(r_off.stats.sweep_calls, r_on.stats.sweep_calls);
-    EXPECT_GT(telem.metrics.snapshot().counter(CounterId::kDiagQueries), 0u);
-    EXPECT_FALSE(telem.trace.events().empty());
-  }
+  EXPECT_EQ(r_off.stats.sweep_calls, r_on.stats.sweep_calls);
+  EXPECT_GT(telem.metrics.snapshot().counter(CounterId::kDiagQueries), 0u);
+  EXPECT_FALSE(telem.trace.events().empty());
 }
 
 }  // namespace
