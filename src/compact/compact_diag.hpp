@@ -38,7 +38,6 @@
 // the (X-mask plan, expected signatures) pair per MISR configuration and
 // passes it to every diagnose() call, so nothing is rebuilt per log.
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -66,7 +65,6 @@ class SignatureDiagnoser {
   SignatureDiagnoser(const Netlist& nl, DiagnosisOptions opts,
                      ThreadPool& pool, const ObservationPoints& points,
                      ObservationConeCache& cones, GoodBlockCache& goods);
-  ~SignatureDiagnoser();
 
   const DiagnosisOptions& options() const { return opts_; }
   const ObservationPoints& points() const { return *points_; }
@@ -85,18 +83,13 @@ class SignatureDiagnoser {
                            std::span<const std::uint64_t> expected);
 
  private:
-  struct Worker;
-
-  /// Throws unless the borrowed good-block cache is bound to `patterns`.
-  void ensure_goods(std::span<const TestPattern> patterns) const;
-  std::vector<std::uint32_t> prune_candidates(std::span<const Fault> faults,
-                                              const SignatureLog& log,
-                                              const XMaskPlan& plan);
+  /// The op sets prune_by_cone_unions intersects for `log`: the unmasked
+  /// points of each distinct failing window.
+  std::vector<std::vector<std::uint32_t>> failing_op_sets(
+      const SignatureLog& log, const XMaskPlan& plan) const;
 
   template <int W>
   void score_candidates(std::span<const TestPattern> patterns,
-                        std::span<const Fault> faults,
-                        std::span<const std::uint32_t> candidates,
                         const SignatureLog& log, const XMaskPlan& plan,
                         const MisrCompactor& compactor,
                         std::vector<CandidateScore>& scores);
@@ -108,7 +101,7 @@ class SignatureDiagnoser {
   ObservationConeCache* cones_;
   GoodBlockCache* goods_;
   ThreadPool* pool_;
-  std::vector<std::unique_ptr<Worker>> workers_;
+  std::vector<SweepWorker> workers_;
 };
 
 }  // namespace scanpower

@@ -3,13 +3,19 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
-#include <memory>
 
 #include "util/assert.hpp"
 
 namespace scanpower {
 
-std::vector<std::uint32_t> prune_by_cone_unions(
+namespace {
+
+/// Top-ranked candidates replayed for the multiplet cover.
+constexpr std::size_t kMultipletShortlist = 64;
+
+}  // namespace
+
+std::vector<CandidateScore> prune_by_cone_unions(
     const Netlist& nl, ObservationConeCache& cones,
     std::span<const Fault> faults,
     const std::vector<std::vector<std::uint32_t>>& op_sets) {
@@ -38,14 +44,26 @@ std::vector<std::uint32_t> prune_by_cone_unions(
   // A fault's effect enters observation cones at its site gate -- for a
   // D-branch fault that is the capture cell itself, which the capture
   // point's cone includes.
-  std::vector<std::uint32_t> candidates;
-  candidates.reserve(faults.size());
+  const auto survives = [&](const Fault& f) { return allowed[f.gate] != 0; };
+  std::vector<CandidateScore> slots;
+  slots.reserve(static_cast<std::size_t>(
+      std::count_if(faults.begin(), faults.end(), survives)));
   for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-    if (allowed[faults[fi].gate]) {
-      candidates.push_back(static_cast<std::uint32_t>(fi));
+    if (survives(faults[fi])) {
+      slots.push_back({.fault = faults[fi],
+                       .fault_index = static_cast<std::uint32_t>(fi)});
     }
   }
-  return candidates;
+  return slots;
+}
+
+void QueryTally::finish(Telemetry* t, std::span<SweepWorker> workers,
+                        DiagnosisStats& st) const {
+  for (std::size_t i = 0; i < workers.size(); ++i) {
+    st.add_sweeps(flush_sweep_stats(t, static_cast<int>(i), workers[i].eval));
+  }
+  st.cone_cache_hits = cones_->hits() - hits0_;
+  st.cone_cache_misses = cones_->misses() - misses0_;
 }
 
 Diagnoser::Diagnoser(const Netlist& nl, DiagnosisOptions opts, ThreadPool& pool,
@@ -57,20 +75,13 @@ Diagnoser::Diagnoser(const Netlist& nl, DiagnosisOptions opts, ThreadPool& pool,
   check_block_words("diagnose", opts_.block_words, "block_words");
   opts_.num_threads = pool.size();
   workers_.resize(static_cast<std::size_t>(pool_->size()));
-  for (FaultConeEvaluator& w : workers_) {
-    w.init(nl, opts_.block_words, opts_.backend);
+  for (SweepWorker& w : workers_) {
+    w.eval.init(nl, opts_.block_words, opts_.backend);
   }
 }
 
-void Diagnoser::ensure_goods(std::span<const TestPattern> patterns) const {
-  SP_CHECK(goods_->bound_to(patterns, opts_.block_words),
-           "diagnose: the shared good-block cache is bound to a different "
-           "pattern set (bind the session to these patterns first)");
-}
-
-std::vector<std::uint32_t> Diagnoser::prune_candidates(
-    std::span<const Fault> faults, const FailureLog& log, PruneMode mode) {
-  const Netlist& nl = *nl_;
+std::vector<std::vector<std::uint32_t>> Diagnoser::failing_op_sets(
+    const FailureLog& log, PruneMode mode) const {
   std::vector<std::vector<std::uint32_t>> op_sets;
   if (mode == PruneMode::kUnion) {
     // Noise-recovery fallback: one set holding every failing point. A
@@ -99,8 +110,7 @@ std::vector<std::uint32_t> Diagnoser::prune_candidates(
     std::sort(op_sets.begin(), op_sets.end());
     op_sets.erase(std::unique(op_sets.begin(), op_sets.end()), op_sets.end());
   }
-
-  return prune_by_cone_unions(nl, *cones_, faults, op_sets);
+  return op_sets;
 }
 
 Diagnoser::Prepared Diagnoser::prepare(std::span<const TestPattern> patterns,
@@ -131,21 +141,11 @@ Diagnoser::Prepared Diagnoser::prepare(std::span<const TestPattern> patterns,
         std::unique(ops.begin(), ops.end()) - ops.begin());
   }
 
-  if (opts_.cone_pruning) {
-    p.candidates = prune_candidates(faults, log, mode);
-  } else {
-    p.candidates.resize(faults.size());
-    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-      p.candidates[fi] = static_cast<std::uint32_t>(fi);
-    }
-  }
-  p.res.num_candidates = p.candidates.size();
-
-  p.scores.resize(p.candidates.size());
-  for (std::size_t ci = 0; ci < p.candidates.size(); ++ci) {
-    p.scores[ci].fault = faults[p.candidates[ci]];
-    p.scores[ci].fault_index = p.candidates[ci];
-  }
+  p.scores = prune_by_cone_unions(
+      *nl_, *cones_, faults,
+      opts_.cone_pruning ? failing_op_sets(log, mode)
+                         : std::vector<std::vector<std::uint32_t>>{});
+  p.res.num_candidates = p.scores.size();
   return p;
 }
 
@@ -166,12 +166,11 @@ void Diagnoser::finalize(Prepared& p) {
 
 template <int W>
 void Diagnoser::score_candidate_block(FaultConeEvaluator& ev,
-                                      CandidateScore& sc, const Fault& f,
+                                      CandidateScore& sc,
                                       const BlockSimulator& good,
                                       std::size_t block,
                                       const ResponseMatrix& observed,
                                       bool early_exit, std::uint64_t best) {
-  const Netlist& nl = *nl_;
   const std::size_t lanes = goods_->lanes();
   const std::size_t base = block * lanes;
   const std::size_t batch =
@@ -190,27 +189,16 @@ void Diagnoser::score_candidate_block(FaultConeEvaluator& ev,
   const std::uint64_t bound =
       best > std::numeric_limits<std::uint64_t>::max() - tol ? best
                                                              : best + tol;
-  // A D-branch fault sinks its DFF gate id as the capture branch; a
-  // Q-stem fault sinks the same id meaning the Q net, which is read by
-  // downstream capture points / its PO point.
-  const bool d_branch = f.pin >= 0 && nl.type(f.gate) == GateType::Dff;
   ev.propagate<W>(
-      good, f, mask, points_->observable(),
+      good, sc.fault, mask, points_->observable(),
       [&](GateId gate, const PatternWord* diff) -> bool {
-        const auto tally = [&](std::uint32_t op) {
+        for (std::uint32_t op : points_->sink_points(sc.fault, gate)) {
           const PatternWord* obs = observed.row(op) + word0;
           for (std::size_t w = 0; w < nwords; ++w) {
             sc.tfsf += static_cast<std::uint64_t>(
                 std::popcount(diff[w] & obs[w]));
             sc.tpsf += static_cast<std::uint64_t>(
                 std::popcount(diff[w] & ~obs[w]));
-          }
-        };
-        if (d_branch && gate == f.gate) {
-          tally(static_cast<std::uint32_t>(points_->point_of_dff(gate)));
-        } else {
-          for (std::uint32_t op : points_->points_of_gate(gate)) {
-            tally(op);
           }
         }
         return !(early_exit && sc.tpsf > bound);
@@ -219,90 +207,50 @@ void Diagnoser::score_candidate_block(FaultConeEvaluator& ev,
 }
 
 template <int W>
-void Diagnoser::score_candidates(std::span<const Fault> faults, Prepared& p) {
+void Diagnoser::score_candidates(int worker, Prepared& p) {
   const GoodBlockCache& goods = *goods_;
-  const int num_workers = pool_->size();
   const bool early_exit = opts_.score_early_exit;
+  const bool fan_out = worker == kPool;
 
-  // Candidates are scored in fixed-size rounds (in candidate order,
-  // round-robin across workers within a round, so each score slot has
-  // exactly one writer). The early-exit bound -- the best Hamming
+  // Candidates are scored in fixed-size rounds, in candidate order; a
+  // fanned-out round goes round-robin across workers, so each score slot
+  // has exactly one writer. The early-exit bound -- the best Hamming
   // distance among fully scored candidates -- advances only at round
   // boundaries; a candidate whose running TPSF exceeds it can never win
   // (TPSF only grows), so its cone sweep aborts and its remaining blocks
   // are skipped. Both the bound and the abort test depend only on
-  // per-candidate totals, never on block partitioning or scheduling, so
-  // the dropped set is bit-identical across (block width, thread count)
-  // configurations.
+  // per-candidate totals, never on block partitioning, scheduling or
+  // which worker scores a round, so the dropped set is bit-identical
+  // across (block width, thread count) configurations and between the
+  // fanned-out and one-worker paths.
   const std::size_t round_size =
-      early_exit ? 64 : std::max<std::size_t>(p.candidates.size(), 1);
+      early_exit ? 64 : std::max<std::size_t>(p.scores.size(), 1);
+  const std::size_t stride =
+      fan_out ? static_cast<std::size_t>(pool_->size()) : 1;
   std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
+  // Each round's good blocks are fetched once, by the thread that runs the
+  // round (the caller when fanning out).
+  SweepWorker& home = workers_[static_cast<std::size_t>(fan_out ? 0 : worker)];
 
-  // Streaming scratch for pattern sets past the cache cap; the cached and
-  // streamed values are identical, so so is the ranking.
-  std::unique_ptr<BlockSimulator> stream;
-  if (!goods.cached()) {
-    stream = std::make_unique<BlockSimulator>(*nl_, W, opts_.backend);
-  }
-
-  for (std::size_t r0 = 0; r0 < p.candidates.size(); r0 += round_size) {
-    const std::size_t r1 = std::min(r0 + round_size, p.candidates.size());
+  for (std::size_t r0 = 0; r0 < p.scores.size(); r0 += round_size) {
+    const std::size_t r1 = std::min(r0 + round_size, p.scores.size());
     for (std::size_t b = 0; b < goods.num_blocks(); ++b) {
-      const BlockSimulator* good;
-      if (goods.cached()) {
-        good = &goods.block(b);
-      } else {
-        goods.stream(b, *stream);
-        good = stream.get();
-      }
-      pool_->run_on_all([&](int t) {
-        FaultConeEvaluator& ev = workers_[static_cast<std::size_t>(t)];
-        for (std::size_t ci = r0 + static_cast<std::size_t>(t); ci < r1;
-             ci += static_cast<std::size_t>(num_workers)) {
+      const BlockSimulator& good = goods.block(b, home.scratch);
+      const auto score_slice = [&](FaultConeEvaluator& ev, std::size_t first) {
+        for (std::size_t ci = r0 + first; ci < r1; ci += stride) {
           CandidateScore& sc = p.scores[ci];
           if (sc.dropped) continue;
-          score_candidate_block<W>(ev, sc, faults[p.candidates[ci]], *good, b,
-                                   p.observed, early_exit, best);
+          score_candidate_block<W>(ev, sc, good, b, p.observed, early_exit,
+                                   best);
         }
-      });
-    }
-    for (std::size_t ci = r0; ci < r1; ++ci) {
-      if (p.scores[ci].dropped) continue;
-      best = std::min(best, p.total_fail - p.scores[ci].tfsf +
-                                p.scores[ci].tpsf);
-    }
-  }
-}
-
-template <int W>
-void Diagnoser::score_log_serial(int worker, std::span<const Fault> faults,
-                                 Prepared& p, BlockSimulator* stream) {
-  const GoodBlockCache& goods = *goods_;
-  const bool early_exit = opts_.score_early_exit;
-  // Identical round structure and per-candidate block order to the
-  // pool-parallel path: the dropped set and every counter depend only on
-  // per-candidate totals at block/round boundaries, so a log scored
-  // serially by one worker is bit-identical to diagnose()'s result.
-  const std::size_t round_size =
-      early_exit ? 64 : std::max<std::size_t>(p.candidates.size(), 1);
-  std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
-  FaultConeEvaluator& ev = workers_[static_cast<std::size_t>(worker)];
-
-  for (std::size_t r0 = 0; r0 < p.candidates.size(); r0 += round_size) {
-    const std::size_t r1 = std::min(r0 + round_size, p.candidates.size());
-    for (std::size_t b = 0; b < goods.num_blocks(); ++b) {
-      const BlockSimulator* good;
-      if (goods.cached()) {
-        good = &goods.block(b);
+      };
+      if (fan_out) {
+        pool_->run_on_all([&](int t) {
+          score_slice(workers_[static_cast<std::size_t>(t)].eval,
+                      static_cast<std::size_t>(t));
+        });
       } else {
-        goods.stream(b, *stream);
-        good = stream;
-      }
-      for (std::size_t ci = r0; ci < r1; ++ci) {
-        CandidateScore& sc = p.scores[ci];
-        if (sc.dropped) continue;
-        score_candidate_block<W>(ev, sc, faults[p.candidates[ci]], *good, b,
-                                 p.observed, early_exit, best);
+        score_slice(home.eval, 0);
       }
     }
     for (std::size_t ci = r0; ci < r1; ++ci) {
@@ -316,8 +264,7 @@ void Diagnoser::score_log_serial(int worker, std::span<const Fault> faults,
 template <int W>
 void Diagnoser::recover_noise(int worker,
                               std::span<const TestPattern> patterns,
-                              std::span<const Fault> faults, Prepared& p,
-                              BlockSimulator* stream, bool serial) {
+                              std::span<const Fault> faults, Prepared& p) {
   if (!opts_.multiplets || p.total_fail == 0) return;
   if (!p.res.ranked.empty() && !p.res.ranked.front().dropped &&
       p.res.ranked.front().tfsp <= opts_.noise_tolerance) {
@@ -328,13 +275,9 @@ void Diagnoser::recover_noise(int worker,
     // the kIntersect pass already cached, so in the batch fan-out this is
     // a pure cache read and stays race-free across workers.
     Prepared u = prepare(patterns, faults, *p.log, PruneMode::kUnion);
-    if (u.candidates.size() != p.candidates.size()) {
+    if (u.scores.size() != p.scores.size()) {
       // The union candidate set is a strict superset -- rescore over it.
-      if (serial) {
-        score_log_serial<W>(worker, faults, u, stream);
-      } else {
-        score_candidates<W>(faults, u);
-      }
+      score_candidates<W>(worker, u);
       finalize(u);
       u.res.union_fallback = true;
       // The rescored result replaces the original; carry the query's
@@ -344,18 +287,15 @@ void Diagnoser::recover_noise(int worker,
       p = std::move(u);
     }
   }
-  build_multiplets<W>(worker, faults, p, stream);
+  build_multiplets<W>(worker, p);
 }
 
 template <int W>
-void Diagnoser::build_multiplets(int worker, std::span<const Fault> faults,
-                                 Prepared& p, BlockSimulator* stream) {
-  (void)faults;
+void Diagnoser::build_multiplets(int worker, Prepared& p) {
   DiagnosisResult& res = p.res;
   res.multiplets.clear();
   if (res.ranked.empty() || p.total_fail == 0) return;
 
-  const Netlist& nl = *nl_;
   const GoodBlockCache& goods = *goods_;
   const std::size_t wpp = p.observed.words_per_point();
   constexpr std::uint32_t kNoFop = static_cast<std::uint32_t>(-1);
@@ -375,18 +315,14 @@ void Diagnoser::build_multiplets(int worker, std::span<const Fault> faults,
   // Shortlist: the top non-dropped candidates.
   std::size_t shortlist = 0;
   while (shortlist < res.ranked.size() &&
-         shortlist < opts_.multiplet_shortlist &&
+         shortlist < kMultipletShortlist &&
          !res.ranked[shortlist].dropped) {
     ++shortlist;
   }
   if (shortlist == 0) return;
 
-  std::unique_ptr<BlockSimulator> local_stream;
-  if (!goods.cached() && stream == nullptr) {
-    local_stream = std::make_unique<BlockSimulator>(nl, W, opts_.backend);
-    stream = local_stream.get();
-  }
-  FaultConeEvaluator& ev = workers_[static_cast<std::size_t>(worker)];
+  SweepWorker& wk =
+      workers_[static_cast<std::size_t>(worker == kPool ? 0 : worker)];
   const std::size_t lanes = goods.lanes();
 
   // Per-candidate predictions: `preds[k]` holds the candidate's predicted
@@ -407,25 +343,18 @@ void Diagnoser::build_multiplets(int worker, std::span<const Fault> faults,
     offm[k].assign(wpp, PatternWord{0});
     PatternWord* pred = preds[k].data();
     PatternWord* mismatch = offm[k].data();
-    const bool d_branch = f.pin >= 0 && nl.type(f.gate) == GateType::Dff;
     for (std::size_t b = 0; b < goods.num_blocks(); ++b) {
-      const BlockSimulator* good;
-      if (goods.cached()) {
-        good = &goods.block(b);
-      } else {
-        goods.stream(b, *stream);
-        good = stream;
-      }
+      const BlockSimulator& good = goods.block(b, wk.scratch);
       const std::size_t base = b * lanes;
       const std::size_t batch =
           std::min(lanes, goods.patterns().size() - base);
       const PackedBlock<W> mask = lane_validity_mask<W>(batch);
       const std::size_t word0 = base / 64;
       const std::size_t nwords = (batch + 63) / 64;
-      ev.propagate<W>(
-          *good, f, mask, points_->observable(),
+      wk.eval.propagate<W>(
+          good, f, mask, points_->observable(),
           [&](GateId gate, const PatternWord* diff) {
-            const auto record = [&](std::uint32_t op) {
+            for (std::uint32_t op : points_->sink_points(f, gate)) {
               const std::uint32_t di = fop_dense[op];
               if (di != kNoFop) {
                 PatternWord* row = pred + di * wpp + word0;
@@ -434,13 +363,6 @@ void Diagnoser::build_multiplets(int worker, std::span<const Fault> faults,
                 for (std::size_t w = 0; w < nwords; ++w) {
                   mismatch[word0 + w] |= diff[w];
                 }
-              }
-            };
-            if (d_branch && gate == f.gate) {
-              record(static_cast<std::uint32_t>(points_->point_of_dff(gate)));
-            } else {
-              for (std::uint32_t op : points_->points_of_gate(gate)) {
-                record(op);
               }
             }
           });
@@ -568,53 +490,36 @@ DiagnosisResult Diagnoser::diagnose(std::span<const TestPattern> patterns,
   Telemetry* const telem = opts_.telemetry;
   DiagnosisResult out;
   std::uint64_t total_us = 0;
-  const std::uint64_t cone_h0 = cones_->hits();
-  const std::uint64_t cone_m0 = cones_->misses();
+  const QueryTally tally(*cones_);
   {
     TraceSpan span_all(telem, "diagnose", 0, CounterId::kCount, &total_us);
-    // Validate + prune before ensure_goods, so a malformed log reports
-    // its own error first.
+    // Validate + prune before the good-block check, so a malformed log
+    // reports its own error first.
     Prepared p;
     {
       TraceSpan span(telem, "prune", 0, CounterId::kDiagPruneUs,
                      &p.res.stats.prune_us);
       p = prepare(patterns, faults, log, PruneMode::kIntersect);
     }
-    ensure_goods(patterns);
+    goods_->require_bound_to(patterns, opts_.block_words);
 
     dispatch_words(opts_.block_words, [&](auto w) {
       constexpr int W = decltype(w)::value;
       {
         TraceSpan span(telem, "score", 0, CounterId::kDiagScoreUs,
                        &p.res.stats.score_us);
-        score_candidates<W>(faults, p);
+        score_candidates<W>(kPool, p);
       }
       finalize(p);
-      // Worker 0's evaluator is free again (run_on_all has joined), so the
-      // recovery stages replay on the caller thread.
-      std::unique_ptr<BlockSimulator> stream;
-      if (!goods_->cached()) {
-        stream = std::make_unique<BlockSimulator>(*nl_, W, opts_.backend);
-      }
       {
         TraceSpan span(telem, "cover", 0, CounterId::kDiagCoverUs,
                        &p.res.stats.cover_us);
-        recover_noise<W>(0, patterns, faults, p, stream.get(),
-                         /*serial=*/false);
+        recover_noise<W>(kPool, patterns, faults, p);
       }
     });
-
-    // Drain the workers' sweep tallies in ascending order: the per-query
-    // totals go on the result, the per-shard values into the registry.
-    // Every query drains every worker, so tallies always start at zero.
-    for (std::size_t t = 0; t < workers_.size(); ++t) {
-      p.res.stats.add_sweeps(
-          flush_sweep_stats(telem, static_cast<int>(t), workers_[t]));
-    }
-    // Serial wrt the cone cache (scoring never touches it), so the deltas
-    // are exactly this query's lookups.
-    p.res.stats.cone_cache_hits = cones_->hits() - cone_h0;
-    p.res.stats.cone_cache_misses = cones_->misses() - cone_m0;
+    // Serial wrt the cone cache (scoring never touches it), so the cone
+    // deltas are exactly this query's lookups.
+    tally.finish(telem, workers_, p.res.stats);
     out = std::move(p.res);
   }
   report_query(telem, out);
@@ -647,8 +552,7 @@ std::vector<DiagnosisResult> Diagnoser::diagnose_batch(
   std::vector<Prepared> prepared;
   prepared.reserve(logs.size());
   for (const FailureLog* log : logs) {
-    const std::uint64_t cone_h0 = cones_->hits();
-    const std::uint64_t cone_m0 = cones_->misses();
+    const QueryTally tally(*cones_);
     std::uint64_t prune_us = 0;
     {
       TraceSpan span(telem, "prune", 0, CounterId::kDiagPruneUs, &prune_us);
@@ -657,45 +561,35 @@ std::vector<DiagnosisResult> Diagnoser::diagnose_batch(
     }
     DiagnosisStats& st = prepared.back().res.stats;
     st.prune_us = prune_us;
-    st.cone_cache_hits = cones_->hits() - cone_h0;
-    st.cone_cache_misses = cones_->misses() - cone_m0;
+    tally.finish(telem, {}, st);
   }
-  ensure_goods(patterns);
+  goods_->require_bound_to(patterns, opts_.block_words);
 
   // Parallel phase: logs round-robin across the pool, each scored,
   // finalized and noise-recovered wholly within one worker from that
   // worker's private evaluator/scratch.
   const int num_workers = pool_->size();
-  std::vector<std::unique_ptr<BlockSimulator>> streams(
-      static_cast<std::size_t>(num_workers));
-  if (!goods_->cached()) {
-    for (auto& s : streams) {
-      s = std::make_unique<BlockSimulator>(*nl_, opts_.block_words,
-                                           opts_.backend);
-    }
-  }
   dispatch_words(opts_.block_words, [&](auto w) {
     constexpr int W = decltype(w)::value;
     pool_->run_on_all([&](int t) {
       for (std::size_t li = static_cast<std::size_t>(t); li < prepared.size();
            li += static_cast<std::size_t>(num_workers)) {
-        BlockSimulator* stream = streams[static_cast<std::size_t>(t)].get();
         Prepared& p = prepared[li];
         {
           TraceSpan span(telem, "score", t, CounterId::kDiagScoreUs,
                          &p.res.stats.score_us);
-          score_log_serial<W>(t, faults, p, stream);
+          score_candidates<W>(t, p);
         }
         finalize(p);
         {
           TraceSpan span(telem, "cover", t, CounterId::kDiagCoverUs,
                          &p.res.stats.cover_us);
-          recover_noise<W>(t, patterns, faults, p, stream, /*serial=*/true);
+          recover_noise<W>(t, patterns, faults, p);
         }
         // This log ran wholly in worker t, so its evaluator's tallies are
         // exactly this log's sweeps.
         p.res.stats.add_sweeps(flush_sweep_stats(
-            telem, t, workers_[static_cast<std::size_t>(t)]));
+            telem, t, workers_[static_cast<std::size_t>(t)].eval));
       }
     });
   });

@@ -39,16 +39,17 @@
 //     form of the manual all-or-nothing cone_pruning = false escape
 //     hatch.
 //
-//  4. Multiplet cover -- SLAT-style per-pattern partitioning. Each
-//     shortlisted candidate's predicted response is replayed; a failing
-//     pattern is "explained exactly" by a candidate iff the candidate's
-//     predicted failures match the observed failures on that pattern at
-//     every observation point. A greedy set cover over that partition
-//     emits ranked suspect *sets* (DiagnosisResult::multiplets) -- pairs
-//     (or small sets) of candidates that jointly explain the log when no
-//     single candidate does. Clean single-fault logs skip both stages
-//     (the top candidate explains everything), so the single-fault path
-//     pays nothing.
+//  4. Multiplet cover -- SLAT-style per-pattern explanation. Each
+//     shortlisted candidate's predicted response is replayed; a set of
+//     candidates covers a failing pattern iff the union of the members'
+//     predicted failures equals the observed failures on that pattern at
+//     every observation point (so a pattern where two defects fail
+//     together is covered by the pair even when neither alone reproduces
+//     it). A greedy set cover over those patterns emits ranked suspect
+//     *sets* (DiagnosisResult::multiplets) -- pairs (or small sets) of
+//     candidates that jointly explain the log when no single candidate
+//     does. Clean single-fault logs skip both stages (the top candidate
+//     explains everything), so the single-fault path pays nothing.
 //
 // Construction: the engine owns only its per-worker scratch. The pool,
 // observation points, cone cache and good-block cache are borrowed from
@@ -70,17 +71,6 @@
 #include "util/thread_pool.hpp"
 
 namespace scanpower {
-
-/// Shared cone-union back-trace used by both diagnosers: a candidate
-/// survives iff its site gate lies, for every op set, in the union of
-/// that set's observation-point cones. Full-response diagnosis passes
-/// one set per distinct failing-point pattern; compacted diagnosis one
-/// set of unmasked points per distinct failing window. Callers
-/// deduplicate `op_sets` (identical sets contribute identical unions).
-std::vector<std::uint32_t> prune_by_cone_unions(
-    const Netlist& nl, ObservationConeCache& cones,
-    std::span<const Fault> faults,
-    const std::vector<std::vector<std::uint32_t>>& op_sets);
 
 struct DiagnosisOptions {
   /// Pattern words per simulation block; must be in kBlockWords
@@ -118,8 +108,6 @@ struct DiagnosisOptions {
   /// Noise recovery (union-pruning fallback + multiplet cover) when no
   /// single candidate explains the log within noise_tolerance.
   bool multiplets = true;
-  /// Top-ranked candidates replayed for the multiplet cover.
-  std::size_t multiplet_shortlist = 64;
   /// Maximum candidates per suspect set.
   std::size_t max_multiplet_size = 4;
   /// Maximum suspect sets reported (also the number of greedy seeds).
@@ -179,10 +167,10 @@ struct CandidateScore {
 };
 
 /// One multi-fault suspect set: candidates that jointly explain the log.
-/// `covered` counts failing patterns some member explains exactly (its
-/// predicted failures equal the observed failures on that pattern at
-/// every observation point); `uncovered` counts the rest -- residual
-/// noise, or a defect outside the shortlist.
+/// `covered` counts failing patterns the set explains (the union of the
+/// members' predicted failures equals the observed failures on that
+/// pattern at every observation point); `uncovered` counts the rest --
+/// residual noise, or a defect outside the shortlist.
 struct SuspectSet {
   std::vector<CandidateScore> members;  ///< greedy insertion order
   std::size_t covered = 0;
@@ -197,9 +185,10 @@ struct DiagnosisResult {
 
   /// Ranked multi-fault suspect sets (best cover first). Empty when the
   /// top single candidate explains the log within noise_tolerance, when
-  /// options disable multiplets, or for batch/compacted paths that do
-  /// not run the cover. Bit-identical across every (block width, thread
-  /// count) configuration, like `ranked`.
+  /// options disable multiplets, and for compacted diagnosis, which does
+  /// not run the cover (diagnose_batch runs it like diagnose()).
+  /// Bit-identical across every (block width, thread count)
+  /// configuration, like `ranked`.
   std::vector<SuspectSet> multiplets;
   /// Cone pruning fell back from the per-pattern intersection to the
   /// union of all failing points' cones (multi-fault / noisy log).
@@ -227,6 +216,38 @@ struct DiagnosisResult {
   /// candidates with equal scores share a rank (they are indistinguishable
   /// under the applied patterns). Returns 0 if `f` was pruned away.
   std::size_t rank_of(const Fault& f) const;
+};
+
+/// Shared cone-union back-trace used by both diagnosers: a candidate
+/// survives iff its site gate lies, for every op set, in the union of
+/// that set's observation-point cones. Full-response diagnosis passes
+/// one set per distinct failing-point pattern; compacted diagnosis one
+/// set of unmasked points per distinct failing window; with cone pruning
+/// off both pass no set, which keeps every fault. Callers deduplicate
+/// `op_sets` (identical sets contribute identical unions). Returns one
+/// zeroed score slot per survivor, in fault-index order.
+std::vector<CandidateScore> prune_by_cone_unions(
+    const Netlist& nl, ObservationConeCache& cones,
+    std::span<const Fault> faults,
+    const std::vector<std::vector<std::uint32_t>>& op_sets);
+
+/// Per-query work attribution shared by both diagnosers. Construction
+/// marks the cone cache's lookup tallies; finish() sets the lookups made
+/// since as the query's cone-cache stats and drains `workers`' sweep
+/// tallies onto it in ascending order (worker i's per-shard values go to
+/// registry shard i). Every query drains every worker it used, so sweep
+/// tallies always start at zero.
+class QueryTally {
+ public:
+  explicit QueryTally(const ObservationConeCache& cones)
+      : cones_(&cones), hits0_(cones.hits()), misses0_(cones.misses()) {}
+  void finish(Telemetry* t, std::span<SweepWorker> workers,
+              DiagnosisStats& st) const;
+
+ private:
+  const ObservationConeCache* cones_;
+  std::uint64_t hits0_;
+  std::uint64_t misses0_;
 };
 
 class Diagnoser {
@@ -265,8 +286,7 @@ class Diagnoser {
     const FailureLog* log = nullptr;
     ResponseMatrix observed;
     std::uint64_t total_fail = 0;
-    std::vector<std::uint32_t> candidates;
-    std::vector<CandidateScore> scores;
+    std::vector<CandidateScore> scores;  ///< one slot per candidate
     DiagnosisResult res;  ///< stats prefilled; ranked filled by finalize()
   };
 
@@ -275,44 +295,45 @@ class Diagnoser {
   /// for any fault multiplicity; the noise-recovery fallback).
   enum class PruneMode { kIntersect, kUnion };
 
-  /// Throws unless the borrowed good-block cache is bound to `patterns`.
-  void ensure_goods(std::span<const TestPattern> patterns) const;
+  /// Worker argument of the scoring stages meaning "fan each round's
+  /// candidates over the whole pool" (single-log diagnose). Good blocks
+  /// are then fetched, and the recovery stages replayed, on the caller
+  /// thread as worker 0, whose state is idle between pool runs.
+  static constexpr int kPool = -1;
+
   Prepared prepare(std::span<const TestPattern> patterns,
                    std::span<const Fault> faults, const FailureLog& log,
                    PruneMode mode);
   void finalize(Prepared& p);
 
-  std::vector<std::uint32_t> prune_candidates(std::span<const Fault> faults,
-                                              const FailureLog& log,
-                                              PruneMode mode);
+  /// The op sets prune_by_cone_unions intersects for `log`.
+  std::vector<std::vector<std::uint32_t>> failing_op_sets(
+      const FailureLog& log, PruneMode mode) const;
 
   /// Accumulates one candidate's counters over one good-machine block and
   /// applies the early-exit drop test at the block boundary.
   template <int W>
   void score_candidate_block(FaultConeEvaluator& ev, CandidateScore& sc,
-                             const Fault& f, const BlockSimulator& good,
-                             std::size_t block, const ResponseMatrix& observed,
-                             bool early_exit, std::uint64_t best);
+                             const BlockSimulator& good, std::size_t block,
+                             const ResponseMatrix& observed, bool early_exit,
+                             std::uint64_t best);
 
+  /// Scores p's candidates in fixed rounds, fanned over the pool (kPool)
+  /// or wholly on one worker (the batch fan-out); both give the same
+  /// counters and dropped set.
   template <int W>
-  void score_candidates(std::span<const Fault> faults, Prepared& p);
-  template <int W>
-  void score_log_serial(int worker, std::span<const Fault> faults, Prepared& p,
-                        BlockSimulator* stream);
+  void score_candidates(int worker, Prepared& p);
 
   /// Post-ranking noise recovery: union-pruning fallback + multiplet
-  /// cover (header stages 3/4). `serial` selects the one-worker scoring
-  /// path for the rescore (batch fan-out; only already-cached cones are
-  /// read, so concurrent workers stay race-free).
+  /// cover (header stages 3/4), run by `worker` like score_candidates.
   template <int W>
   void recover_noise(int worker, std::span<const TestPattern> patterns,
-                     std::span<const Fault> faults, Prepared& p,
-                     BlockSimulator* stream, bool serial);
-  /// Replays the top shortlist candidates, partitions failing patterns by
-  /// exact explanation and greedily covers them into res.multiplets.
+                     std::span<const Fault> faults, Prepared& p);
+  /// Replays the top shortlist candidates and greedily covers the failing
+  /// patterns with sets whose union of predicted failures matches the
+  /// observed ones into res.multiplets.
   template <int W>
-  void build_multiplets(int worker, std::span<const Fault> faults, Prepared& p,
-                        BlockSimulator* stream);
+  void build_multiplets(int worker, Prepared& p);
 
   const Netlist* nl_;
   DiagnosisOptions opts_;
@@ -321,7 +342,7 @@ class Diagnoser {
   ObservationConeCache* cones_;
   GoodBlockCache* goods_;
   ThreadPool* pool_;
-  std::vector<FaultConeEvaluator> workers_;
+  std::vector<SweepWorker> workers_;
 };
 
 }  // namespace scanpower

@@ -19,7 +19,7 @@ ObservationPoints::ObservationPoints(const Netlist& nl) {
   num_pos_ = nl.outputs().size();
   source_.reserve(num_pos_ + nl.dffs().size());
   for (GateId po : nl.outputs()) source_.push_back(po);
-  dff_op_.assign(nl.num_gates(), static_cast<std::uint32_t>(-1));
+  dff_op_.assign(nl.num_gates(), kNoPoint);
   cells_ = nl.dffs();
   for (GateId dff : cells_) {
     dff_op_[dff] = static_cast<std::uint32_t>(source_.size());
@@ -103,7 +103,7 @@ std::span<const std::uint32_t> ObservationPoints::points_of_gate(GateId g) const
 
 std::size_t ObservationPoints::point_of_dff(GateId d) const {
   const std::uint32_t op = dff_op_[d];
-  return op == static_cast<std::uint32_t>(-1) ? kNone : op;
+  return op == kNoPoint ? kNone : op;
 }
 
 ObservationConeCache::ObservationConeCache(const Netlist& nl,
@@ -366,6 +366,7 @@ void GoodBlockCache::bind(const Netlist& nl,
   nl_ = &nl;
   patterns_ = patterns;
   words_ = block_words;
+  backend_ = backend;
   const std::size_t lanes = this->lanes();
   nblocks_ = (patterns.size() + lanes - 1) / lanes;
   cached_ = nblocks_ <= max_cached_blocks;
@@ -375,7 +376,7 @@ void GoodBlockCache::bind(const Netlist& nl,
   const auto t0 = std::chrono::steady_clock::now();
   blocks_.reserve(nblocks_);
   for (std::size_t base = 0; base < patterns.size(); base += lanes) {
-    blocks_.emplace_back(nl, words_, backend);
+    blocks_.emplace_back(nl, words_, backend_);
     load_pattern_block(nl, patterns, base, blocks_.back());
     blocks_.back().eval();
   }
@@ -395,11 +396,27 @@ void GoodBlockCache::reset() {
   blocks_.clear();
 }
 
-void GoodBlockCache::stream(std::size_t b, BlockSimulator& scratch) const {
+void GoodBlockCache::require_bound_to(std::span<const TestPattern> patterns,
+                                      int block_words) const {
+  SP_CHECK(bound_to(patterns, block_words),
+           "diagnose: the shared good-block cache is bound to a different "
+           "pattern set (bind the session to these patterns first)");
+}
+
+const BlockSimulator& GoodBlockCache::block(
+    std::size_t b, std::unique_ptr<BlockSimulator>& scratch) const {
   SP_ASSERT(bound() && b < nblocks_, "GoodBlockCache: block out of range");
+  if (cached_) {
+    cached_reads_.fetch_add(1, std::memory_order_relaxed);
+    return blocks_[b];
+  }
   streamed_reads_.fetch_add(1, std::memory_order_relaxed);
-  load_pattern_block(*nl_, patterns_, b * lanes(), scratch);
-  scratch.eval();
+  if (!scratch) {
+    scratch = std::make_unique<BlockSimulator>(*nl_, words_, backend_);
+  }
+  load_pattern_block(*nl_, patterns_, b * lanes(), *scratch);
+  scratch->eval();
+  return *scratch;
 }
 
 ResponseCapture::ResponseCapture(const Netlist& nl, int block_words,
@@ -456,14 +473,10 @@ void ResponseCapture::inject_impl(std::span<const TestPattern> patterns,
     load_pattern_block(nl, patterns, base, good);
     good.eval();
     const PackedBlock<W> mask = lane_validity_mask<W>(batch);
-    // Only a D-branch fault sinks the DFF gate id *as a capture branch*;
-    // a stem fault on a DFF's Q net sinks the same gate id but means the
-    // Q net, read by whatever observation points consume it.
-    const bool d_branch = f.pin >= 0 && nl.type(f.gate) == GateType::Dff;
     eval_.propagate<W>(
         good, f, mask, points_.observable(),
         [&](GateId gate, const PatternWord* diff) {
-          const auto emit = [&](std::uint32_t op) {
+          for (std::uint32_t op : points_.sink_points(f, gate)) {
             for (int w = 0; w < W; ++w) {
               PatternWord d = diff[w];
               while (d != 0) {
@@ -476,11 +489,6 @@ void ResponseCapture::inject_impl(std::span<const TestPattern> patterns,
                      op});
               }
             }
-          };
-          if (d_branch && gate == f.gate) {
-            emit(static_cast<std::uint32_t>(points_.point_of_dff(gate)));
-          } else {
-            for (std::uint32_t op : points_.points_of_gate(gate)) emit(op);
           }
         });
   }
@@ -515,7 +523,7 @@ void ResponseCapture::inject_multi_impl(std::span<const TestPattern> patterns,
   std::vector<Fault> branches;
   std::vector<std::uint8_t> branch_stuck(nl.num_gates(), 0);
   for (const Fault& f : faults) {
-    if (f.pin >= 0 && types[f.gate] == GateType::Dff) {
+    if (points_.is_d_branch(f)) {
       SP_CHECK(!branch_stuck[f.gate],
                "inject: contradictory faults on one capture branch");
       branch_stuck[f.gate] = 1;

@@ -17,6 +17,7 @@
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -70,6 +71,22 @@ class ObservationPoints {
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   std::size_t point_of_dff(GateId d) const;
 
+  /// True for a fault on a scan cell's D pin: the capture branch, which
+  /// corrupts that cell's capture point alone, never the cell's Q net.
+  bool is_d_branch(const Fault& f) const {
+    return f.pin >= 0 && dff_op_[f.gate] != kNoPoint;
+  }
+
+  /// Observation points that a fault effect of `f` reaching gate `g` (a
+  /// FaultConeEvaluator::propagate sink event) is seen at. A D-branch
+  /// fault sinks its DFF gate id as the capture branch, so that event is
+  /// the cell's capture point; every other event, including a Q-stem
+  /// fault on the same id, is on g's net and reaches points_of_gate(g).
+  std::span<const std::uint32_t> sink_points(const Fault& f, GateId g) const {
+    if (g == f.gate && is_d_branch(f)) return {&dff_op_[g], 1};
+    return points_of_gate(g);
+  }
+
   /// Byte mask over gates: 1 iff some observation point reads the gate's
   /// net (identical to observable_net_mask()).
   std::span<const std::uint8_t> observable() const { return observable_; }
@@ -80,7 +97,8 @@ class ObservationPoints {
   std::vector<GateId> cells_;              ///< capture points' DFFs, op order
   std::vector<std::uint32_t> op_offsets_;  ///< CSR: gate -> op list
   std::vector<std::uint32_t> op_data_;
-  std::vector<std::uint32_t> dff_op_;      ///< gate -> capture op or -1
+  static constexpr std::uint32_t kNoPoint = static_cast<std::uint32_t>(-1);
+  std::vector<std::uint32_t> dff_op_;      ///< gate -> capture op or kNoPoint
   std::vector<std::uint8_t> observable_;
 };
 
@@ -131,11 +149,11 @@ class ObservationConeCache {
 /// Binding simulates every 64*block_words-pattern block of the bound set
 /// and keeps the results while the block count stays under the cache cap
 /// (one BlockSimulator per block: num_gates * W * 8 bytes of values);
-/// past the cap only the geometry is kept and callers replay blocks
-/// through their own streaming simulator via stream(). Both diagnosers
-/// score candidates out of this cache, and a ScanSession keeps one
-/// instance bound across calls so repeated diagnoses of one (netlist,
-/// pattern set) pair never re-simulate the good machine.
+/// past the cap only the geometry is kept and block() replays each read
+/// into the caller's scratch simulator. Both diagnosers score candidates
+/// out of this cache, and a ScanSession keeps one instance bound across
+/// calls so repeated diagnoses of one (netlist, pattern set) pair never
+/// re-simulate the good machine.
 class GoodBlockCache {
  public:
   static constexpr std::size_t kDefaultMaxCachedBlocks = 256;
@@ -145,9 +163,9 @@ class GoodBlockCache {
   /// (Re)binds to (nl, patterns, block_words). `patterns` must be fully
   /// specified and must outlive the binding (the owner keeps the storage
   /// alive; bound_to() identifies a binding by that storage). `backend`
-  /// selects the kernel backend for the cached good machines; the values
-  /// are bit-identical across backends, so it is not part of the binding
-  /// identity.
+  /// selects the kernel backend for the good machines (cached blocks and
+  /// streaming scratch); the values are bit-identical across backends, so
+  /// it is not part of the binding identity.
   void bind(const Netlist& nl, std::span<const TestPattern> patterns,
             int block_words,
             std::size_t max_cached_blocks = kDefaultMaxCachedBlocks,
@@ -160,6 +178,10 @@ class GoodBlockCache {
     return bound() && patterns_.data() == patterns.data() &&
            patterns_.size() == patterns.size() && words_ == block_words;
   }
+  /// Throws unless bound_to(patterns, block_words): an engine that
+  /// borrows the cache must never score against another pattern set.
+  void require_bound_to(std::span<const TestPattern> patterns,
+                        int block_words) const;
 
   int block_words() const { return words_; }
   std::size_t lanes() const { return static_cast<std::size_t>(words_) * 64; }
@@ -168,14 +190,12 @@ class GoodBlockCache {
 
   /// True when every block is materialized (block count under the cap).
   bool cached() const { return cached_; }
-  /// Cached good machine of block `b` (cached() only).
-  const BlockSimulator& block(std::size_t b) const {
-    cached_reads_.fetch_add(1, std::memory_order_relaxed);
-    return blocks_[b];
-  }
-  /// Replays block `b` into `scratch` (load + eval); the values equal the
-  /// cached ones, so cached and streaming scoring are bit-identical.
-  void stream(std::size_t b, BlockSimulator& scratch) const;
+  /// Good machine of block `b`: the cached block, or past the cap block
+  /// `b` replayed (load + eval) into `scratch`, which is built on first
+  /// use. The values are equal either way, so cached and streamed scoring
+  /// are bit-identical. Each call counts one cached or streamed read.
+  const BlockSimulator& block(std::size_t b,
+                              std::unique_ptr<BlockSimulator>& scratch) const;
 
   /// Lifetime telemetry tallies (relaxed atomics where batch workers read
   /// concurrently).
@@ -194,6 +214,7 @@ class GoodBlockCache {
   const Netlist* nl_ = nullptr;
   std::span<const TestPattern> patterns_;
   int words_ = 0;
+  SimBackend backend_ = SimBackend::Auto;
   std::size_t nblocks_ = 0;
   bool cached_ = false;
   std::vector<BlockSimulator> blocks_;
@@ -202,6 +223,14 @@ class GoodBlockCache {
   std::uint64_t build_us_ = 0;      ///< serial (bind callers)
   mutable std::atomic<std::uint64_t> cached_reads_{0};
   mutable std::atomic<std::uint64_t> streamed_reads_{0};
+};
+
+/// Per-worker state of a candidate sweep, shared by both diagnosers: the
+/// fault-cone evaluator and the scratch good machine GoodBlockCache::block
+/// streams into past the cache cap.
+struct SweepWorker {
+  FaultConeEvaluator eval;
+  std::unique_ptr<BlockSimulator> scratch;
 };
 
 /// Packed per-point response signatures: row `op` holds one bit per

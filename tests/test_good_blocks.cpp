@@ -1,6 +1,6 @@
 // GoodBlockCache cached <-> streaming boundary: past kDefaultMaxCachedBlocks
-// the cache keeps only geometry and callers replay blocks through their
-// own streaming simulator, and the two paths must be bit-identical -- the
+// the cache keeps only geometry and replays each block read into the
+// caller's scratch simulator, and the two paths must be bit-identical -- the
 // diagnosers score candidates out of whichever side the cap selected, so
 // any divergence would silently change diagnoses with the pattern count.
 // These tests pin the boundary at exactly the cap and cap +/- 1 blocks
@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "atpg/packed_sim.hpp"
@@ -29,9 +30,10 @@ std::vector<TestPattern> random_patterns(const Netlist& nl, std::size_t n,
   return pats;
 }
 
-/// Binds (nl, patterns) at `cap` and checks the cached() verdict; when
-/// cached, every block's values must equal a streamed replay of the same
-/// block (the contract both diagnosers rely on).
+/// Binds (nl, patterns) at `cap` and checks the cached() verdict; every
+/// block read through the cache must equal the same block read through a
+/// cache bound at cap 0, which streams every block (the contract both
+/// diagnosers rely on).
 void expect_boundary(const Netlist& nl,
                      const std::vector<TestPattern>& patterns, int words,
                      std::size_t cap, bool expect_cached) {
@@ -44,23 +46,24 @@ void expect_boundary(const Netlist& nl,
       << nblocks << " blocks vs cap " << cap;
   EXPECT_EQ(cache.blocks_cached(), expect_cached ? nblocks : 0u);
 
-  // Bit-identity across the boundary: replay every block through the
-  // streaming path and compare full value storage against either the
-  // cached block (cached side) or an independent second replay
-  // (streaming side -- pins that replays are deterministic).
-  BlockSimulator scratch(nl, words);
-  BlockSimulator scratch2(nl, words);
+  GoodBlockCache streamed;
+  streamed.bind(nl, patterns, words, 0);
+  ASSERT_FALSE(streamed.cached());
+
+  // Bit-identity across the boundary: compare full value storage of
+  // every block against a streamed replay. On the streaming side the
+  // cache under test replays too, into its own scratch, which pins that
+  // replays are deterministic.
+  std::unique_ptr<BlockSimulator> scratch;
+  std::unique_ptr<BlockSimulator> ref_scratch;
   for (std::size_t b = 0; b < nblocks; ++b) {
-    cache.stream(b, scratch);
-    if (expect_cached) {
-      EXPECT_EQ(cache.block(b).storage(), scratch.storage())
-          << "cached vs streamed divergence in block " << b;
-    } else {
-      cache.stream(b, scratch2);
-      EXPECT_EQ(scratch.storage(), scratch2.storage())
-          << "streaming replay not deterministic in block " << b;
-    }
+    const BlockSimulator& got = cache.block(b, scratch);
+    EXPECT_EQ(&got == scratch.get(), !expect_cached) << "block " << b;
+    EXPECT_EQ(got.storage(), streamed.block(b, ref_scratch).storage())
+        << "cached vs streamed divergence in block " << b;
   }
+  EXPECT_EQ(cache.cached_reads(), expect_cached ? nblocks : 0u);
+  EXPECT_EQ(cache.streamed_reads(), expect_cached ? 0u : nblocks);
 }
 
 TEST(GoodBlockCacheTest, SmallCapBoundary) {

@@ -58,22 +58,44 @@ void expect_ctor_error(const Netlist& nl, const FlowOptions& opts,
   }
 }
 
+void expect_same_score(const CandidateScore& a, const CandidateScore& b,
+                       const std::string& what) {
+  EXPECT_EQ(a.fault, b.fault) << what;
+  EXPECT_EQ(a.fault_index, b.fault_index) << what;
+  EXPECT_EQ(a.tfsf, b.tfsf) << what;
+  EXPECT_EQ(a.tfsp, b.tfsp) << what;
+  EXPECT_EQ(a.tpsf, b.tpsf) << what;
+  EXPECT_EQ(a.dropped, b.dropped) << what;
+}
+
 void expect_same_result(const DiagnosisResult& a, const DiagnosisResult& b,
                         const std::string& what) {
   EXPECT_EQ(a.num_faults, b.num_faults) << what;
   EXPECT_EQ(a.num_candidates, b.num_candidates) << what;
   EXPECT_EQ(a.num_dropped, b.num_dropped) << what;
   EXPECT_EQ(a.num_failures, b.num_failures) << what;
+  EXPECT_EQ(a.num_failing_patterns, b.num_failing_patterns) << what;
+  EXPECT_EQ(a.num_failing_points, b.num_failing_points) << what;
   EXPECT_EQ(a.num_windows, b.num_windows) << what;
   EXPECT_EQ(a.num_failing_windows, b.num_failing_windows) << what;
+  EXPECT_EQ(a.union_fallback, b.union_fallback) << what;
   ASSERT_EQ(a.ranked.size(), b.ranked.size()) << what;
   for (std::size_t i = 0; i < a.ranked.size(); ++i) {
-    ASSERT_EQ(a.ranked[i].fault, b.ranked[i].fault) << what << " @" << i;
-    ASSERT_EQ(a.ranked[i].fault_index, b.ranked[i].fault_index) << what;
-    ASSERT_EQ(a.ranked[i].tfsf, b.ranked[i].tfsf) << what << " @" << i;
-    ASSERT_EQ(a.ranked[i].tfsp, b.ranked[i].tfsp) << what << " @" << i;
-    ASSERT_EQ(a.ranked[i].tpsf, b.ranked[i].tpsf) << what << " @" << i;
-    ASSERT_EQ(a.ranked[i].dropped, b.ranked[i].dropped) << what << " @" << i;
+    expect_same_score(a.ranked[i], b.ranked[i],
+                      what + " @" + std::to_string(i));
+  }
+  ASSERT_EQ(a.multiplets.size(), b.multiplets.size()) << what;
+  for (std::size_t s = 0; s < a.multiplets.size(); ++s) {
+    const SuspectSet& sa = a.multiplets[s];
+    const SuspectSet& sb = b.multiplets[s];
+    const std::string tag = what + " set " + std::to_string(s);
+    EXPECT_EQ(sa.covered, sb.covered) << tag;
+    EXPECT_EQ(sa.uncovered, sb.uncovered) << tag;
+    ASSERT_EQ(sa.members.size(), sb.members.size()) << tag;
+    for (std::size_t m = 0; m < sa.members.size(); ++m) {
+      expect_same_score(sa.members[m], sb.members[m],
+                        tag + " member " + std::to_string(m));
+    }
   }
 }
 
@@ -238,36 +260,69 @@ TEST(SessionDiagnoseTest, RebindInvalidatesPatternKeyedCaches) {
 // Past the 256-block good-machine cache cap both scorers replay blocks
 // through streaming simulators; their results must equal scoring from
 // cached blocks. s27 bound to 64*256+1 patterns spans 257 blocks at W=1
-// (streamed) and 65 at W=4 (cached).
+// (streamed) and 65 at W=4 (cached). Each thread count reaches a
+// different streaming scratch: the caller's for pool-parallel scoring and
+// the noise-recovery stages, each worker's for the compacted sweep and
+// the batch fan-out. Fault-pair logs drive the union rescore and the
+// multiplet cover over streamed blocks.
 TEST(SessionDiagnoseTest, StreamedGoodMachineMatchesCached) {
   const Netlist nl = map_to_nand_nor_inv(make_s27());
   const auto pats = random_patterns(nl, 64 * 256 + 1, 0x57e4);
   const auto ctx = std::make_shared<const DesignContext>(Netlist(nl));
-  ScanSession streamed(ctx, diag_flow_options({.block_words = 1}));
-  ScanSession cached(ctx, diag_flow_options({.block_words = 4}));
-  streamed.bind_patterns(pats);
-  cached.bind_patterns(pats);
+  const auto& faults = ctx->faults();
+  for (int threads : {1, 4}) {
+    ScanSession streamed(ctx, diag_flow_options({.block_words = 1,
+                                                 .num_threads = threads}));
+    ScanSession cached(ctx, diag_flow_options({.block_words = 4,
+                                               .num_threads = threads}));
+    streamed.bind_patterns(pats);
+    cached.bind_patterns(pats);
 
-  int compared = 0;
-  for (std::size_t fi = 1; fi < ctx->faults().size() && compared < 4;
-       fi += 7) {
-    const Fault f = ctx->faults()[fi];
-    const FailureLog log = cached.inject(f);
-    const SignatureLog slog = cached.inject_compacted(f);
-    if (log.failures.empty()) continue;
-    ++compared;
-    const std::string tag = f.to_string(nl);
-    expect_same_result(streamed.diagnose(Evidence(log)),
-                       cached.diagnose(Evidence(log)), tag + " full");
-    expect_same_result(streamed.diagnose(Evidence(slog)),
-                       cached.diagnose(Evidence(slog)), tag + " compact");
+    std::vector<Evidence> batch;
+    int compared = 0;
+    bool any_multiplets = false;
+    for (std::size_t fi = 1; fi < faults.size() && compared < 4; fi += 7) {
+      const Fault f = faults[fi];
+      const FailureLog log = cached.inject(f);
+      const SignatureLog slog = cached.inject_compacted(f);
+      if (log.failures.empty()) continue;
+      const Fault pair[2] = {f, faults[(fi + 11) % faults.size()]};
+      const FailureLog plog = cached.inject(pair);
+      ++compared;
+      const std::string tag =
+          f.to_string(nl) + " T=" + std::to_string(threads);
+      expect_same_result(streamed.diagnose(Evidence(log)),
+                         cached.diagnose(Evidence(log)), tag + " full");
+      expect_same_result(streamed.diagnose(Evidence(slog)),
+                         cached.diagnose(Evidence(slog)), tag + " compact");
+      const DiagnosisResult pres = streamed.diagnose(Evidence(plog));
+      any_multiplets |= !pres.multiplets.empty();
+      expect_same_result(pres, cached.diagnose(Evidence(plog)),
+                         tag + " pair");
+      batch.emplace_back(log);
+      batch.emplace_back(slog);
+      batch.emplace_back(plog);
+    }
+    EXPECT_EQ(compared, 4);
+    EXPECT_TRUE(any_multiplets)
+        << "no fault-pair log reached the multiplet cover";
+
+    const auto sresults = streamed.diagnose_batch(batch);
+    const auto cresults = cached.diagnose_batch(batch);
+    ASSERT_EQ(sresults.size(), batch.size());
+    ASSERT_EQ(cresults.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      expect_same_result(sresults[i], cresults[i],
+                         "batch #" + std::to_string(i) +
+                             " T=" + std::to_string(threads));
+    }
+
+    const auto streamed_reads = [](ScanSession& s) {
+      return s.metrics().counter(CounterId::kGoodCacheStreamedReads);
+    };
+    EXPECT_GT(streamed_reads(streamed), 0u);
+    EXPECT_EQ(streamed_reads(cached), 0u);
   }
-  EXPECT_EQ(compared, 4);
-  const auto streamed_reads = [](ScanSession& s) {
-    return s.metrics().counter(CounterId::kGoodCacheStreamedReads);
-  };
-  EXPECT_GT(streamed_reads(streamed), 0u);
-  EXPECT_EQ(streamed_reads(cached), 0u);
 }
 
 // The engines never bind the good machine themselves: a borrowed cache
