@@ -48,9 +48,7 @@ inline Netlist prepare_circuit(const std::string& name) {
 
 /// Flow options tuned by circuit size so the large profiles finish in
 /// laptop time without changing the method (only search budgets shrink).
-/// The fault simulator runs the 4-word packed block (the observability
-/// and fill engines pick their own width); the large profiles
-/// additionally fan the fault sweep out over all hardware threads
+/// The large profiles fan the fault sweep out over all hardware threads
 /// (results are bit-identical to the serial engine). Observability stays
 /// serial: at the default 256 samples it is a single block, and blocks
 /// are its unit of parallel work. The packed power stack made the
@@ -58,7 +56,6 @@ inline Netlist prepare_circuit(const std::string& name) {
 /// full sample/trial budgets.
 inline FlowOptions tuned_options(std::size_t num_gates) {
   FlowOptions opts;
-  opts.tpg.fault_sim.block_words = 4;
   if (num_gates > 4000) {
     opts.tpg.podem_backtrack_limit = 60;
     opts.tpg.max_random_batches = 48;

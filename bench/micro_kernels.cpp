@@ -171,17 +171,15 @@ BENCHMARK(BM_FaultSim64Patterns);
 
 // The acceptance kernel for the packed/parallel engine: PPSFP fault
 // simulation of 256 random patterns over the full collapsed fault list of
-// the s9234-like profile. Args are (block words W, worker threads, kernel
-// backend index); (1, 1, scalar) is the seed engine's single-word
-// single-thread configuration. Throughput is reported in fault-pattern
-// pairs per second so configurations compare directly.
+// the s9234-like profile at the fixed sweep width (kSweepWords). Args are
+// (worker threads, kernel backend index). Throughput is reported in
+// fault-pattern pairs per second so configurations compare directly.
 void BM_FaultSimS9234(benchmark::State& state) {
   const Netlist& nl = circuit("s9234");
   const auto faults = collapse_faults(nl);
   FaultSimOptions opts;
-  opts.block_words = static_cast<int>(state.range(0));
-  opts.num_threads = static_cast<int>(state.range(1));
-  opts.backend = bench_backend(state.range(2));
+  opts.num_threads = static_cast<int>(state.range(0));
+  opts.backend = bench_backend(state.range(1));
   FaultSimulator fsim(nl, opts);
   Rng rng(9);
   std::vector<TestPattern> pats;
@@ -196,17 +194,14 @@ void BM_FaultSimS9234(benchmark::State& state) {
 }
 BENCHMARK(BM_FaultSimS9234)
     ->Unit(benchmark::kMillisecond)
-    ->Args({1, 1, 0})   // seed configuration
-    ->Args({2, 1, 0})
-    ->Args({4, 1, 0})
-    ->Args({8, 1, 0})
-    ->Args({4, 2, 0})
-    ->Args({4, 4, 0})   // acceptance configuration
+    ->Args({1, 0})
+    ->Args({2, 0})
+    ->Args({4, 0})   // acceptance configuration
     ->Apply([](benchmark::internal::Benchmark* b) {
-      // Backend comparison rows at the W=4/8 single-thread shapes.
+      // Backend comparison rows at the single-thread shape.
       for (std::int64_t be : available_backend_indices()) {
         if (be == 0) continue;  // scalar rows registered above
-        b->Args({4, 1, be})->Args({8, 1, be});
+        b->Args({1, be});
       }
     });
 
@@ -218,8 +213,8 @@ struct DiagEngineState {
   DiagEngineState(const Netlist& nl, std::span<const TestPattern> pats,
                   const DiagnosisOptions& opts)
       : ctx(Netlist(nl)), pool(opts.num_threads) {
-    goods.bind(ctx.netlist(), pats, opts.block_words,
-               GoodBlockCache::kDefaultMaxCachedBlocks, opts.backend);
+    goods.bind(ctx.netlist(), pats, GoodBlockCache::kDefaultMaxCachedBlocks,
+               opts.backend);
   }
   DesignContext ctx;
   ThreadPool pool;
@@ -229,13 +224,14 @@ struct DiagEngineState {
 // The diagnosis acceptance kernel: one full diagnose() call -- fanin-cone
 // back-trace pruning plus packed scoring of every surviving candidate --
 // against a synthetic single-fault failure log on the s9234-like profile
-// (256 patterns, full collapsed fault list). Args are (block words W,
-// worker threads, scoring early-exit, telemetry); rankings are
-// bit-identical across every configuration at fixed early-exit setting,
-// so throughput comparisons are apples-to-apples. The /4/1/0/0 vs
-// /4/1/1/0 delta is the early-exit win recorded in BENCH_diag.json; the
-// /4/1/1/0 vs /4/1/1/1 and /4/4/1/0 vs /4/4/1/1 deltas are the telemetry
-// overhead bound (< 2%) recorded in BENCH_telemetry.json. The telemetry
+// (256 patterns, full collapsed fault list). Args are (worker threads,
+// scoring early-exit, telemetry); rankings are bit-identical across every
+// configuration at fixed early-exit setting, so throughput comparisons
+// are apples-to-apples. The /1/0/0 vs /1/1/0 delta is the early-exit win
+// recorded in BENCH_diag.json; the /1/1/0 vs /1/1/1 and /4/1/0 vs /4/1/1
+// deltas are the telemetry overhead bound (< 2%) recorded in
+// BENCH_telemetry.json. (The committed BENCH rows predate the fixed sweep
+// width and carry an extra leading block-width argument, 4.) The telemetry
 // runs attach a live registry AND an enabled trace recorder (cleared each
 // iteration so the span buffer cannot grow without bound).
 void BM_DiagnosisS9234(benchmark::State& state) {
@@ -247,7 +243,7 @@ void BM_DiagnosisS9234(benchmark::State& state) {
 
   // Deterministic device-under-diagnosis: the first detected fault past
   // the middle of the collapsed list.
-  FaultSimulator fsim(nl, FaultSimOptions{.block_words = 4});
+  FaultSimulator fsim(nl);
   const FaultSimResult det = fsim.run(pats, faults);
   std::size_t injected = faults.size();
   for (std::size_t fi = faults.size() / 2; fi < faults.size(); ++fi) {
@@ -258,14 +254,13 @@ void BM_DiagnosisS9234(benchmark::State& state) {
   }
   SP_CHECK(injected < faults.size(),
            "BM_DiagnosisS9234: no detected fault in the second half");
-  ResponseCapture capture(nl, 4);
+  ResponseCapture capture(nl);
   const FailureLog log = capture.inject(pats, faults[injected]);
 
   DiagnosisOptions opts;
-  opts.block_words = static_cast<int>(state.range(0));
-  opts.num_threads = static_cast<int>(state.range(1));
-  opts.score_early_exit = state.range(2) != 0;
-  const bool with_telemetry = state.range(3) != 0;
+  opts.num_threads = static_cast<int>(state.range(0));
+  opts.score_early_exit = state.range(1) != 0;
+  const bool with_telemetry = state.range(2) != 0;
   Telemetry telem;
   if (with_telemetry) {
     telem.trace.set_enabled(true);
@@ -284,20 +279,20 @@ void BM_DiagnosisS9234(benchmark::State& state) {
 }
 BENCHMARK(BM_DiagnosisS9234)
     ->Unit(benchmark::kMillisecond)
-    ->Args({1, 1, 1, 0})
-    ->Args({4, 1, 0, 0})   // scoring early-exit disabled (baseline)
-    ->Args({4, 1, 1, 0})
-    ->Args({4, 1, 1, 1})   // telemetry-on counterpart of /4/1/1/0
-    ->Args({4, 4, 1, 0})   // acceptance configuration
-    ->Args({4, 4, 1, 1});  // telemetry-on counterpart of /4/4/1/0
+    ->Args({1, 0, 0})   // scoring early-exit disabled (baseline)
+    ->Args({1, 1, 0})
+    ->Args({1, 1, 1})   // telemetry-on counterpart of /1/1/0
+    ->Args({4, 1, 0})   // acceptance configuration
+    ->Args({4, 1, 1});  // telemetry-on counterpart of /4/1/0
 
 // Noisy-tester variant of BM_DiagnosisS9234: the same injected fault,
 // but the failure log is corrupted by the seeded NoiseModel (5% record
 // drops, 5% spurious flips) and diagnosed with a matching
-// noise_tolerance. Args are (block words W, worker threads, suspect-set
-// recovery on/off); the /4/4/0 vs /4/4/1 delta is the cost of the
-// multi-fault union-cover pass on a noisy single-fault log, recorded in
-// BENCH_noise.json.
+// noise_tolerance. Args are (worker threads, suspect-set recovery
+// on/off); the /4/0 vs /4/1 delta is the cost of the multi-fault
+// union-cover pass on a noisy single-fault log, recorded in
+// BENCH_noise.json as /4/4/0 vs /4/4/1 (rows from before the sweep width
+// was fixed, with a leading block-width argument).
 void BM_DiagnosisS9234Noisy(benchmark::State& state) {
   const Netlist& nl = circuit("s9234");
   const auto faults = collapse_faults(nl);
@@ -306,7 +301,7 @@ void BM_DiagnosisS9234Noisy(benchmark::State& state) {
   for (int i = 0; i < 256; ++i) pats.push_back(random_pattern(nl, rng));
 
   // The same deterministic device-under-diagnosis as BM_DiagnosisS9234.
-  FaultSimulator fsim(nl, FaultSimOptions{.block_words = 4});
+  FaultSimulator fsim(nl);
   const FaultSimResult det = fsim.run(pats, faults);
   std::size_t injected = faults.size();
   for (std::size_t fi = faults.size() / 2; fi < faults.size(); ++fi) {
@@ -317,16 +312,15 @@ void BM_DiagnosisS9234Noisy(benchmark::State& state) {
   }
   SP_CHECK(injected < faults.size(),
            "BM_DiagnosisS9234Noisy: no detected fault in the second half");
-  ResponseCapture capture(nl, 4);
+  ResponseCapture capture(nl);
   FailureLog log = capture.inject(pats, faults[injected]);
   const NoiseModel noise(NoiseOptions{.drop_rate = 0.05, .flip_rate = 0.05});
   NoiseStats stats;
   log = noise.corrupt(log, capture.points().size(), &stats);
 
   DiagnosisOptions opts;
-  opts.block_words = static_cast<int>(state.range(0));
-  opts.num_threads = static_cast<int>(state.range(1));
-  opts.multiplets = state.range(2) != 0;
+  opts.num_threads = static_cast<int>(state.range(0));
+  opts.multiplets = state.range(1) != 0;
   opts.noise_tolerance = stats.dropped + stats.flipped + 2;
   DiagEngineState st(nl, pats, opts);
   Diagnoser diag(st.ctx.netlist(), opts, st.pool, st.ctx.points(),
@@ -340,21 +334,20 @@ void BM_DiagnosisS9234Noisy(benchmark::State& state) {
 }
 BENCHMARK(BM_DiagnosisS9234Noisy)
     ->Unit(benchmark::kMillisecond)
-    ->Args({1, 1, 1})
-    ->Args({4, 4, 0})   // suspect-set recovery disabled (baseline)
-    ->Args({4, 4, 1});  // acceptance configuration
+    ->Args({4, 0})   // suspect-set recovery disabled (baseline)
+    ->Args({4, 1});  // acceptance configuration
 
 // MISR time-compaction of the s9234-like profile's full 256-pattern
 // response matrix (default width-32 register, 32-pattern windows). Arg 0
-// is the scalar reference register (one response bit per step), args
-// 1/4/8 the bit-sliced packed engine at that block width. Throughput in
-// response bits compacted per second.
+// is the scalar reference register (one response bit per step), arg 1 the
+// bit-sliced packed engine. Throughput in response bits compacted per
+// second.
 void BM_MisrCompact(benchmark::State& state) {
   const Netlist& nl = circuit("s9234");
   Rng rng(9);
   std::vector<TestPattern> pats;
   for (int i = 0; i < 256; ++i) pats.push_back(random_pattern(nl, rng));
-  ResponseCapture cap(nl, 4);
+  ResponseCapture cap(nl);
   const ResponseMatrix responses = cap.capture_good(pats);
   const MisrConfig cfg;
   if (state.range(0) == 0) {
@@ -363,7 +356,7 @@ void BM_MisrCompact(benchmark::State& state) {
       benchmark::DoNotOptimize(misr.compact_scalar(responses));
     }
   } else {
-    const MisrCompactor compactor(cfg, static_cast<int>(state.range(0)));
+    const MisrCompactor compactor(cfg);
     std::vector<std::uint64_t> sigs(compactor.num_windows(pats.size()));
     for (auto _ : state) {
       compactor.compact(responses, nullptr, sigs);
@@ -374,15 +367,14 @@ void BM_MisrCompact(benchmark::State& state) {
                           static_cast<int64_t>(responses.num_points) *
                           static_cast<int64_t>(responses.num_patterns));
 }
-BENCHMARK(BM_MisrCompact)->Unit(benchmark::kMillisecond)
-    ->Arg(0)->Arg(1)->Arg(4)->Arg(8);
+BENCHMARK(BM_MisrCompact)->Unit(benchmark::kMillisecond)->Arg(0)->Arg(1);
 
 // Compacted-diagnosis variant of BM_DiagnosisS9234: one full
 // SignatureDiagnoser::diagnose() against the MISR signature log of the
 // same injected fault (default width/window), with the X-mask plan and
 // expected signatures built once up front, as a session caches them.
-// Args are (block words W, worker threads); rankings are bit-identical
-// across configurations.
+// Arg is the worker thread count; rankings are bit-identical across
+// configurations.
 void BM_DiagnosisS9234Compact(benchmark::State& state) {
   const Netlist& nl = circuit("s9234");
   const auto faults = collapse_faults(nl);
@@ -391,7 +383,7 @@ void BM_DiagnosisS9234Compact(benchmark::State& state) {
   for (int i = 0; i < 256; ++i) pats.push_back(random_pattern(nl, rng));
 
   // The same deterministic device-under-diagnosis as BM_DiagnosisS9234.
-  FaultSimulator fsim(nl, FaultSimOptions{.block_words = 4});
+  FaultSimulator fsim(nl);
   const FaultSimResult det = fsim.run(pats, faults);
   std::size_t injected = faults.size();
   for (std::size_t fi = faults.size() / 2; fi < faults.size(); ++fi) {
@@ -402,12 +394,11 @@ void BM_DiagnosisS9234Compact(benchmark::State& state) {
   }
   SP_CHECK(injected < faults.size(),
            "BM_DiagnosisS9234Compact: no detected fault in the second half");
-  SignatureCapture capture(nl, MisrConfig{}, 4);
+  SignatureCapture capture(nl, MisrConfig{});
   const SignatureLog log = capture.inject(pats, faults[injected]);
 
   DiagnosisOptions opts;
-  opts.block_words = static_cast<int>(state.range(0));
-  opts.num_threads = static_cast<int>(state.range(1));
+  opts.num_threads = static_cast<int>(state.range(0));
   DiagEngineState st(nl, pats, opts);
   SignatureDiagnoser diag(st.ctx.netlist(), opts, st.pool, st.ctx.points(),
                           st.ctx.cones(), st.goods);
@@ -421,9 +412,8 @@ void BM_DiagnosisS9234Compact(benchmark::State& state) {
 }
 BENCHMARK(BM_DiagnosisS9234Compact)
     ->Unit(benchmark::kMillisecond)
-    ->Args({1, 1})
-    ->Args({4, 1})
-    ->Args({4, 4});
+    ->Arg(1)
+    ->Arg(4);
 
 // The service-API acceptance kernel: 8 independent single-fault failure
 // logs against the s9234-like profile (256 patterns, full collapsed
@@ -447,14 +437,13 @@ void BM_DiagnosisS9234Batch(benchmark::State& state) {
   for (int i = 0; i < 256; ++i) pats.push_back(random_pattern(nl, rng));
 
   FlowOptions fopts;
-  fopts.diag.block_words = 4;
   fopts.diag.num_threads = static_cast<int>(state.range(1));
 
   // 8 deterministic devices-under-diagnosis: detected collapsed faults,
   // evenly spread over the fault list (an undetected fault's empty log
   // would skip cone pruning and distort the per-log cost).
   const auto faults = collapse_faults(nl);
-  FaultSimulator fsim(nl, FaultSimOptions{.block_words = 4});
+  FaultSimulator fsim(nl);
   const FaultSimResult det = fsim.run(pats, faults);
   ScanSession session(nl, fopts);
   session.bind_patterns(pats);
@@ -780,7 +769,7 @@ void BM_Podem(benchmark::State& state, const std::string& profile) {
 //    throwaway ScanSession (a private DesignContext, whose cones build on
 //    the first diagnosis) before diagnosing, which is what per-invocation
 //    CLI calls cost.
-// Engine knobs are pinned at T=4 / W=4 for both paths (the acceptance
+// Engine knobs are pinned at T=4 for both paths (the acceptance
 // comparison in BENCH_server.json). Reported: logs/sec (items) plus
 // p50/p99 per-request latency in ms. Results are bit-identical between
 // the paths (guarded by tests/test_session_pool.cpp).
@@ -791,7 +780,6 @@ void BM_DiagServer(benchmark::State& state) {
   static const char* kDesigns[] = {"s713", "s1423"};
 
   FlowOptions fopts;
-  fopts.diag.block_words = 4;
   fopts.diag.num_threads = 4;
 
   // Per design: 96 random patterns and 8 distinct detected-fault logs.
@@ -809,7 +797,7 @@ void BM_DiagServer(benchmark::State& state) {
       dut.pats.push_back(random_pattern(*dut.nl, rng));
     }
     const auto faults = collapse_faults(*dut.nl);
-    FaultSimulator fsim(*dut.nl, FaultSimOptions{.block_words = 4});
+    FaultSimulator fsim(*dut.nl);
     const FaultSimResult det = fsim.run(dut.pats, faults);
     ScanSession inj(*dut.nl, fopts);
     inj.bind_patterns(dut.pats);
@@ -899,7 +887,7 @@ BENCHMARK(BM_DiagServer)
 
 // The same closed-loop saturation through the full network stack: N
 // loopback DiagClients drive a NetServer whose queue/engine knobs match
-// BM_DiagServer warm (T=4 / W=4, s713, 96 patterns, 8 detected-fault
+// BM_DiagServer warm (T=4, s713, 96 patterns, 8 detected-fault
 // logs submitted as inject-index commands). Args are
 // (clients, max_pending):
 //  - max_pending = 0: unbounded queue. items/sec here over
@@ -939,7 +927,7 @@ void BM_DiagServerTcp(benchmark::State& state) {
     pats.push_back(random_pattern(nl, rng));
   }
   const auto faults = collapse_faults(nl);
-  FaultSimulator fsim(nl, FaultSimOptions{.block_words = 4});
+  FaultSimulator fsim(nl);
   const FaultSimResult det = fsim.run(pats, faults);
   std::vector<std::size_t> idx;
   std::size_t next = 0;
@@ -954,7 +942,6 @@ void BM_DiagServerTcp(benchmark::State& state) {
   SP_CHECK(idx.size() == 8, "BM_DiagServerTcp: need 8 detected faults");
 
   FlowOptions fopts;
-  fopts.diag.block_words = 4;
   fopts.diag.num_threads = 4;
 
   Telemetry telem;

@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
                 "", r.mux_plan.num_multiplexed, r.mux_plan.multiplexed.size(),
                 r.num_patterns, 100.0 * r.fault_coverage,
                 r.pattern.gates_blocked, r.pattern.gates_propagated,
-                opts.tpg.fault_sim.block_words,
+                kSweepWords,
                 ThreadPool::resolve_threads(opts.tpg.fault_sim.num_threads));
     std::printf("%s", sep);
     std::fflush(stdout);

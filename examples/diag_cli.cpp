@@ -20,8 +20,6 @@
 //     --random <n>         use n random patterns instead of the ATPG set
 //     --seed <n>           pattern seed
 //     --threads <n>        candidate-scoring worker threads (0 = all cores)
-//     --block-words <w>    fault-simulation and diagnosis block width in
-//                          64-bit words (results do not depend on it)
 //     --backend <b>        kernel backend (auto, scalar, avx2, avx512)
 //     --no-prune           score the whole fault list (skip cone back-trace)
 //     --top <n>            report size (default 10)
@@ -109,7 +107,7 @@ int usage(const char* argv0) {
       "[--signature-log file]...\n"
       "          [--inject fault | --inject-index n]\n"
       "          [--save-log file] [--named-log] [--random n] [--seed n]\n"
-      "          [--threads n] [--block-words w] [--no-prune]\n"
+      "          [--threads n] [--no-prune]\n"
       "          [--backend auto|scalar|avx2|avx512]\n"
       "          [--no-early-exit] [--top n] [--json file] [--no-map]\n"
       "          [--verbose] [--log-level debug|info|warn|error|off]\n"
@@ -125,9 +123,7 @@ int usage(const char* argv0) {
       "  plus this run's options, noise, misr and metrics sections.\n"
       "  --compact diagnoses MISR-compacted per-window\n"
       "  signatures for the injection modes; --misr-width/--misr-poly/\n"
-      "  --window configure the compactor (and imply --compact).\n"
-      "  --block-words sets the fault-simulation and diagnosis block width;\n"
-      "  results do not depend on it.\n",
+      "  --window configure the compactor (and imply --compact).\n",
       argv0);
   return 2;
 }
@@ -145,7 +141,6 @@ void write_json_entry(JsonWriter& j, const Netlist& nl,
   net::write_result_fields(j, res, nl, nl.name(), source, num_patterns,
                            dopts.max_report);
   j.begin_object("options");
-  j.field("block_words", dopts.block_words);
   j.field("backend", backend_name(dopts.backend));
   j.field("num_threads", dopts.num_threads);
   j.field("cone_pruning", dopts.cone_pruning);
@@ -303,8 +298,6 @@ int main(int argc, char** argv) {
     } else if (cli::value_flag(argc, argv, i, "--random", num_random)) {
     } else if (cli::value_flag(argc, argv, i, "--seed", seed)) {
     } else if (cli::value_flag(argc, argv, i, "--threads", dopts.num_threads)) {
-    } else if (cli::value_flag(argc, argv, i, "--block-words",
-                               dopts.block_words)) {
     } else if (cli::backend_flag(argc, argv, i, "--backend", dopts.backend)) {
     } else if (cli::flag(argv, i, "--no-prune")) {
       dopts.cone_pruning = false;
@@ -391,7 +384,6 @@ int main(int argc, char** argv) {
     fopts.diag = dopts;
     fopts.misr = misr;
     fopts.tpg.seed = seed;
-    fopts.tpg.fault_sim.block_words = dopts.block_words;
     fopts.tpg.fault_sim.num_threads = dopts.num_threads;
     fopts.tpg.fault_sim.backend = dopts.backend;
     fopts.observability.backend = dopts.backend;

@@ -47,7 +47,7 @@
 //   diag_server [--listen port] [--max-connections n]
 //               [--max-pending n] [--overload block|reject]
 //               [--pool-capacity n] [--max-batch n] [--top n]
-//               [--threads n] [--block-words w]
+//               [--threads n]
 //               [--backend auto|scalar|avx2|avx512]
 //               [--log-level debug|info|warn|error|off]
 //
@@ -84,7 +84,7 @@ int usage(const char* argv0) {
       "usage: %s [--listen port] [--max-connections n]\n"
       "          [--max-pending n] [--overload block|reject]\n"
       "          [--pool-capacity n] [--max-batch n] [--top n]\n"
-      "          [--threads n] [--block-words w]\n"
+      "          [--threads n]\n"
       "          [--backend auto|scalar|avx2|avx512]\n"
       "          [--log-level debug|info|warn|error|off]\n"
       "\n"
@@ -147,8 +147,6 @@ int main(int argc, char** argv) {
     } else if (cli::value_flag(argc, argv, i, "--top", top)) {
     } else if (cli::value_flag(argc, argv, i, "--threads",
                                dopts.num_threads)) {
-    } else if (cli::value_flag(argc, argv, i, "--block-words",
-                               dopts.block_words)) {
     } else if (cli::backend_flag(argc, argv, i, "--backend", dopts.backend)) {
     } else if (cli::value_flag(argc, argv, i, "--log-level", v)) {
       set_log_level(cli::parse_log_level(v));
@@ -168,7 +166,6 @@ int main(int argc, char** argv) {
   net::ServiceOptions sopts;
   sopts.top = top;
   sopts.flow.diag = dopts;
-  sopts.flow.tpg.fault_sim.block_words = dopts.block_words;
   sopts.flow.tpg.fault_sim.num_threads = dopts.num_threads;
   sopts.flow.tpg.fault_sim.backend = dopts.backend;
 

@@ -10,8 +10,6 @@
 //     --margin <ps>       extra slack demanded by AddMUX
 //     --seed <n>          ATPG/fill/observability seed
 //     --threads <n>       fault-simulation worker threads (0 = all cores)
-//     --block-words <w>   fault-simulation and diagnosis block width in
-//                         64-bit words (results do not depend on it)
 //     --backend <b>       kernel backend (auto, scalar, avx2, avx512)
 //     --json <file>       machine-readable result dump (includes a
 //                         "metrics" section with the session's counters)
@@ -45,13 +43,11 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <design.bench> [--no-map] [--no-reorder] [--no-obs]"
-               " [--margin ps] [--seed n] [--threads n] [--block-words w]"
+               " [--margin ps] [--seed n] [--threads n]"
                " [--backend auto|scalar|avx2|avx512]"
                " [--json file] [--write out.bench] [--verbose]"
                " [--log-level debug|info|warn|error|off]"
-               " [--metrics | --metrics=json] [--trace file]\n"
-               "  --block-words sets the fault-simulation and diagnosis block"
-               " width; results do not depend on it.\n",
+               " [--metrics | --metrics=json] [--trace file]\n",
                argv0);
   return 2;
 }
@@ -68,7 +64,6 @@ void dump_json(const char* path, const FlowResult& r, const FlowOptions& opts,
   j.field("num_patterns", static_cast<std::uint64_t>(r.num_patterns));
   j.field("fault_coverage", r.fault_coverage);
   j.begin_object("options");
-  j.field("block_words", opts.tpg.fault_sim.block_words);
   j.field("backend", backend_name(opts.tpg.fault_sim.backend));
   j.field("num_threads", opts.tpg.fault_sim.num_threads);
   j.field("seed", opts.tpg.seed);
@@ -128,9 +123,6 @@ int main(int argc, char** argv) {
     } else if (cli::value_flag(argc, argv, i, "--threads",
                                opts.tpg.fault_sim.num_threads)) {
       opts.diag.num_threads = opts.tpg.fault_sim.num_threads;
-    } else if (cli::value_flag(argc, argv, i, "--block-words",
-                               opts.tpg.fault_sim.block_words)) {
-      opts.diag.block_words = opts.tpg.fault_sim.block_words;
     } else if (cli::backend_flag(argc, argv, i, "--backend",
                                  opts.tpg.fault_sim.backend)) {
       opts.diag.backend = opts.tpg.fault_sim.backend;

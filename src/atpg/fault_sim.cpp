@@ -30,16 +30,13 @@ std::vector<std::uint8_t> observable_net_mask(const Netlist& nl) {
   return observable;
 }
 
-void FaultConeEvaluator::init(const Netlist& nl, int block_words,
-                              SimBackend backend) {
+void FaultConeEvaluator::init(const Netlist& nl, SimBackend backend) {
   SP_CHECK(nl.finalized(), "FaultConeEvaluator requires a finalized netlist");
-  check_block_words("FaultConeEvaluator", block_words, "block_words");
   nl_ = &nl;
-  words_ = block_words;
-  backend_ = resolve_backend(backend, block_words);
+  backend_ = resolve_backend(backend, kSweepWords);
   kern_ = &sim_kernels(backend_);
   const std::size_t n = nl.num_gates();
-  faulty_.assign(n * static_cast<std::size_t>(block_words), 0);
+  faulty_.assign(n * kSweepWords, 0);
   touched_.assign(n, 0);
   active_.clear();
   cone_cache_.assign(n, {});
@@ -83,20 +80,18 @@ const std::vector<GateId>& FaultConeEvaluator::cone(GateId site) {
 FaultSimulator::FaultSimulator(const Netlist& nl, FaultSimOptions opts)
     : nl_(&nl), opts_(opts) {
   SP_CHECK(nl.finalized(), "FaultSimulator requires a finalized netlist");
-  check_block_words("fault_sim", opts_.block_words, "block_words");
   opts_.num_threads = ThreadPool::resolve_threads(opts_.num_threads);
   observable_ = observable_net_mask(nl);
 
   pool_ = std::make_unique<ThreadPool>(opts_.num_threads);
   workers_.resize(static_cast<std::size_t>(pool_->size()));
   for (Worker& w : workers_) {
-    w.eval.init(nl, opts_.block_words, opts_.backend);
+    w.eval.init(nl, opts_.backend);
   }
 }
 
 FaultSimulator::~FaultSimulator() = default;
 
-template <int W>
 void FaultSimulator::sweep_faults(const BlockSimulator& good, std::size_t base,
                                   std::size_t batch,
                                   std::span<const Fault> faults,
@@ -105,6 +100,7 @@ void FaultSimulator::sweep_faults(const BlockSimulator& good, std::size_t base,
                                   std::vector<std::uint8_t>& detected_u8) {
   // Lane-validity mask for this block (the last block of a pattern set may
   // only partially fill its words).
+  constexpr int W = kSweepWords;
   const PackedBlock<W> mask = lane_validity_mask<W>(batch);
 
   const int num_workers = pool_->size();
@@ -118,10 +114,10 @@ void FaultSimulator::sweep_faults(const BlockSimulator& good, std::size_t base,
       const std::size_t fi = live[li];
       if (detected_u8[fi]) continue;
       PackedBlock<W> detect{};
-      wk.eval.propagate<W>(good, faults[fi], mask, observable_,
-                           [&](GateId, const PatternWord* diff) {
-                             for (int w = 0; w < W; ++w) detect.w[w] |= diff[w];
-                           });
+      wk.eval.propagate(good, faults[fi], mask, observable_,
+                        [&](GateId, const PatternWord* diff) {
+                          for (int w = 0; w < W; ++w) detect.w[w] |= diff[w];
+                        });
 
       if (detect.any()) {
         detected_u8[fi] = 1;
@@ -163,9 +159,8 @@ FaultSimResult FaultSimulator::run(std::span<const TestPattern> patterns,
     live.push_back(fi);
   }
 
-  const int W = opts_.block_words;
-  const std::size_t lanes = static_cast<std::size_t>(W) * 64;
-  BlockSimulator good(nl, W, opts_.backend);
+  const std::size_t lanes = kSweepLanes;
+  BlockSimulator good(nl, kSweepWords, opts_.backend);
   std::vector<std::uint8_t> detected_u8(faults.size(), 0);
   for (Worker& w : workers_) {
     w.new_detects.assign(patterns.size(), 0);
@@ -185,10 +180,7 @@ FaultSimResult FaultSimulator::run(std::span<const TestPattern> patterns,
     load_pattern_block(nl, patterns, base, good);
     good.eval();
 
-    dispatch_words(W, [&](auto w) {
-      sweep_faults<decltype(w)::value>(good, base, batch, faults, live, res,
-                                       detected_u8);
-    });
+    sweep_faults(good, base, batch, faults, live, res, detected_u8);
     num_detected = 0;
     for (const Worker& w : workers_) num_detected += w.num_detected;
   }

@@ -1,11 +1,11 @@
 #pragma once
 // Parallel-pattern, cone-restricted stuck-at fault simulation (PPSFP).
 //
-// Patterns are packed 64*W per block (W words of 64 bit lanes, W
-// runtime-selectable from kBlockWords); for each live fault only the fanout
-// cone of the fault site is re-evaluated against the good machine, and
-// detection is checked at the observable points inside the cone (primary
-// outputs and DFF D pins -- the full-scan response).
+// Patterns are packed kSweepLanes per block (kSweepWords words of 64 bit
+// lanes, packed_sim.hpp); for each live fault only the fanout cone of the
+// fault site is re-evaluated against the good machine, and detection is
+// checked at the observable points inside the cone (primary outputs and
+// DFF D pins -- the full-scan response).
 //
 // The per-fault cone propagation lives in FaultConeEvaluator, a reusable
 // worker-local engine shared with the diagnosis subsystem (src/diag/):
@@ -16,10 +16,10 @@
 // reusable worker pool. Each worker owns its own evaluator (faulty-value /
 // touched scratch and cone-cache shard), so the parallel section is
 // write-shared only on per-fault result slots (each fault belongs to
-// exactly one worker). Results are bit-identical for every (block width,
-// thread count) configuration: a fault's detecting pattern is the lowest
-// lane of the first detecting block, and per-pattern new-detect counts
-// are merged as sums of per-worker counters.
+// exactly one worker). Results are bit-identical for every thread count:
+// a fault's detecting pattern is the lowest lane of the first detecting
+// block, and per-pattern new-detect counts are merged as sums of
+// per-worker counters.
 
 #include <memory>
 #include <span>
@@ -49,12 +49,10 @@ class FaultConeEvaluator {
  public:
   FaultConeEvaluator() = default;
 
-  /// Binds the evaluator to a finalized netlist, block width and kernel
-  /// backend. May be called again to rebind; all scratch is reset.
-  void init(const Netlist& nl, int block_words,
-            SimBackend backend = SimBackend::Auto);
+  /// Binds the evaluator to a finalized netlist and kernel backend. May be
+  /// called again to rebind; all scratch is reset.
+  void init(const Netlist& nl, SimBackend backend = SimBackend::Auto);
 
-  int block_words() const { return words_; }
   /// The resolved kernel backend (never Auto; valid after init()).
   SimBackend backend() const { return backend_; }
 
@@ -84,7 +82,8 @@ class FaultConeEvaluator {
   /// machine at the site, sweeps the site's cone sparsely, and calls
   /// sink(gate, diff) for every gate with observable[gate] != 0 whose
   /// faulty value differs from the good machine in a valid lane. `diff`
-  /// points at W lane-masked XOR-difference words (faulty ^ good).
+  /// points at kSweepWords lane-masked XOR-difference words
+  /// (faulty ^ good).
   ///
   /// Special case: a fault on the D branch of a scan cell (f.pin >= 0 on
   /// a Dff gate) is observed at that cell's capture point and nowhere
@@ -95,18 +94,17 @@ class FaultConeEvaluator {
   /// cone evaluation for this fault (used by the diagnosis scoring
   /// early-exit). Void-returning sinks always sweep the full cone.
   ///
-  /// W must equal the init() width.
-  template <int W, typename Sink>
+  /// `good` must be kSweepWords wide.
+  template <typename Sink>
   void propagate(const BlockSimulator& good, const Fault& f,
-                 const PackedBlock<W>& mask,
+                 const PackedBlock<kSweepWords>& mask,
                  std::span<const std::uint8_t> observable, Sink&& sink);
 
  private:
   const Netlist* nl_ = nullptr;
-  int words_ = 0;
   SimBackend backend_ = SimBackend::Auto;  ///< resolved by init()
   const SimKernels* kern_ = nullptr;       ///< backend kernel table
-  std::vector<PatternWord> faulty_;   ///< num_gates * W faulty-machine words
+  std::vector<PatternWord> faulty_;   ///< num_gates * kSweepWords faulty words
   std::vector<std::uint8_t> touched_; ///< gate's faulty value differs from good
   std::vector<GateId> active_;        ///< touched gates of the current fault
   std::vector<PatternWord> ins_;      ///< scratch for pin-forced site eval
@@ -128,9 +126,6 @@ struct FaultSimResult {
 };
 
 struct FaultSimOptions {
-  /// Pattern words per simulation block: 64*block_words patterns per
-  /// sweep. Must be in kBlockWords (packed_sim.hpp).
-  int block_words = 4;
   /// Worker count for the per-fault sweep. 1 = serial (no threads
   /// spawned); 0 = hardware concurrency.
   int num_threads = 1;
@@ -163,7 +158,6 @@ class FaultSimulator {
     std::size_t num_detected = 0;
   };
 
-  template <int W>
   void sweep_faults(const BlockSimulator& good, std::size_t base,
                     std::size_t batch, std::span<const Fault> faults,
                     std::span<const std::size_t> live, FaultSimResult& res,
@@ -198,12 +192,13 @@ inline FaultConeEvaluator::SweepStats flush_sweep_stats(
 
 // ---- FaultConeEvaluator::propagate (template body) -------------------------
 
-template <int W, typename Sink>
+template <typename Sink>
 void FaultConeEvaluator::propagate(const BlockSimulator& good, const Fault& f,
-                                   const PackedBlock<W>& mask,
+                                   const PackedBlock<kSweepWords>& mask,
                                    std::span<const std::uint8_t> observable,
                                    Sink&& sink) {
-  SP_ASSERT(nl_ != nullptr && W == words_,
+  constexpr int W = kSweepWords;
+  SP_ASSERT(nl_ != nullptr && good.words() == W,
             "FaultConeEvaluator: propagate width mismatch");
   const Netlist& nl = *nl_;
   const std::span<const GateType> types = nl.types_flat();
@@ -320,7 +315,7 @@ void FaultConeEvaluator::propagate(const BlockSimulator& good, const Fault& f,
   args.sink_ctx = &call_sink;
   args.active = active_.data();
   args.active_count = 1;  // the pre-seeded site
-  kern_->cone_sweep(args, W);
+  kern_->cone_sweep(args);
 
   if (args.aborted) ++stats_.aborts;
   stats_.active_gates += args.active_count;

@@ -6,8 +6,8 @@
 
 namespace scanpower {
 
-void check_block_words(const char* who, int w, const char* knob) {
-  if (is_valid_block_words(w)) return;
+void check_block_width(const char* who, int w, const char* knob) {
+  if (is_valid_block_width(w)) return;
   std::string set;
   for (std::size_t i = 0; i < kBlockWords.size(); ++i) {
     if (i > 0) set += i + 1 == kBlockWords.size() ? " or " : ", ";
@@ -58,7 +58,7 @@ BlockSimulator::BlockSimulator(const Netlist& nl, int words,
                                SimBackend backend)
     : nl_(&nl), words_(words) {
   SP_CHECK(nl.finalized(), "BlockSimulator requires a finalized netlist");
-  check_block_words("BlockSimulator", words, "words");
+  check_block_width("BlockSimulator", words, "words");
   backend_ = resolve_backend(backend, words);
   kern_ = &sim_kernels(backend_);
   values_.assign(nl.num_gates() * static_cast<std::size_t>(words_), 0);

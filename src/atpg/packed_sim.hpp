@@ -6,12 +6,14 @@
 // from kBlockWords; full evaluation dispatches through a per-backend
 // kernel table (see sim_backend.hpp / sim_kernels.hpp), so the same
 // simulator runs scalar, AVX2 or AVX-512 kernels with bit-identical
-// results. Used by the fault simulator (good machine + cone-restricted
-// faulty machine) and by random-phase test generation.
+// results. Used as the good machine of fault simulation and diagnosis
+// (at kSweepWords) and, narrowed to W = 1 or 2 for short inputs, by the
+// ternary scan-shift and fill engines.
 //
 // This header owns the block-width set: every engine validates a width
-// with check_block_words and turns it into a template argument with
-// dispatch_words, so no other file lists the widths.
+// with check_block_width and turns it into a template argument with
+// dispatch_words, so no other file lists the widths. It also owns the one
+// sweep width of fault simulation and diagnosis, kSweepWords.
 //
 // Inner loops read the netlist through the flat CSR views (fanin_span /
 // types_flat) and use fixed-fanin fast paths for the NAND/NOR/INV-mapped
@@ -49,18 +51,26 @@ struct PackedBlock {
 
 /// The block widths (words per gate) every packed engine and every kernel
 /// backend supports.
-inline constexpr std::array<int, 4> kBlockWords = {1, 2, 4, 8};
+inline constexpr std::array<int, 3> kBlockWords = {1, 2, 4};
 
-inline constexpr bool is_valid_block_words(int w) {
+/// The sweep width of fault simulation and diagnosis: FaultSimulator,
+/// FaultConeEvaluator, both diagnosers, GoodBlockCache, ResponseCapture,
+/// SignatureCapture, MisrCompactor and XMaskPlan all simulate
+/// kSweepLanes = 64 * kSweepWords patterns per block. Scan-shift
+/// evaluation and fill use it as the upper bound of their width.
+inline constexpr int kSweepWords = 4;
+inline constexpr std::size_t kSweepLanes = 64 * kSweepWords;
+
+inline constexpr bool is_valid_block_width(int w) {
   for (int v : kBlockWords) {
     if (v == w) return true;
   }
   return false;
 }
 
-/// Throws Error "<who>: <knob> must be 1, 2, 4 or 8 (got <w>)" unless `w`
-/// is in kBlockWords.
-void check_block_words(const char* who, int w, const char* knob);
+/// Throws Error "<who>: <knob> must be 1, 2 or 4 (got <w>)" unless `w` is
+/// in kBlockWords.
+void check_block_width(const char* who, int w, const char* knob);
 
 /// Calls `fn(std::integral_constant<int, W>{})` for the W in kBlockWords
 /// equal to `words`, so a generic lambda can instantiate a per-width
@@ -228,7 +238,7 @@ class BlockSimulator {
 };
 
 /// Single-word (64-pattern) view, kept as the convenience API for tests
-/// and random-phase TPG.
+/// and micro-benchmarks.
 class PackedSimulator : public BlockSimulator {
  public:
   explicit PackedSimulator(const Netlist& nl) : BlockSimulator(nl, 1) {}

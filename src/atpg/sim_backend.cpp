@@ -92,8 +92,8 @@ SimBackend detect_best_backend() {
   return SimBackend::Scalar;
 }
 
-SimBackend resolve_backend(SimBackend req, int block_words) {
-  check_block_words("resolve_backend", block_words, "block_words");
+SimBackend resolve_backend(SimBackend req, int words) {
+  check_block_width("resolve_backend", words, "words");
   if (req != SimBackend::Auto) {
     SP_CHECK(backend_available(req),
              strprintf("backend '%s' is not available on this host%s",

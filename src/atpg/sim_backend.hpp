@@ -19,8 +19,8 @@
 //
 // Selection contract (the house determinism rule): every backend is
 // bit-identical to Scalar for values, detection indices, rankings,
-// suspect sets and observability/fill reductions at every (block width,
-// thread count), so backend choice -- like pool size -- is result-neutral.
+// suspect sets and observability/fill reductions at every block width and
+// thread count, so backend choice -- like pool size -- is result-neutral.
 //
 // `Auto` resolves to the best available backend; the
 // SCANPOWER_FORCE_BACKEND environment variable (scalar/avx2/avx512)
@@ -63,6 +63,6 @@ SimBackend detect_best_backend();
 /// contract above). Never returns Auto; the result is always available.
 /// Throws Error for an invalid width or an explicit request that is
 /// unavailable.
-SimBackend resolve_backend(SimBackend req, int block_words);
+SimBackend resolve_backend(SimBackend req, int words);
 
 }  // namespace scanpower

@@ -29,7 +29,8 @@ using PatternWord = std::uint64_t;  // = packed_sim.hpp's PatternWord
 
 /// Arguments of the sparse fault-cone sweep (the loop of
 /// FaultConeEvaluator::propagate past the seeded site). All pointers are
-/// borrowed; `good`/`faulty` are gate-major with `words` words per gate.
+/// borrowed; `good`/`faulty` are gate-major with kSweepWords
+/// (packed_sim.hpp) words per gate.
 struct ConeSweepArgs {
   const Netlist* nl = nullptr;
   const PatternWord* good = nullptr;  ///< good-machine values
@@ -38,7 +39,7 @@ struct ConeSweepArgs {
   const GateId* cone = nullptr;       ///< level-sorted cone, site included
   std::size_t cone_size = 0;
   GateId site = 0;                    ///< skipped by the sweep (pre-seeded)
-  const PatternWord* mask = nullptr;  ///< `words` lane-validity words
+  const PatternWord* mask = nullptr;  ///< kSweepWords lane-validity words
   const std::uint8_t* observable = nullptr;  ///< per-gate observable flag
   /// Called for observable touched gates with a masked, nonzero
   /// difference block; returning false aborts the sweep.
@@ -64,8 +65,8 @@ struct SimKernels {
   void (*eval_ternary)(const Netlist& nl, PatternWord* p1, PatternWord* p0,
                        int words);
 
-  /// Sparse cone sweep; see ConeSweepArgs.
-  void (*cone_sweep)(ConeSweepArgs& a, int words);
+  /// Sparse cone sweep at kSweepWords; see ConeSweepArgs.
+  void (*cone_sweep)(ConeSweepArgs& a);
 
   /// Per-lane leakage table gather over one 64-lane word:
   ///   leak64[i] += table[base | state(i)],  state bit j of lane i =

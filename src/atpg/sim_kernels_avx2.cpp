@@ -6,9 +6,9 @@
 // non-x86 host) the TU degrades to a nullptr accessor.
 //
 // Kernels:
-//   eval_full / eval_ternary  -- 256-bit gate kernels for W = 4/8 (one or
-//       two __m256i per gate block); W = 1/2 fall back to the generic
-//       bodies recompiled in this TU. Pure bitwise -> bit-identical.
+//   eval_full / eval_ternary  -- 256-bit gate kernels for W = 4 (one
+//       __m256i per gate block); W = 1/2 fall back to the generic bodies
+//       recompiled in this TU. Pure bitwise -> bit-identical.
 //   cone_sweep                -- generic body (sparse and branchy; the
 //       win is in the full evaluations), recompiled with -mavx2.
 //   leak_gather               -- per-lane state assembly with variable
@@ -38,32 +38,13 @@ namespace {
 
 #include "atpg/sim_kernels_impl.inc"
 
-struct Ops256 {
-  using V = __m256i;
-  static constexpr int kWordsPerVec = 4;
-  static V load(const PatternWord* p) {
-    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-  }
-  static void store(PatternWord* p, V v) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
-  }
-  static V zeros() { return _mm256_setzero_si256(); }
-  static V ones() { return _mm256_set1_epi64x(-1); }
-  static V vand(V a, V b) { return _mm256_and_si256(a, b); }
-  static V vor(V a, V b) { return _mm256_or_si256(a, b); }
-  static V vxor(V a, V b) { return _mm256_xor_si256(a, b); }
-  static V vnot(V a) { return _mm256_xor_si256(a, ones()); }
-  static V vandnot(V a, V b) { return _mm256_andnot_si256(a, b); }
-};
-
 #include "atpg/sim_kernels_vec.inc"
 
 void eval_full(const Netlist& nl, PatternWord* values, int words) {
   switch (words) {
     case 1: eval_full_impl<1>(nl, values); break;
     case 2: eval_full_impl<2>(nl, values); break;
-    case 4: eval_full_vec<Ops256, 1>(nl, values); break;
-    case 8: eval_full_vec<Ops256, 2>(nl, values); break;
+    case 4: eval_full_vec4(nl, values); break;
     default: SP_ASSERT(false, "avx2 backend: unsupported block width");
   }
 }
@@ -73,15 +54,9 @@ void eval_ternary(const Netlist& nl, PatternWord* p1, PatternWord* p0,
   switch (words) {
     case 1: eval_ternary_impl<1>(nl, p1, p0); break;
     case 2: eval_ternary_impl<2>(nl, p1, p0); break;
-    case 4: eval_ternary_vec<Ops256, 1>(nl, p1, p0); break;
-    case 8: eval_ternary_vec<Ops256, 2>(nl, p1, p0); break;
+    case 4: eval_ternary_vec4(nl, p1, p0); break;
     default: SP_ASSERT(false, "avx2 backend: unsupported block width");
   }
-}
-
-void cone_sweep(ConeSweepArgs& a, int words) {
-  dispatch_words(words,
-                 [&](auto w) { cone_sweep_impl<decltype(w)::value>(a); });
 }
 
 void leak_gather(const double* table, unsigned base, const PatternWord* src,
@@ -131,7 +106,7 @@ void obs_reduce(const PatternWord* v, const PatternWord* valid,
 
 const SimKernels kTable = {
     SimBackend::Avx2, &eval_full,   &eval_ternary,
-    &cone_sweep,      &leak_gather, &obs_reduce,
+    &cone_sweep_impl, &leak_gather, &obs_reduce,
 };
 
 }  // namespace

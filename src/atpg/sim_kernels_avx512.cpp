@@ -2,12 +2,13 @@
 // Same isolation rules as the AVX2 TU: everything is anonymous-namespace,
 // per-source COMPILE_OPTIONS, nullptr accessor when not compiled in.
 //
-// W = 8 runs one 512-bit vector per gate block; W = 4 uses 256-bit ops
-// (VL); W = 1/2 use the generic bodies. The leakage gather indexes 8
-// lanes per vpgatherqpd. obs_reduce keeps the 4-accumulator *definition*
-// of the reduction -- a 512-bit 8-lane accumulator would change the
-// addition interleave and break bit-identity -- so it runs the same
-// 256-bit masked-add kernel as AVX2 (with AVX-512 maskz loads).
+// W = 4 runs one 256-bit vector per gate block (the AVX2 kernels of
+// sim_kernels_vec.inc, compiled with VL); W = 1/2 use the generic bodies.
+// The leakage gather indexes 8 lanes per vpgatherqpd. obs_reduce keeps
+// the 4-accumulator *definition* of the reduction -- a 512-bit 8-lane
+// accumulator would change the addition interleave and break
+// bit-identity -- so it runs the same 256-bit masked-add kernel as AVX2
+// (with AVX-512 maskz loads).
 
 #include "atpg/sim_kernels.hpp"
 
@@ -29,46 +30,13 @@ namespace {
 
 #include "atpg/sim_kernels_impl.inc"
 
-struct Ops256 {
-  using V = __m256i;
-  static constexpr int kWordsPerVec = 4;
-  static V load(const PatternWord* p) {
-    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-  }
-  static void store(PatternWord* p, V v) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
-  }
-  static V zeros() { return _mm256_setzero_si256(); }
-  static V ones() { return _mm256_set1_epi64x(-1); }
-  static V vand(V a, V b) { return _mm256_and_si256(a, b); }
-  static V vor(V a, V b) { return _mm256_or_si256(a, b); }
-  static V vxor(V a, V b) { return _mm256_xor_si256(a, b); }
-  static V vnot(V a) { return _mm256_xor_si256(a, ones()); }
-  static V vandnot(V a, V b) { return _mm256_andnot_si256(a, b); }
-};
-
-struct Ops512 {
-  using V = __m512i;
-  static constexpr int kWordsPerVec = 8;
-  static V load(const PatternWord* p) { return _mm512_loadu_si512(p); }
-  static void store(PatternWord* p, V v) { _mm512_storeu_si512(p, v); }
-  static V zeros() { return _mm512_setzero_si512(); }
-  static V ones() { return _mm512_set1_epi64(-1); }
-  static V vand(V a, V b) { return _mm512_and_si512(a, b); }
-  static V vor(V a, V b) { return _mm512_or_si512(a, b); }
-  static V vxor(V a, V b) { return _mm512_xor_si512(a, b); }
-  static V vnot(V a) { return _mm512_xor_si512(a, ones()); }
-  static V vandnot(V a, V b) { return _mm512_andnot_si512(a, b); }
-};
-
 #include "atpg/sim_kernels_vec.inc"
 
 void eval_full(const Netlist& nl, PatternWord* values, int words) {
   switch (words) {
     case 1: eval_full_impl<1>(nl, values); break;
     case 2: eval_full_impl<2>(nl, values); break;
-    case 4: eval_full_vec<Ops256, 1>(nl, values); break;
-    case 8: eval_full_vec<Ops512, 1>(nl, values); break;
+    case 4: eval_full_vec4(nl, values); break;
     default: SP_ASSERT(false, "avx512 backend: unsupported block width");
   }
 }
@@ -78,15 +46,9 @@ void eval_ternary(const Netlist& nl, PatternWord* p1, PatternWord* p0,
   switch (words) {
     case 1: eval_ternary_impl<1>(nl, p1, p0); break;
     case 2: eval_ternary_impl<2>(nl, p1, p0); break;
-    case 4: eval_ternary_vec<Ops256, 1>(nl, p1, p0); break;
-    case 8: eval_ternary_vec<Ops512, 1>(nl, p1, p0); break;
+    case 4: eval_ternary_vec4(nl, p1, p0); break;
     default: SP_ASSERT(false, "avx512 backend: unsupported block width");
   }
-}
-
-void cone_sweep(ConeSweepArgs& a, int words) {
-  dispatch_words(words,
-                 [&](auto w) { cone_sweep_impl<decltype(w)::value>(a); });
 }
 
 void leak_gather(const double* table, unsigned base, const PatternWord* src,
@@ -131,7 +93,7 @@ void obs_reduce(const PatternWord* v, const PatternWord* valid,
 
 const SimKernels kTable = {
     SimBackend::Avx512, &eval_full,   &eval_ternary,
-    &cone_sweep,        &leak_gather, &obs_reduce,
+    &cone_sweep_impl,   &leak_gather, &obs_reduce,
 };
 
 }  // namespace

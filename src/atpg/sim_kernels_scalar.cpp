@@ -29,14 +29,9 @@ void eval_ternary(const Netlist& nl, PatternWord* p1, PatternWord* p0,
   });
 }
 
-void cone_sweep(ConeSweepArgs& a, int words) {
-  dispatch_words(words,
-                 [&](auto w) { cone_sweep_impl<decltype(w)::value>(a); });
-}
-
 const SimKernels kTable = {
     SimBackend::Scalar, &eval_full,       &eval_ternary,
-    &cone_sweep,        &leak_gather_impl, &obs_reduce_impl,
+    &cone_sweep_impl,   &leak_gather_impl, &obs_reduce_impl,
 };
 
 }  // namespace

@@ -15,9 +15,9 @@
 
 namespace scanpower {
 
-/// Patterns per random-phase batch and per PODEM flush. Fixed rather than
-/// tied to the fault simulator's block width, so the TestSet is the same
-/// for every FaultSimOptions::block_words (256 = four 64-bit words).
+/// Patterns per random-phase batch and per PODEM flush. A literal, not
+/// kSweepLanes, so the TestSet does not depend on the fault simulator's
+/// sweep width (the two are equal today: one fault-simulation block).
 inline constexpr std::size_t kTpgBatchPatterns = 256;
 
 struct TpgOptions {
@@ -26,7 +26,7 @@ struct TpgOptions {
   int unproductive_batch_limit = 2; ///< stop random phase after N dry batches
   int podem_backtrack_limit = 4000;
   bool compact = true;              ///< reverse-order compaction pass
-  FaultSimOptions fault_sim;        ///< packed-block width / worker threads
+  FaultSimOptions fault_sim;        ///< worker threads / backend
 };
 
 TestSet generate_tests(const Netlist& nl, const TpgOptions& opts = {});

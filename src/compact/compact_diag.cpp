@@ -14,11 +14,10 @@ SignatureDiagnoser::SignatureDiagnoser(const Netlist& nl, DiagnosisOptions opts,
     : nl_(&nl), opts_(opts), points_(&points), cones_(&cones), goods_(&goods),
       pool_(&pool) {
   SP_CHECK(nl.finalized(), "SignatureDiagnoser requires a finalized netlist");
-  check_block_words("diagnose", opts_.block_words, "block_words");
   opts_.num_threads = pool.size();
   workers_.resize(static_cast<std::size_t>(pool_->size()));
   for (SweepWorker& w : workers_) {
-    w.eval.init(nl, opts_.block_words, opts_.backend);
+    w.eval.init(nl, opts_.backend);
   }
 }
 
@@ -43,13 +42,12 @@ std::vector<std::vector<std::uint32_t>> SignatureDiagnoser::failing_op_sets(
   return op_sets;
 }
 
-template <int W>
 void SignatureDiagnoser::score_candidates(
     std::span<const TestPattern> patterns, const SignatureLog& log,
     const XMaskPlan& plan, const MisrCompactor& compactor,
     std::vector<CandidateScore>& scores) {
   const GoodBlockCache& goods = *goods_;
-  const std::size_t lanes = static_cast<std::size_t>(W) * 64;
+  const std::size_t lanes = kSweepLanes;
   const std::size_t nblocks = goods.num_blocks();
   const std::size_t wpp = (patterns.size() + 63) / 64;
   const std::size_t nwin = log.num_windows();
@@ -64,10 +62,9 @@ void SignatureDiagnoser::score_candidates(
 
   // Candidates round-robin across workers: each score slot has exactly
   // one writer, and a candidate's counters depend only on its own full
-  // diff, so the ranking is bit-identical for every (block width, thread
-  // count) configuration. Good-machine blocks come from the shared cache,
-  // streamed past its cap into the worker's scratch (the values are
-  // identical either way).
+  // diff, so the ranking is bit-identical for every thread count.
+  // Good-machine blocks come from the shared cache, streamed past its cap
+  // into the worker's scratch (the values are identical either way).
   pool_->run_on_all([&](int t) {
     SweepWorker& wk = workers_[static_cast<std::size_t>(t)];
     // Each candidate's predicted response diff is collected into `diff`
@@ -87,10 +84,11 @@ void SignatureDiagnoser::score_candidates(
         const std::size_t base = b * lanes;
         const std::size_t batch = std::min(lanes, patterns.size() - base);
         const BlockSimulator& good = goods.block(b, wk.scratch);
-        const PackedBlock<W> mask = lane_validity_mask<W>(batch);
+        const PackedBlock<kSweepWords> mask =
+            lane_validity_mask<kSweepWords>(batch);
         const std::size_t word0 = base / 64;
         const std::size_t nwords = (batch + 63) / 64;
-        wk.eval.propagate<W>(
+        wk.eval.propagate(
             good, f, mask, points_->observable(),
             [&](GateId gate, const PatternWord* d) {
               for (std::uint32_t op : points_->sink_points(f, gate)) {
@@ -154,7 +152,7 @@ DiagnosisResult SignatureDiagnoser::diagnose(
                       log.expected.end()),
            "diagnose: signature log's expected signatures do not match the "
            "good machine (wrong pattern set or MISR configuration?)");
-  goods_->require_bound_to(patterns, opts_.block_words);
+  goods_->require_bound_to(patterns);
 
   Telemetry* const telem = opts_.telemetry;
   DiagnosisResult res;
@@ -169,7 +167,7 @@ DiagnosisResult SignatureDiagnoser::diagnose(
     res.num_failures = res.num_failing_windows;
     res.num_masked = plan.num_masked();
 
-    const MisrCompactor compactor(log.misr, opts_.block_words);
+    const MisrCompactor compactor(log.misr);
 
     std::vector<CandidateScore> scores;
     {
@@ -185,10 +183,7 @@ DiagnosisResult SignatureDiagnoser::diagnose(
     {
       TraceSpan span(telem, "score", 0, CounterId::kDiagScoreUs,
                      &res.stats.score_us);
-      dispatch_words(opts_.block_words, [&](auto w) {
-        score_candidates<decltype(w)::value>(patterns, log, plan, compactor,
-                                             scores);
-      });
+      score_candidates(patterns, log, plan, compactor, scores);
     }
 
     std::sort(scores.begin(), scores.end());

@@ -23,8 +23,7 @@
 // then descending TFSF. Candidates are scored round-robin across the
 // worker pool from per-worker scratch; counters depend only on the
 // candidate's full diff (never on block partitioning or scheduling), so
-// rankings are bit-identical for every (block width, thread count)
-// configuration.
+// rankings are bit-identical for every thread count.
 //
 // Cone pruning is necessarily weaker than the full-response engine's: a
 // failing window names no failing point, so a candidate must merely lie
@@ -57,8 +56,8 @@ namespace scanpower {
 class SignatureDiagnoser {
  public:
   /// Borrows every shared piece (see "Construction" above). Takes the
-  /// engine knobs from DiagnosisOptions (block_words, backend,
-  /// cone_pruning, telemetry); the MISR configuration comes from the
+  /// engine knobs from DiagnosisOptions (backend, cone_pruning,
+  /// telemetry); the MISR configuration comes from the
   /// diagnosed log. score_early_exit does not apply -- window counters are
   /// too coarse for a sound mid-sweep bound -- and is ignored.
   /// opts.num_threads is superseded by the pool's size.
@@ -88,7 +87,6 @@ class SignatureDiagnoser {
   std::vector<std::vector<std::uint32_t>> failing_op_sets(
       const SignatureLog& log, const XMaskPlan& plan) const;
 
-  template <int W>
   void score_candidates(std::span<const TestPattern> patterns,
                         const SignatureLog& log, const XMaskPlan& plan,
                         const MisrCompactor& compactor,

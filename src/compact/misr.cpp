@@ -65,17 +65,24 @@ std::vector<std::uint64_t> Misr::compact_scalar(const ResponseMatrix& responses,
   return out;
 }
 
-MisrCompactor::MisrCompactor(const MisrConfig& cfg, int block_words)
-    : misr_(cfg), words_(block_words) {
-  check_block_words("MisrCompactor", block_words, "block_words");
-}
+MisrCompactor::MisrCompactor(const MisrConfig& cfg) : misr_(cfg) {}
 
-template <int W>
-void MisrCompactor::compact_impl(std::span<const PatternWord> rows,
+void MisrCompactor::compact_rows(std::span<const PatternWord> rows,
                                  std::size_t num_points,
                                  std::size_t num_patterns,
                                  const XMaskPlan* mask,
                                  std::span<std::uint64_t> out) const {
+  SP_CHECK(out.size() == num_windows(num_patterns),
+           "MisrCompactor: output span does not match the window count");
+  SP_CHECK(rows.size() >= num_points * ((num_patterns + 63) / 64),
+           "MisrCompactor: response rows too short");
+  if (mask && !mask->any_masked()) mask = nullptr;  // empty plan: no masking
+  if (mask) {
+    SP_CHECK(mask->num_points() == num_points &&
+                 mask->num_windows() == out.size(),
+             "MisrCompactor: X-mask plan shape mismatch");
+  }
+  constexpr int W = kSweepWords;
   const std::size_t width = static_cast<std::size_t>(misr_.width());
   const std::size_t window = static_cast<std::size_t>(misr_.config().window);
   const std::size_t chunks = misr_.chunks_per_pattern(num_points);
@@ -89,7 +96,7 @@ void MisrCompactor::compact_impl(std::span<const PatternWord> rows,
   std::size_t in_win = 0;
 
   // Bit-sliced register: state bit i of lane l lives in bit l of
-  // S[i * W + l / 64]. Stack scratch; 64 * 8 words at the maxima.
+  // S[i * W + l / 64]. Stack scratch; 64 * W words at the maximum width.
   std::array<PatternWord, 64 * W> state;
   std::array<PatternWord, W> fb;
 
@@ -146,26 +153,6 @@ void MisrCompactor::compact_impl(std::span<const PatternWord> rows,
       }
     }
   }
-}
-
-void MisrCompactor::compact_rows(std::span<const PatternWord> rows,
-                                 std::size_t num_points,
-                                 std::size_t num_patterns,
-                                 const XMaskPlan* mask,
-                                 std::span<std::uint64_t> out) const {
-  SP_CHECK(out.size() == num_windows(num_patterns),
-           "MisrCompactor: output span does not match the window count");
-  SP_CHECK(rows.size() >= num_points * ((num_patterns + 63) / 64),
-           "MisrCompactor: response rows too short");
-  if (mask && !mask->any_masked()) mask = nullptr;  // empty plan: no masking
-  if (mask) {
-    SP_CHECK(mask->num_points() == num_points &&
-                 mask->num_windows() == out.size(),
-             "MisrCompactor: X-mask plan shape mismatch");
-  }
-  dispatch_words(words_, [&](auto w) {
-    compact_impl<decltype(w)::value>(rows, num_points, num_patterns, mask, out);
-  });
 }
 
 void MisrCompactor::compact(const ResponseMatrix& responses,

@@ -15,13 +15,13 @@
 //    all-zero state.
 //  - MisrCompactor: the packed engine. Per-pattern partial signatures are
 //    computed bit-sliced over the response words (the register state is
-//    held as `width` blocks of W pattern words, so one LFSR step is a
-//    word-array rotate plus tap XORs over 64*W lanes at once -- the same
-//    word layout as BlockSimulator), then window signatures are folded
-//    per pattern using the linearity of the register:
+//    held as `width` blocks of kSweepWords pattern words, so one LFSR
+//    step is a word-array rotate plus tap XORs over kSweepLanes lanes at
+//    once -- the same word layout as BlockSimulator), then window
+//    signatures are folded per pattern using the linearity of the
+//    register:
 //        state_after(s, r) = idle^C(s) ^ sig_from_zero(r).
-//    Results are bit-identical to Misr::compact_scalar for every block
-//    width.
+//    Results are bit-identical to Misr::compact_scalar.
 //
 // Everything here is linear over GF(2): sig(A ^ B) == sig(A) ^ sig(B)
 // for response matrices A, B (windows start from state 0), which is what
@@ -103,16 +103,15 @@ class Misr {
   std::uint64_t state_mask_ = 0;
 };
 
-/// Packed MISR compaction: 64 * block_words per-pattern partial
-/// signatures per bit-sliced sweep. One instance is cheap and stateless
+/// Packed MISR compaction: kSweepLanes per-pattern partial signatures per
+/// bit-sliced sweep. One instance is cheap and stateless
 /// between calls; give each worker thread its own (compact() uses only
 /// stack scratch, so sharing a const instance is also race-free).
 class MisrCompactor {
  public:
-  explicit MisrCompactor(const MisrConfig& cfg, int block_words = 4);
+  explicit MisrCompactor(const MisrConfig& cfg);
 
   const Misr& misr() const { return misr_; }
-  int block_words() const { return words_; }
   std::size_t num_windows(std::size_t num_patterns) const {
     return misr_.config().num_windows(num_patterns);
   }
@@ -135,13 +134,7 @@ class MisrCompactor {
                     std::span<std::uint64_t> out) const;
 
  private:
-  template <int W>
-  void compact_impl(std::span<const PatternWord> rows, std::size_t num_points,
-                    std::size_t num_patterns, const XMaskPlan* mask,
-                    std::span<std::uint64_t> out) const;
-
   Misr misr_;
-  int words_;
 };
 
 }  // namespace scanpower

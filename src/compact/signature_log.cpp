@@ -195,9 +195,9 @@ SignatureLog load_signature_log_file(const std::string& path) {
 }
 
 SignatureCapture::SignatureCapture(const Netlist& nl, MisrConfig cfg,
-                                   int block_words, SimBackend backend)
-    : nl_(&nl), cfg_(cfg), backend_(backend), capture_(nl, block_words, backend),
-      compactor_(cfg, block_words) {
+                                   SimBackend backend)
+    : nl_(&nl), cfg_(cfg), backend_(backend), capture_(nl, backend),
+      compactor_(cfg) {
   cfg_.poly = cfg_.resolved_poly();
 }
 
@@ -213,7 +213,7 @@ void SignatureCapture::bind(std::span<const TestPattern> patterns) {
   bound_valid_ = true;
   filled_ = zero_filled_patterns(patterns);
   mask_ = XMaskPlan(*nl_, capture_.points(), patterns, cfg_.window,
-                    capture_.block_words(), backend_);
+                    backend_);
   const ResponseMatrix good = capture_.capture_good(effective_patterns());
   expected_ = compactor_.compact(good, &mask_);
 }

@@ -62,7 +62,6 @@ SignatureLog load_signature_log_file(const std::string& path);
 class SignatureCapture {
  public:
   explicit SignatureCapture(const Netlist& nl, MisrConfig cfg = {},
-                            int block_words = 4,
                             SimBackend backend = SimBackend::Auto);
 
   const MisrConfig& config() const { return cfg_; }

@@ -62,9 +62,8 @@ std::vector<TestPattern> zero_filled_patterns(
 
 XMaskPlan::XMaskPlan(const Netlist& nl, const ObservationPoints& points,
                      std::span<const TestPattern> patterns, int window,
-                     int block_words, SimBackend backend) {
+                     SimBackend backend) {
   SP_CHECK(window >= 1, "XMaskPlan: window must be at least 1 pattern");
-  check_block_words("XMaskPlan", block_words, "block_words");
   num_points_ = points.size();
   num_windows_ = (patterns.size() + static_cast<std::size_t>(window) - 1) /
                  static_cast<std::size_t>(window);
@@ -80,7 +79,7 @@ XMaskPlan::XMaskPlan(const Netlist& nl, const ObservationPoints& points,
   // Per point, the packed X mask over patterns (lane p = 1 iff the good
   // machine evaluates the observed gate to X under pattern p).
   std::vector<PatternWord> xwords(num_points_ * words_per_point_, 0);
-  TernaryBlockSimulator sim(nl, block_words, backend);
+  TernaryBlockSimulator sim(nl, kSweepWords, backend);
   const std::size_t lanes = sim.lanes();
   for (std::size_t base = 0; base < patterns.size(); base += lanes) {
     const std::size_t batch = std::min(lanes, patterns.size() - base);

@@ -46,10 +46,11 @@ class XMaskPlan {
 
   /// Ternary sweep over `patterns` (X bits preserved): point `op` is
   /// masked in window `w` iff its good-machine value is X for some
-  /// pattern of `w`. `window` is the compaction window in patterns.
+  /// pattern of `w`. `window` is the compaction window in patterns. The
+  /// sweep simulates kSweepLanes patterns per block.
   XMaskPlan(const Netlist& nl, const ObservationPoints& points,
             std::span<const TestPattern> patterns, int window,
-            int block_words = 4, SimBackend backend = SimBackend::Auto);
+            SimBackend backend = SimBackend::Auto);
 
   std::size_t num_points() const { return num_points_; }
   std::size_t num_windows() const { return num_windows_; }

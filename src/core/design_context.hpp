@@ -16,10 +16,9 @@
 //     than duplicate, and flow-only sessions never pay for them.
 //   - read-only after publish: once a shared_ptr<const DesignContext> is
 //     handed out, nothing mutates but that one-time cone build and relaxed
-//     cache tallies -- so the bit-identical-across-(block_words,
-//     num_threads) house rule extends to "across concurrent tenants": N
-//     sessions sharing one context return byte-identical results to N
-//     isolated sessions.
+//     cache tallies -- so the bit-identical-across-num_threads house rule
+//     extends to "across concurrent tenants": N sessions sharing one
+//     context return byte-identical results to N isolated sessions.
 //
 // Sessions reference a context via shared_ptr, so SessionPool eviction can
 // never invalidate in-flight work: the last referencing session keeps the
@@ -34,8 +33,8 @@
 namespace scanpower {
 
 /// Validates every engine knob of `opts` against `nl` up front -- bad
-/// block widths, thread counts, backends, MISR configurations and sample
-/// counts throw Error with the knob named, prefixed by `who`. Shared by
+/// thread counts, backends, MISR configurations and sample counts throw
+/// Error with the knob named, prefixed by `who`. Shared by
 /// ScanSession and DesignContext so both entry points reject the same
 /// misconfigurations with the same messages.
 void validate_flow_options(const Netlist& nl, const FlowOptions& opts,

@@ -110,10 +110,11 @@ FillResult fill_packed(const Netlist& nl, const LeakageModel& model,
       res.free_inputs == 0 ? 1
                            : (opts.minimize_leakage ? std::max(1, opts.trials)
                                                     : 1);
-  // Four words per sweep, narrowed to the candidate count: scoring 24
-  // trials on a 256-lane block would aggregate leakage for 232 dead lanes.
-  // Candidates are drawn per 64-trial word, so the width moves no result.
-  int W = 4;
+  // kSweepWords words per sweep, narrowed to the candidate count: scoring
+  // 24 trials on a 256-lane block would aggregate leakage for 232 dead
+  // lanes. Candidates are drawn per 64-trial word, so the width moves no
+  // result.
+  int W = kSweepWords;
   while (W > 1 &&
          static_cast<std::size_t>(W) * 32 >= static_cast<std::size_t>(trials)) {
     W /= 2;

@@ -151,7 +151,7 @@ void ScanSession::bind_patterns(std::span<const TestPattern> patterns) {
   bound_.assign(patterns.begin(), patterns.end());
   filled_ = zero_filled_patterns(bound_);
   has_patterns_ = true;
-  goods_.bind(nl(), effective_patterns(), opts_.diag.block_words,
+  goods_.bind(nl(), effective_patterns(),
               GoodBlockCache::kDefaultMaxCachedBlocks, opts_.diag.backend);
   // Per-MisrConfig compaction states rebind themselves lazily (they
   // compare the bound content on next use).
@@ -192,8 +192,7 @@ SignatureDiagnoser& ScanSession::sig_diagnoser() {
 
 ResponseCapture& ScanSession::capture() {
   if (!capture_) {
-    capture_ = std::make_unique<ResponseCapture>(nl(), opts_.diag.block_words,
-                                                 opts_.diag.backend);
+    capture_ = std::make_unique<ResponseCapture>(nl(), opts_.diag.backend);
   }
   return *capture_;
 }
@@ -212,8 +211,7 @@ SignatureCapture& ScanSession::compact_state(const MisrConfig& cfg) {
     telemetry_.metrics.add(0, CounterId::kXMaskBuilds);
     it = compact_
              .emplace(key, std::make_unique<SignatureCapture>(
-                               nl(), cfg, opts_.diag.block_words,
-                               opts_.diag.backend))
+                               nl(), cfg, opts_.diag.backend))
              .first;
   } else {
     telemetry_.metrics.add(0, CounterId::kSessionCompactStateHits);

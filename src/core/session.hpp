@@ -25,8 +25,8 @@
 // zero-filled view, the good-block cache and the good response matrix;
 // each MisrConfig keys one (X-mask plan, expected signatures) entry on
 // top of that. Every result is bit-identical to a fresh session's for any
-// (block_words, num_threads) configuration -- the engines' determinism
-// contracts make shared pools and caches result-neutral.
+// num_threads -- the engines' determinism contracts make shared pools and
+// caches result-neutral.
 //
 // State has two layers. The design-keyed layer -- netlist, collapsed
 // faults, observation points and cones, leakage tables -- always lives in
@@ -62,7 +62,7 @@ using Evidence = std::variant<FailureLog, SignatureLog>;
 
 class ScanSession {
  public:
-  /// Validates `opts` up front -- bad block widths, thread counts, MISR
+  /// Validates `opts` up front -- bad thread counts, backends, MISR
   /// configurations and sample counts throw Error here with the knob
   /// named, instead of deep inside the engines -- and moves the
   /// (finalized) netlist into a private DesignContext, so borrowed engine
@@ -73,7 +73,7 @@ class ScanSession {
   /// keyed layer is referenced, not rebuilt, so construction is cheap and
   /// many sessions may share one context concurrently (each session itself
   /// stays single-threaded). `opts` carries this tenant's engine knobs
-  /// (block words, threads, backend...) and is validated exactly like the
+  /// (threads, backend...) and is validated exactly like the
   /// owning constructor's; its leakage_params must equal the context's
   /// (they key the shared tables), else Error. The one-argument form
   /// inherits the context's options. Results are bit-identical to an

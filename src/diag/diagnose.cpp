@@ -72,11 +72,10 @@ Diagnoser::Diagnoser(const Netlist& nl, DiagnosisOptions opts, ThreadPool& pool,
     : nl_(&nl), opts_(opts), points_(&points), cones_(&cones), goods_(&goods),
       pool_(&pool) {
   SP_CHECK(nl.finalized(), "Diagnoser requires a finalized netlist");
-  check_block_words("diagnose", opts_.block_words, "block_words");
   opts_.num_threads = pool.size();
   workers_.resize(static_cast<std::size_t>(pool_->size()));
   for (SweepWorker& w : workers_) {
-    w.eval.init(nl, opts_.block_words, opts_.backend);
+    w.eval.init(nl, opts_.backend);
   }
 }
 
@@ -164,18 +163,16 @@ void Diagnoser::finalize(Prepared& p) {
   p.res.ranked = std::move(p.scores);
 }
 
-template <int W>
 void Diagnoser::score_candidate_block(FaultConeEvaluator& ev,
                                       CandidateScore& sc,
                                       const BlockSimulator& good,
                                       std::size_t block,
                                       const ResponseMatrix& observed,
                                       bool early_exit, std::uint64_t best) {
-  const std::size_t lanes = goods_->lanes();
-  const std::size_t base = block * lanes;
+  const std::size_t base = block * kSweepLanes;
   const std::size_t batch =
-      std::min(lanes, goods_->patterns().size() - base);
-  const PackedBlock<W> mask = lane_validity_mask<W>(batch);
+      std::min(kSweepLanes, goods_->patterns().size() - base);
+  const PackedBlock<kSweepWords> mask = lane_validity_mask<kSweepWords>(batch);
   const std::size_t word0 = base / 64;
   const std::size_t nwords = (batch + 63) / 64;
 
@@ -189,7 +186,7 @@ void Diagnoser::score_candidate_block(FaultConeEvaluator& ev,
   const std::uint64_t bound =
       best > std::numeric_limits<std::uint64_t>::max() - tol ? best
                                                              : best + tol;
-  ev.propagate<W>(
+  ev.propagate(
       good, sc.fault, mask, points_->observable(),
       [&](GateId gate, const PatternWord* diff) -> bool {
         for (std::uint32_t op : points_->sink_points(sc.fault, gate)) {
@@ -206,7 +203,6 @@ void Diagnoser::score_candidate_block(FaultConeEvaluator& ev,
   if (early_exit && sc.tpsf > bound) sc.dropped = true;
 }
 
-template <int W>
 void Diagnoser::score_candidates(int worker, Prepared& p) {
   const GoodBlockCache& goods = *goods_;
   const bool early_exit = opts_.score_early_exit;
@@ -221,8 +217,7 @@ void Diagnoser::score_candidates(int worker, Prepared& p) {
   // are skipped. Both the bound and the abort test depend only on
   // per-candidate totals, never on block partitioning, scheduling or
   // which worker scores a round, so the dropped set is bit-identical
-  // across (block width, thread count) configurations and between the
-  // fanned-out and one-worker paths.
+  // across thread counts and between the fanned-out and one-worker paths.
   const std::size_t round_size =
       early_exit ? 64 : std::max<std::size_t>(p.scores.size(), 1);
   const std::size_t stride =
@@ -240,8 +235,7 @@ void Diagnoser::score_candidates(int worker, Prepared& p) {
         for (std::size_t ci = r0 + first; ci < r1; ci += stride) {
           CandidateScore& sc = p.scores[ci];
           if (sc.dropped) continue;
-          score_candidate_block<W>(ev, sc, good, b, p.observed, early_exit,
-                                   best);
+          score_candidate_block(ev, sc, good, b, p.observed, early_exit, best);
         }
       };
       if (fan_out) {
@@ -261,7 +255,6 @@ void Diagnoser::score_candidates(int worker, Prepared& p) {
   }
 }
 
-template <int W>
 void Diagnoser::recover_noise(int worker,
                               std::span<const TestPattern> patterns,
                               std::span<const Fault> faults, Prepared& p) {
@@ -277,7 +270,7 @@ void Diagnoser::recover_noise(int worker,
     Prepared u = prepare(patterns, faults, *p.log, PruneMode::kUnion);
     if (u.scores.size() != p.scores.size()) {
       // The union candidate set is a strict superset -- rescore over it.
-      score_candidates<W>(worker, u);
+      score_candidates(worker, u);
       finalize(u);
       u.res.union_fallback = true;
       // The rescored result replaces the original; carry the query's
@@ -287,10 +280,9 @@ void Diagnoser::recover_noise(int worker,
       p = std::move(u);
     }
   }
-  build_multiplets<W>(worker, p);
+  build_multiplets(worker, p);
 }
 
-template <int W>
 void Diagnoser::build_multiplets(int worker, Prepared& p) {
   DiagnosisResult& res = p.res;
   res.multiplets.clear();
@@ -323,7 +315,6 @@ void Diagnoser::build_multiplets(int worker, Prepared& p) {
 
   SweepWorker& wk =
       workers_[static_cast<std::size_t>(worker == kPool ? 0 : worker)];
-  const std::size_t lanes = goods.lanes();
 
   // Per-candidate predictions: `preds[k]` holds the candidate's predicted
   // failure lanes at every observed failing point, `offm[k]` the pattern
@@ -345,13 +336,14 @@ void Diagnoser::build_multiplets(int worker, Prepared& p) {
     PatternWord* mismatch = offm[k].data();
     for (std::size_t b = 0; b < goods.num_blocks(); ++b) {
       const BlockSimulator& good = goods.block(b, wk.scratch);
-      const std::size_t base = b * lanes;
+      const std::size_t base = b * kSweepLanes;
       const std::size_t batch =
-          std::min(lanes, goods.patterns().size() - base);
-      const PackedBlock<W> mask = lane_validity_mask<W>(batch);
+          std::min(kSweepLanes, goods.patterns().size() - base);
+      const PackedBlock<kSweepWords> mask =
+          lane_validity_mask<kSweepWords>(batch);
       const std::size_t word0 = base / 64;
       const std::size_t nwords = (batch + 63) / 64;
-      wk.eval.propagate<W>(
+      wk.eval.propagate(
           good, f, mask, points_->observable(),
           [&](GateId gate, const PatternWord* diff) {
             for (std::uint32_t op : points_->sink_points(f, gate)) {
@@ -501,22 +493,18 @@ DiagnosisResult Diagnoser::diagnose(std::span<const TestPattern> patterns,
                      &p.res.stats.prune_us);
       p = prepare(patterns, faults, log, PruneMode::kIntersect);
     }
-    goods_->require_bound_to(patterns, opts_.block_words);
-
-    dispatch_words(opts_.block_words, [&](auto w) {
-      constexpr int W = decltype(w)::value;
-      {
-        TraceSpan span(telem, "score", 0, CounterId::kDiagScoreUs,
-                       &p.res.stats.score_us);
-        score_candidates<W>(kPool, p);
-      }
-      finalize(p);
-      {
-        TraceSpan span(telem, "cover", 0, CounterId::kDiagCoverUs,
-                       &p.res.stats.cover_us);
-        recover_noise<W>(kPool, patterns, faults, p);
-      }
-    });
+    goods_->require_bound_to(patterns);
+    {
+      TraceSpan span(telem, "score", 0, CounterId::kDiagScoreUs,
+                     &p.res.stats.score_us);
+      score_candidates(kPool, p);
+    }
+    finalize(p);
+    {
+      TraceSpan span(telem, "cover", 0, CounterId::kDiagCoverUs,
+                     &p.res.stats.cover_us);
+      recover_noise(kPool, patterns, faults, p);
+    }
     // Serial wrt the cone cache (scoring never touches it), so the cone
     // deltas are exactly this query's lookups.
     tally.finish(telem, workers_, p.res.stats);
@@ -563,35 +551,32 @@ std::vector<DiagnosisResult> Diagnoser::diagnose_batch(
     st.prune_us = prune_us;
     tally.finish(telem, {}, st);
   }
-  goods_->require_bound_to(patterns, opts_.block_words);
+  goods_->require_bound_to(patterns);
 
   // Parallel phase: logs round-robin across the pool, each scored,
   // finalized and noise-recovered wholly within one worker from that
   // worker's private evaluator/scratch.
   const int num_workers = pool_->size();
-  dispatch_words(opts_.block_words, [&](auto w) {
-    constexpr int W = decltype(w)::value;
-    pool_->run_on_all([&](int t) {
-      for (std::size_t li = static_cast<std::size_t>(t); li < prepared.size();
-           li += static_cast<std::size_t>(num_workers)) {
-        Prepared& p = prepared[li];
-        {
-          TraceSpan span(telem, "score", t, CounterId::kDiagScoreUs,
-                         &p.res.stats.score_us);
-          score_candidates<W>(t, p);
-        }
-        finalize(p);
-        {
-          TraceSpan span(telem, "cover", t, CounterId::kDiagCoverUs,
-                         &p.res.stats.cover_us);
-          recover_noise<W>(t, patterns, faults, p);
-        }
-        // This log ran wholly in worker t, so its evaluator's tallies are
-        // exactly this log's sweeps.
-        p.res.stats.add_sweeps(flush_sweep_stats(
-            telem, t, workers_[static_cast<std::size_t>(t)].eval));
+  pool_->run_on_all([&](int t) {
+    for (std::size_t li = static_cast<std::size_t>(t); li < prepared.size();
+         li += static_cast<std::size_t>(num_workers)) {
+      Prepared& p = prepared[li];
+      {
+        TraceSpan span(telem, "score", t, CounterId::kDiagScoreUs,
+                       &p.res.stats.score_us);
+        score_candidates(t, p);
       }
-    });
+      finalize(p);
+      {
+        TraceSpan span(telem, "cover", t, CounterId::kDiagCoverUs,
+                       &p.res.stats.cover_us);
+        recover_noise(t, patterns, faults, p);
+      }
+      // This log ran wholly in worker t, so its evaluator's tallies are
+      // exactly this log's sweeps.
+      p.res.stats.add_sweeps(flush_sweep_stats(
+          telem, t, workers_[static_cast<std::size_t>(t)].eval));
+    }
   });
 
   std::vector<DiagnosisResult> results;

@@ -23,8 +23,7 @@
 //     Hamming distance (TFSP + TPSF), then descending TFSF, ties broken
 //     by candidate index. Candidates are scored round-robin across the
 //     worker pool; every counter is a popcount sum over disjoint words,
-//     so results are bit-identical for every (block width, thread count)
-//     configuration.
+//     so results are bit-identical for every thread count.
 //
 // When the best single candidate leaves failures unexplained (a noisy
 // log, or more than one real defect), a noise-recovery stage runs after
@@ -73,9 +72,6 @@
 namespace scanpower {
 
 struct DiagnosisOptions {
-  /// Pattern words per simulation block; must be in kBlockWords
-  /// (packed_sim.hpp).
-  int block_words = 4;
   /// Kernel backend for the packed sweeps; Auto = best available.
   /// Results are bit-identical across backends.
   SimBackend backend = SimBackend::Auto;
@@ -92,9 +88,9 @@ struct DiagnosisOptions {
   /// aborted and its remaining pattern blocks skipped. Candidates are
   /// scored in fixed-size rounds and the best Hamming bound advances only
   /// at round boundaries, so the dropped set -- and the final ranking --
-  /// stays bit-identical across every (block width, thread count)
-  /// configuration. Dropped candidates keep canonical zero counters and
-  /// rank after all fully scored candidates.
+  /// stays bit-identical across every thread count. Dropped candidates
+  /// keep canonical zero counters and rank after all fully scored
+  /// candidates.
   bool score_early_exit = true;
   /// Report size used by the CLI/JSON front ends; the ranked list itself
   /// always keeps every scored candidate.
@@ -187,8 +183,7 @@ struct DiagnosisResult {
   /// top single candidate explains the log within noise_tolerance, when
   /// options disable multiplets, and for compacted diagnosis, which does
   /// not run the cover (diagnose_batch runs it like diagnose()).
-  /// Bit-identical across every (block width, thread count)
-  /// configuration, like `ranked`.
+  /// Bit-identical across every thread count, like `ranked`.
   std::vector<SuspectSet> multiplets;
   /// Cone pruning fell back from the per-pattern intersection to the
   /// union of all failing points' cones (multi-fault / noisy log).
@@ -312,7 +307,6 @@ class Diagnoser {
 
   /// Accumulates one candidate's counters over one good-machine block and
   /// applies the early-exit drop test at the block boundary.
-  template <int W>
   void score_candidate_block(FaultConeEvaluator& ev, CandidateScore& sc,
                              const BlockSimulator& good, std::size_t block,
                              const ResponseMatrix& observed, bool early_exit,
@@ -321,18 +315,15 @@ class Diagnoser {
   /// Scores p's candidates in fixed rounds, fanned over the pool (kPool)
   /// or wholly on one worker (the batch fan-out); both give the same
   /// counters and dropped set.
-  template <int W>
   void score_candidates(int worker, Prepared& p);
 
   /// Post-ranking noise recovery: union-pruning fallback + multiplet
   /// cover (header stages 3/4), run by `worker` like score_candidates.
-  template <int W>
   void recover_noise(int worker, std::span<const TestPattern> patterns,
                      std::span<const Fault> faults, Prepared& p);
   /// Replays the top shortlist candidates and greedily covers the failing
   /// patterns with sets whose union of predicted failures matches the
   /// observed ones into res.multiplets.
-  template <int W>
   void build_multiplets(int worker, Prepared& p);
 
   const Netlist* nl_;

@@ -360,14 +360,11 @@ FailureLog load_failure_log_file(const std::string& path, const Netlist* nl,
 
 void GoodBlockCache::bind(const Netlist& nl,
                           std::span<const TestPattern> patterns,
-                          int block_words, std::size_t max_cached_blocks,
-                          SimBackend backend) {
-  check_block_words("GoodBlockCache", block_words, "block_words");
+                          std::size_t max_cached_blocks, SimBackend backend) {
   nl_ = &nl;
   patterns_ = patterns;
-  words_ = block_words;
   backend_ = backend;
-  const std::size_t lanes = this->lanes();
+  const std::size_t lanes = kSweepLanes;
   nblocks_ = (patterns.size() + lanes - 1) / lanes;
   cached_ = nblocks_ <= max_cached_blocks;
   blocks_.clear();
@@ -376,7 +373,7 @@ void GoodBlockCache::bind(const Netlist& nl,
   const auto t0 = std::chrono::steady_clock::now();
   blocks_.reserve(nblocks_);
   for (std::size_t base = 0; base < patterns.size(); base += lanes) {
-    blocks_.emplace_back(nl, words_, backend_);
+    blocks_.emplace_back(nl, kSweepWords, backend_);
     load_pattern_block(nl, patterns, base, blocks_.back());
     blocks_.back().eval();
   }
@@ -390,15 +387,14 @@ void GoodBlockCache::bind(const Netlist& nl,
 void GoodBlockCache::reset() {
   nl_ = nullptr;
   patterns_ = {};
-  words_ = 0;
   nblocks_ = 0;
   cached_ = false;
   blocks_.clear();
 }
 
-void GoodBlockCache::require_bound_to(std::span<const TestPattern> patterns,
-                                      int block_words) const {
-  SP_CHECK(bound_to(patterns, block_words),
+void GoodBlockCache::require_bound_to(
+    std::span<const TestPattern> patterns) const {
+  SP_CHECK(bound_to(patterns),
            "diagnose: the shared good-block cache is bound to a different "
            "pattern set (bind the session to these patterns first)");
 }
@@ -412,26 +408,28 @@ const BlockSimulator& GoodBlockCache::block(
   }
   streamed_reads_.fetch_add(1, std::memory_order_relaxed);
   if (!scratch) {
-    scratch = std::make_unique<BlockSimulator>(*nl_, words_, backend_);
+    scratch = std::make_unique<BlockSimulator>(*nl_, kSweepWords, backend_);
   }
-  load_pattern_block(*nl_, patterns_, b * lanes(), *scratch);
+  load_pattern_block(*nl_, patterns_, b * kSweepLanes, *scratch);
   scratch->eval();
   return *scratch;
 }
 
-ResponseCapture::ResponseCapture(const Netlist& nl, int block_words,
-                                 SimBackend backend)
-    : nl_(&nl), words_(block_words), backend_(backend), points_(nl) {
-  check_block_words("ResponseCapture", block_words, "block_words");
-  eval_.init(nl, block_words, backend);
+ResponseCapture::ResponseCapture(const Netlist& nl, SimBackend backend)
+    : nl_(&nl), backend_(backend), points_(nl) {
+  eval_.init(nl, backend);
 }
 
-template <int W>
-void ResponseCapture::capture_good_impl(std::span<const TestPattern> patterns,
-                                        ResponseMatrix& out) {
+ResponseMatrix ResponseCapture::capture_good(
+    std::span<const TestPattern> patterns) {
+  constexpr int W = kSweepWords;
   const Netlist& nl = *nl_;
+  ResponseMatrix out;
+  out.num_points = points_.size();
+  out.num_patterns = patterns.size();
+  out.words.assign(out.num_points * out.words_per_point(), 0);
   BlockSimulator good(nl, W, backend_);
-  const std::size_t lanes = good.lanes();
+  const std::size_t lanes = kSweepLanes;
   const std::size_t wpp = out.words_per_point();
   for (std::size_t base = 0; base < patterns.size(); base += lanes) {
     const std::size_t batch = std::min(lanes, patterns.size() - base);
@@ -448,32 +446,24 @@ void ResponseCapture::capture_good_impl(std::span<const TestPattern> patterns,
       }
     }
   }
-}
-
-ResponseMatrix ResponseCapture::capture_good(
-    std::span<const TestPattern> patterns) {
-  ResponseMatrix out;
-  out.num_points = points_.size();
-  out.num_patterns = patterns.size();
-  out.words.assign(out.num_points * out.words_per_point(), 0);
-  dispatch_words(words_, [&](auto w) {
-    capture_good_impl<decltype(w)::value>(patterns, out);
-  });
   return out;
 }
 
-template <int W>
-void ResponseCapture::inject_impl(std::span<const TestPattern> patterns,
-                                  const Fault& f, FailureLog& log) {
+FailureLog ResponseCapture::inject(std::span<const TestPattern> patterns,
+                                   const Fault& f) {
+  constexpr int W = kSweepWords;
   const Netlist& nl = *nl_;
+  FailureLog log;
+  log.circuit = nl.name();
+  log.num_patterns = patterns.size();
   BlockSimulator good(nl, W, backend_);
-  const std::size_t lanes = good.lanes();
+  const std::size_t lanes = kSweepLanes;
   for (std::size_t base = 0; base < patterns.size(); base += lanes) {
     const std::size_t batch = std::min(lanes, patterns.size() - base);
     load_pattern_block(nl, patterns, base, good);
     good.eval();
     const PackedBlock<W> mask = lane_validity_mask<W>(batch);
-    eval_.propagate<W>(
+    eval_.propagate(
         good, f, mask, points_.observable(),
         [&](GateId gate, const PatternWord* diff) {
           for (std::uint32_t op : points_.sink_points(f, gate)) {
@@ -492,25 +482,24 @@ void ResponseCapture::inject_impl(std::span<const TestPattern> patterns,
           }
         });
   }
-}
-
-FailureLog ResponseCapture::inject(std::span<const TestPattern> patterns,
-                                   const Fault& f) {
-  FailureLog log;
-  log.circuit = nl_->name();
-  log.num_patterns = patterns.size();
-  dispatch_words(words_, [&](auto w) {
-    inject_impl<decltype(w)::value>(patterns, f, log);
-  });
   log.normalize();
   return log;
 }
 
-template <int W>
-void ResponseCapture::inject_multi_impl(std::span<const TestPattern> patterns,
-                                        std::span<const Fault> faults,
-                                        FailureLog& log) {
+FailureLog ResponseCapture::inject(std::span<const TestPattern> patterns,
+                                   std::span<const Fault> fault_list) {
+  constexpr int W = kSweepWords;
   const Netlist& nl = *nl_;
+  FailureLog log;
+  log.circuit = nl.name();
+  log.num_patterns = patterns.size();
+  std::vector<Fault> faults(fault_list.begin(), fault_list.end());
+  std::sort(faults.begin(), faults.end(), [](const Fault& a, const Fault& b) {
+    if (a.gate != b.gate) return a.gate < b.gate;
+    if (a.pin != b.pin) return a.pin < b.pin;
+    return a.stuck_at < b.stuck_at;
+  });
+  faults.erase(std::unique(faults.begin(), faults.end()), faults.end());
   const std::span<const GateType> types = nl.types_flat();
   const std::span<const std::uint32_t> levels = nl.levels_flat();
   const std::span<const std::uint8_t> observable = points_.observable();
@@ -577,7 +566,7 @@ void ResponseCapture::inject_multi_impl(std::span<const TestPattern> patterns,
   });
 
   BlockSimulator good(nl, W, backend_);
-  const std::size_t lanes = good.lanes();
+  const std::size_t lanes = kSweepLanes;
   std::vector<PatternWord> faulty(nl.num_gates() * static_cast<std::size_t>(W));
   std::vector<std::uint8_t> touched(nl.num_gates(), 0);
   std::vector<GateId> active;
@@ -675,25 +664,6 @@ void ResponseCapture::inject_multi_impl(std::span<const TestPattern> patterns,
     }
     for (GateId id : active) touched[id] = 0;
   }
-}
-
-FailureLog ResponseCapture::inject(std::span<const TestPattern> patterns,
-                                   std::span<const Fault> faults) {
-  FailureLog log;
-  log.circuit = nl_->name();
-  log.num_patterns = patterns.size();
-  std::vector<Fault> unique_faults(faults.begin(), faults.end());
-  std::sort(unique_faults.begin(), unique_faults.end(),
-            [](const Fault& a, const Fault& b) {
-              if (a.gate != b.gate) return a.gate < b.gate;
-              if (a.pin != b.pin) return a.pin < b.pin;
-              return a.stuck_at < b.stuck_at;
-            });
-  unique_faults.erase(std::unique(unique_faults.begin(), unique_faults.end()),
-                      unique_faults.end());
-  dispatch_words(words_, [&](auto w) {
-    inject_multi_impl<decltype(w)::value>(patterns, unique_faults, log);
-  });
   log.normalize();
   return log;
 }

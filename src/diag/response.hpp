@@ -146,9 +146,9 @@ class ObservationConeCache {
 };
 
 /// Simulated good-machine pattern blocks, shared across diagnose() calls.
-/// Binding simulates every 64*block_words-pattern block of the bound set
-/// and keeps the results while the block count stays under the cache cap
-/// (one BlockSimulator per block: num_gates * W * 8 bytes of values);
+/// Binding simulates every kSweepLanes-pattern block of the bound set and
+/// keeps the results while the block count stays under the cache cap (one
+/// BlockSimulator per block: num_gates * kSweepWords * 8 bytes of values);
 /// past the cap only the geometry is kept and block() replays each read
 /// into the caller's scratch simulator. Both diagnosers score candidates
 /// out of this cache, and a ScanSession keeps one instance bound across
@@ -160,31 +160,27 @@ class GoodBlockCache {
 
   GoodBlockCache() = default;
 
-  /// (Re)binds to (nl, patterns, block_words). `patterns` must be fully
+  /// (Re)binds to (nl, patterns). `patterns` must be fully
   /// specified and must outlive the binding (the owner keeps the storage
   /// alive; bound_to() identifies a binding by that storage). `backend`
   /// selects the kernel backend for the good machines (cached blocks and
   /// streaming scratch); the values are bit-identical across backends, so
   /// it is not part of the binding identity.
   void bind(const Netlist& nl, std::span<const TestPattern> patterns,
-            int block_words,
             std::size_t max_cached_blocks = kDefaultMaxCachedBlocks,
             SimBackend backend = SimBackend::Auto);
   void reset();
 
   bool bound() const { return nl_ != nullptr; }
-  /// True iff bound to exactly this pattern storage and width.
-  bool bound_to(std::span<const TestPattern> patterns, int block_words) const {
+  /// True iff bound to exactly this pattern storage.
+  bool bound_to(std::span<const TestPattern> patterns) const {
     return bound() && patterns_.data() == patterns.data() &&
-           patterns_.size() == patterns.size() && words_ == block_words;
+           patterns_.size() == patterns.size();
   }
-  /// Throws unless bound_to(patterns, block_words): an engine that
-  /// borrows the cache must never score against another pattern set.
-  void require_bound_to(std::span<const TestPattern> patterns,
-                        int block_words) const;
+  /// Throws unless bound_to(patterns): an engine that borrows the cache
+  /// must never score against another pattern set.
+  void require_bound_to(std::span<const TestPattern> patterns) const;
 
-  int block_words() const { return words_; }
-  std::size_t lanes() const { return static_cast<std::size_t>(words_) * 64; }
   std::size_t num_blocks() const { return nblocks_; }
   std::span<const TestPattern> patterns() const { return patterns_; }
 
@@ -213,7 +209,6 @@ class GoodBlockCache {
  private:
   const Netlist* nl_ = nullptr;
   std::span<const TestPattern> patterns_;
-  int words_ = 0;
   SimBackend backend_ = SimBackend::Auto;
   std::size_t nblocks_ = 0;
   bool cached_ = false;
@@ -309,14 +304,14 @@ FailureLog load_failure_log_file(const std::string& path,
                                  const Netlist* nl = nullptr,
                                  const ObservationPoints* ops = nullptr);
 
-/// Captures packed observable-point responses from the block simulator.
+/// Captures packed observable-point responses from the block simulator,
+/// kSweepLanes patterns per sweep.
 class ResponseCapture {
  public:
-  explicit ResponseCapture(const Netlist& nl, int block_words = 4,
+  explicit ResponseCapture(const Netlist& nl,
                            SimBackend backend = SimBackend::Auto);
 
   const ObservationPoints& points() const { return points_; }
-  int block_words() const { return words_; }
 
   /// Good-machine signatures of `patterns` (must be fully specified).
   ResponseMatrix capture_good(std::span<const TestPattern> patterns);
@@ -336,18 +331,7 @@ class ResponseCapture {
                     std::span<const Fault> faults);
 
  private:
-  template <int W>
-  void capture_good_impl(std::span<const TestPattern> patterns,
-                         ResponseMatrix& out);
-  template <int W>
-  void inject_impl(std::span<const TestPattern> patterns, const Fault& f,
-                   FailureLog& log);
-  template <int W>
-  void inject_multi_impl(std::span<const TestPattern> patterns,
-                         std::span<const Fault> faults, FailureLog& log);
-
   const Netlist* nl_;
-  int words_;
   SimBackend backend_ = SimBackend::Auto;
   ObservationPoints points_;
   FaultConeEvaluator eval_;

@@ -16,6 +16,17 @@ namespace scanpower::net {
 
 // ---------- CommandSession ---------------------------------------------------
 
+namespace {
+
+/// Most patterns one `patterns` command may request: what a session's
+/// good-block cache holds (kDefaultMaxCachedBlocks blocks of kSweepLanes
+/// patterns). A larger count is refused before anything is allocated, so
+/// one command line cannot make the server allocate without bound.
+constexpr std::size_t kMaxWirePatterns =
+    GoodBlockCache::kDefaultMaxCachedBlocks * kSweepLanes;
+
+}  // namespace
+
 CommandSession::CommandSession(DiagnosisQueue& queue, Telemetry* telemetry,
                                ServiceOptions opts, Sink out)
     : queue_(queue),
@@ -74,6 +85,12 @@ void CommandSession::cmd_patterns(std::istream& in, std::uint64_t line_no) {
   std::uint64_t seed = 0xd1a6ULL;
   if (!(in >> n) || n == 0) {
     error("patterns needs a count >= 1", line_no);
+    return;
+  }
+  if (n > kMaxWirePatterns) {
+    error(strprintf("patterns count %zu exceeds the limit of %zu", n,
+                    kMaxWirePatterns),
+          line_no);
     return;
   }
   in >> seed;

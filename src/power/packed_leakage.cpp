@@ -9,7 +9,7 @@ TernaryBlockSimulator::TernaryBlockSimulator(const Netlist& nl, int words,
                                              SimBackend backend)
     : nl_(&nl), words_(words) {
   SP_CHECK(nl.finalized(), "TernaryBlockSimulator requires a finalized netlist");
-  check_block_words("TernaryBlockSimulator", words, "words");
+  check_block_width("TernaryBlockSimulator", words, "words");
   backend_ = resolve_backend(backend, words);
   kern_ = &sim_kernels(backend_);
   // Sources start X (both planes set), like Simulator::clear_sources().

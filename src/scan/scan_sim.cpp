@@ -51,15 +51,18 @@ inline void put_lane(PatternWord* p1, PatternWord* p0, std::size_t lane,
   if (v != Logic::One) p0[lane / 64] |= bit;
 }
 
-/// Words per sweep; the W = 1, 2, 4 timings are in BENCH_scan.json
-/// ("sweep_width"). W = 4 is fastest or tied from 592 cycles up (the
-/// 8-pattern s1423 session, where the three widths are within 5%, to
-/// BM_ScanPowerEval's 64 patterns on s1423, s5378 and s9234). A session
-/// of 128 cycles or fewer takes the narrowest width that holds it: at 74
-/// cycles W = 4 runs twice as long as W <= 2, three quarters padding.
+/// Words per sweep, at most kSweepWords; the W = 1, 2, 4 timings are in
+/// BENCH_scan.json ("sweep_width"). W = 4 is fastest or tied from 592
+/// cycles up (the 8-pattern s1423 session, where the three widths are
+/// within 5%, to BM_ScanPowerEval's 64 patterns on s1423, s5378 and
+/// s9234). A session of 128 cycles or fewer takes the narrowest width
+/// that holds it: at 74 cycles W = 4 runs twice as long as W <= 2, three
+/// quarters padding.
 int sweep_words(std::size_t cycles) {
   int words = 1;
-  while (words < 4 && static_cast<std::size_t>(words) * 64 < cycles) words *= 2;
+  while (words < kSweepWords && static_cast<std::size_t>(words) * 64 < cycles) {
+    words *= 2;
+  }
   return words;
 }
 

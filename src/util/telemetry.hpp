@@ -7,14 +7,13 @@
 // to kMaxShards). Slots are relaxed atomics, so concurrent writers from
 // shared caches are race-free, and snapshots merge shards in ascending
 // shard order -- enabling telemetry never perturbs engine results or their
-// bit-identical-across-(block_words, num_threads) guarantee, because the
-// engines never read the registry back.
+// bit-identical-across-num_threads guarantee, because the engines never
+// read the registry back.
 //
 // Counter determinism contract (guarded by tests/test_telemetry.cpp):
-//   - semantic counters (queries, candidates, dropped, fallbacks, ...) are
-//     invariant across every (block_words, num_threads) configuration;
-//   - work counters (sweeps, cone gates, blocks) are invariant across
-//     thread counts at fixed block_words;
+//   - semantic counters (queries, candidates, dropped, fallbacks, ...) and
+//     work counters (sweeps, cone gates, blocks) are invariant across
+//     thread counts;
 //   - counters whose name ends in "_us" are wall-clock time and carry no
 //     determinism guarantee.
 //
@@ -50,8 +49,7 @@ enum class CounterId : int {
   kFaultSimBlocks,
   kFaultSimDetected,   ///< faults detected and dropped (semantic)
   // PODEM top-off of generate_tests. Untestable/aborted are semantic; the
-  // others are work counters. All are invariant across (W, T): the ATPG
-  // batches are a fixed kTpgBatchPatterns
+  // others are work counters. All are invariant across thread counts.
   kPodemCalls,         ///< Podem::generate() calls
   kPodemDecisions,     ///< source assignments made by backtrace
   kPodemBacktracks,    ///< decision flips

@@ -355,21 +355,20 @@ TEST(Tpg, CompactionDoesNotLoseCoverage) {
   EXPECT_LE(a.patterns.size(), b.patterns.size());
 }
 
-// The house rule: block width is a performance knob, never a result
-// knob. Batches are a fixed kTpgBatchPatterns, so every width yields the
-// same TestSet (a short PODEM budget keeps s713 quick).
-TEST(Tpg, TestSetIndependentOfBlockWidth) {
+// The house rule: the fault simulator's thread count is a performance
+// knob, never a result knob, so every thread count yields the same
+// TestSet (a short PODEM budget keeps s713 quick).
+TEST(Tpg, TestSetIndependentOfThreadCount) {
   for (const char* name : {"s344", "s713"}) {
     const Netlist nl = map_to_nand_nor_inv(make_iscas89_like(name));
     TpgOptions opts;
     opts.podem_backtrack_limit = 100;
-    opts.fault_sim.block_words = kBlockWords.front();
     const TestSet want = generate_tests(nl, opts);
     EXPECT_GT(want.untestable_faults + want.aborted_faults, 0u) << name;
-    for (const int w : kBlockWords) {
-      opts.fault_sim.block_words = w;
+    for (const int t : {2, 4}) {
+      opts.fault_sim.num_threads = t;
       const TestSet got = generate_tests(nl, opts);
-      const std::string at = std::string(name) + " W=" + std::to_string(w);
+      const std::string at = std::string(name) + " T=" + std::to_string(t);
       EXPECT_EQ(got.detected_faults, want.detected_faults) << at;
       EXPECT_EQ(got.untestable_faults, want.untestable_faults) << at;
       EXPECT_EQ(got.aborted_faults, want.aborted_faults) << at;

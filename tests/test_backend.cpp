@@ -2,10 +2,9 @@
 // kernel-backend axis. Every backend available on this host must produce
 // results bit-identical to the scalar reference engine -- fault-sim
 // detections, diagnosis rankings (and suspect sets), observability sums
-// and fill choices -- at every (block width, thread count) in the
-// matrix (thread count alone for observability and fill, which pick
-// their own width), on the benchgen ISCAS89-like profiles and on the
-// degenerate netlist shapes from test_degenerate.cpp.
+// and fill choices -- at every thread count in kThreads, on the
+// benchgen ISCAS89-like profiles and on the degenerate netlist shapes
+// from test_degenerate.cpp.
 //
 // Backends that the host cannot run (AVX TUs compiled out, CPU without
 // the features) are covered by the CI matrix on hosts that do have them;
@@ -60,8 +59,8 @@ std::string no_backend_note() {
   return note;
 }
 
-/// The (W, T) matrix every backend runs.
-constexpr std::pair<int, int> kMatrix[] = {{1, 1}, {1, 4}, {4, 1}, {4, 4}};
+/// The thread counts every backend runs.
+constexpr int kThreads[] = {1, 4};
 
 std::vector<TestPattern> random_patterns(const Netlist& nl, int n,
                                          std::uint64_t seed) {
@@ -120,14 +119,14 @@ TEST(BackendApi, NameParseRoundTrip) {
 TEST(BackendApi, WidthSupportMatrix) {
   // Every backend that runs here runs every valid width.
   for (int w : kBlockWords) {
-    EXPECT_TRUE(is_valid_block_words(w));
+    EXPECT_TRUE(is_valid_block_width(w));
     for (SimBackend b :
          {SimBackend::Scalar, SimBackend::Avx2, SimBackend::Avx512}) {
       if (backend_available(b)) EXPECT_EQ(resolve_backend(b, w), b);
     }
   }
-  for (int w : {0, 3, 16, 32, 64}) {
-    EXPECT_FALSE(is_valid_block_words(w)) << "w=" << w;
+  for (int w : {0, 3, 8, 16, 32, 64}) {
+    EXPECT_FALSE(is_valid_block_width(w)) << "w=" << w;
     EXPECT_THROW(resolve_backend(SimBackend::Auto, w), Error) << "w=" << w;
   }
 }
@@ -147,7 +146,7 @@ TEST(BackendApi, ExplicitRequestsAreHardContracts) {
   if (!backend_available(SimBackend::Avx512)) {
     EXPECT_THROW(resolve_backend(SimBackend::Avx512, 4), Error);
   }
-  for (int w : {3, 5, 16, 32}) {
+  for (int w : {3, 5, 8, 16, 32}) {
     EXPECT_THROW(resolve_backend(SimBackend::Scalar, w), Error) << "w=" << w;
   }
 }
@@ -197,21 +196,18 @@ void cross_check_fault_sim(const Netlist& nl, const std::string& name) {
   const auto pats = random_patterns(nl, 48, 0xbac0 + nl.num_gates());
 
   for (SimBackend b : backends_under_test()) {
-    for (auto [w, t] : kMatrix) {
+    for (int t : kThreads) {
       FaultSimOptions ref_opts;
-      ref_opts.block_words = w;
       ref_opts.backend = SimBackend::Scalar;
       FaultSimulator ref_sim(nl, ref_opts);
       const FaultSimResult ref = ref_sim.run(pats, faults);
 
       FaultSimOptions opts;
-      opts.block_words = w;
       opts.num_threads = t;
       opts.backend = b;
       FaultSimulator sim(nl, opts);
       expect_same_fault_sim(ref, sim.run(pats, faults),
                             name + " backend=" + backend_name(b) +
-                                " W=" + std::to_string(w) +
                                 " T=" + std::to_string(t));
     }
   }
@@ -293,7 +289,7 @@ TEST(BackendCrossCheck, DiagnosisRankingsMatchScalar) {
   const Netlist nl = map_to_nand_nor_inv(make_iscas89_like("s344"));
   const auto faults = collapse_faults(nl);
   const auto pats = random_patterns(nl, 64, 0xd1a6);
-  ResponseCapture cap(nl, 1);
+  ResponseCapture cap(nl);
   // A single-fault log and a two-fault (multiplet-exercising) log, built
   // from faults the pattern set actually detects.
   FaultSimulator fsim(nl, {});
@@ -313,19 +309,16 @@ TEST(BackendCrossCheck, DiagnosisRankingsMatchScalar) {
   const auto ctx = std::make_shared<const DesignContext>(Netlist(nl));
   for (const FailureLog* log : {&single, &twin}) {
     for (SimBackend b : backends_under_test()) {
-      for (auto [w, t] : kMatrix) {
+      for (int t : kThreads) {
         DiagnosisOptions ref_opts;
-        ref_opts.block_words = w;
         ref_opts.backend = SimBackend::Scalar;
         const DiagnosisResult ref = diagnose_once(ctx, pats, *log, ref_opts);
 
         DiagnosisOptions opts;
-        opts.block_words = w;
         opts.backend = b;
         opts.num_threads = t;
         expect_same_diagnosis(ref, diagnose_once(ctx, pats, *log, opts),
                               std::string("backend=") + backend_name(b) +
-                                  " W=" + std::to_string(w) +
                                   " T=" + std::to_string(t));
       }
     }

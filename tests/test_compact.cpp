@@ -4,13 +4,13 @@
 // Compaction is a linear system with crisp algebraic invariants, so the
 // core is guarded by property tests over random responses rather than
 // hand-picked examples: linearity (sig(A ^ B) == sig(A) ^ sig(B)),
-// packed-vs-scalar equality for every block width, and the aliasing
+// packed-vs-scalar equality, and the aliasing
 // probability of the signature. The acceptance criterion mirrors the
 // full-response engine's: for every benchgen profile, injecting each of
 // 100 sampled detected collapsed faults and diagnosing from the
 // MISR-compacted signature log (default width/window) must rank the
 // injected fault #1 (ties share a rank) in >= 95% of injections, with
-// rankings bit-identical across (block_words, num_threads) in {1,4}x{1,4}.
+// rankings bit-identical across num_threads in {1, 4}.
 
 #include <gtest/gtest.h>
 
@@ -19,14 +19,17 @@
 #include "atpg/fault.hpp"
 #include "atpg/fault_sim.hpp"
 #include "benchgen/benchgen.hpp"
+#include "compact/compact_diag.hpp"
 #include "compact/misr.hpp"
 #include "compact/signature_log.hpp"
 #include "compact/xmask.hpp"
+#include "core/design_context.hpp"
 #include "diag/response.hpp"
 #include "sim/simulator.hpp"
 #include "support/diag_session.hpp"
 #include "techmap/techmap.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace scanpower {
 namespace {
@@ -99,7 +102,7 @@ TEST(MisrTest, LinearityOverEveryProfileShape) {
                                    static_cast<std::size_t>(profile.num_ff);
     for (const MisrConfig cfg :
          {MisrConfig{}, MisrConfig{.width = 16, .window = 7}}) {
-      const MisrCompactor compactor(cfg, 4);
+      const MisrCompactor compactor(cfg);
       const std::size_t num_patterns = 96;
       const ResponseMatrix a = random_responses(num_points, num_patterns, rng);
       const ResponseMatrix b = random_responses(num_points, num_patterns, rng);
@@ -120,13 +123,14 @@ TEST(MisrTest, LinearityOverEveryProfileShape) {
 }
 
 // Property: the packed bit-sliced engine equals the scalar reference
-// register bit-for-bit, for every block width, across awkward shapes
-// (window straddling word blocks, partial final windows, num_points not
-// a multiple of the register width, width 64).
-TEST(MisrTest, PackedMatchesScalarEveryWidth) {
+// register bit-for-bit across awkward shapes (windows straddling words
+// and kSweepLanes sweep blocks, partial final windows and blocks,
+// num_points not a multiple of the register width, width 64).
+TEST(MisrTest, PackedMatchesScalar) {
   Rng rng(0xc0ffee);
-  const std::size_t shapes[][2] = {
-      {26, 96}, {26, 64}, {3, 130}, {80, 17}, {250, 256}, {1, 70}, {40, 1}};
+  const std::size_t shapes[][2] = {{26, 96},  {26, 64}, {3, 130},
+                                   {80, 17},  {250, 256}, {1, 70},
+                                   {40, 1},   {26, 600}, {3, 513}};
   for (const auto& shape : shapes) {
     const std::size_t num_points = shape[0];
     const std::size_t num_patterns = shape[1];
@@ -137,13 +141,10 @@ TEST(MisrTest, PackedMatchesScalarEveryWidth) {
           MisrConfig{.width = 64, .window = 100}}) {
       const Misr misr(cfg);
       const auto ref = misr.compact_scalar(m);
-      for (int words : kBlockWords) {
-        const MisrCompactor compactor(cfg, words);
-        const auto packed = compactor.compact(m);
-        ASSERT_EQ(packed, ref)
-            << num_points << "x" << num_patterns << " width " << cfg.width
-            << " window " << cfg.window << " W=" << words;
-      }
+      const auto packed = MisrCompactor(cfg).compact(m);
+      ASSERT_EQ(packed, ref)
+          << num_points << "x" << num_patterns << " width " << cfg.width
+          << " window " << cfg.window;
     }
   }
 }
@@ -156,7 +157,7 @@ TEST(MisrTest, PackedMatchesScalarEveryWidth) {
 TEST(MisrTest, AliasingStaysBelowBound) {
   const int width = 8;  // small register so aliasing is measurable
   const MisrConfig cfg{.width = width, .window = 8};
-  const MisrCompactor compactor(cfg, 4);
+  const MisrCompactor compactor(cfg);
   const std::size_t num_points = 26;   // s344-like response width
   const std::size_t num_patterns = 8;  // one window
   Rng rng(0xa11a5);
@@ -220,7 +221,7 @@ TEST(XMaskPlanTest, MatchesScalarTernarySimulation) {
   }
   const ObservationPoints points(nl);
   const int window = 8;
-  const XMaskPlan plan(nl, points, pats, window, 4);
+  const XMaskPlan plan(nl, points, pats, window);
   ASSERT_TRUE(plan.any_masked());
   EXPECT_EQ(plan.num_windows(), pats.size() / window);
 
@@ -255,7 +256,7 @@ TEST(XMaskPlanTest, MatchesScalarTernarySimulation) {
   // masked point inside its masked window leaves the signatures unchanged.
   Rng rrng(0x9e);
   ResponseMatrix m = random_responses(points.size(), pats.size(), rrng);
-  const MisrCompactor compactor(MisrConfig{.window = window}, 4);
+  const MisrCompactor compactor(MisrConfig{.window = window});
   const auto base = compactor.compact(m, &plan);
   EXPECT_EQ(base, Misr(MisrConfig{.window = window}).compact_scalar(m, &plan));
   bool flipped_any = false;
@@ -277,7 +278,7 @@ TEST(XMaskPlanTest, FullySpecifiedPatternsYieldEmptyPlan) {
   const Netlist nl = map_to_nand_nor_inv(make_s27());
   const auto pats = random_patterns(nl, 32, 1);
   const ObservationPoints points(nl);
-  const XMaskPlan plan(nl, points, pats, 8, 1);
+  const XMaskPlan plan(nl, points, pats, 8);
   EXPECT_FALSE(plan.any_masked());
   EXPECT_EQ(plan.num_masked(), 0u);
   EXPECT_EQ(plan.keep_row(0), nullptr);
@@ -289,8 +290,8 @@ TEST(XMaskPlanTest, FullySpecifiedPatternsYieldEmptyPlan) {
 // patterns % window != 0 leaves a short final window, and all four
 // engines must agree on its semantics: XMaskPlan ceil-counts windows and
 // clamps the final range, the scalar Misr and the packed MisrCompactor
-// fold only the real patterns of the short window (at every block
-// width), and SignatureCapture publishes expected/observed vectors of
+// fold only the real patterns of the short window, and SignatureCapture
+// publishes expected/observed vectors of
 // the same ceil length that the diagnoser accepts. A disagreement
 // anywhere would silently shift every verdict behind the boundary.
 TEST(ShortWindowTest, EnginesAgreeOnPartialFinalWindow) {
@@ -317,37 +318,26 @@ TEST(ShortWindowTest, EnginesAgreeOnPartialFinalWindow) {
     const std::size_t nwin = cfg.num_windows(n);
     ASSERT_EQ(nwin, (n + shape[1] - 1) / shape[1]);
 
-    // Identical plans at every block width, ceil window count.
-    const XMaskPlan plan1(nl, points, pats, window, 1);
-    const XMaskPlan plan4(nl, points, pats, window, 4);
-    ASSERT_EQ(plan1.num_windows(), nwin) << n << "/" << window;
-    ASSERT_EQ(plan4.num_windows(), nwin);
-    ASSERT_EQ(plan1.num_masked(), plan4.num_masked());
-    for (std::size_t op = 0; op < points.size(); ++op) {
-      for (std::size_t w = 0; w < nwin; ++w) {
-        ASSERT_EQ(plan1.masked(op, w), plan4.masked(op, w))
-            << n << "/" << window << " op " << op << " window " << w;
-      }
-    }
+    // Ceil window count.
+    const XMaskPlan plan(nl, points, pats, window);
+    ASSERT_EQ(plan.num_windows(), nwin) << n << "/" << window;
 
-    // Scalar register == packed engine under the mask, every width.
+    // Scalar register == packed engine under the mask.
     const auto filled = zero_filled_patterns(pats);
     ASSERT_FALSE(filled.empty());
-    ResponseCapture rcap(nl, 4);
+    ResponseCapture rcap(nl);
     const ResponseMatrix good = rcap.capture_good(filled);
-    const auto ref = Misr(cfg).compact_scalar(good, &plan1);
+    const auto ref = Misr(cfg).compact_scalar(good, &plan);
     ASSERT_EQ(ref.size(), nwin);
-    for (int words : {1, 4, 8}) {
-      EXPECT_EQ(MisrCompactor(cfg, words).compact(good, &plan4), ref)
-          << n << "/" << window << " W=" << words;
-    }
+    EXPECT_EQ(MisrCompactor(cfg).compact(good, &plan), ref)
+        << n << "/" << window;
 
     // SignatureCapture publishes the same shapes end to end, and the
     // diagnoser accepts the log and ranks the injected fault #1. Prefer
     // a fault that actually fails some window (masking can swallow a
     // detection entirely; a clean log still ties every undetected fault
     // at rank 1, so the fallback stays assertable).
-    SignatureCapture cap(nl, cfg, 4);
+    SignatureCapture cap(nl, cfg);
     SignatureLog log;
     std::size_t pick = 0;
     for (std::size_t fi = 0; fi < faults.size(); fi += 29) {
@@ -370,7 +360,7 @@ TEST(SignatureLogTest, SaveLoadRoundTrip) {
   const Netlist nl = map_to_nand_nor_inv(make_iscas89_like("s344"));
   const auto pats = random_patterns(nl, 96, 0x10c);
   const auto faults = collapse_faults(nl);
-  SignatureCapture cap(nl, MisrConfig{}, 4);
+  SignatureCapture cap(nl, MisrConfig{});
   const SignatureLog log = cap.inject(pats, faults[7]);
   ASSERT_GT(log.num_failing_windows(), 0u);
 
@@ -490,9 +480,9 @@ TEST(SignatureCaptureTest, InjectMatchesFullResponseCompaction) {
   const auto pats = random_patterns(nl, 96, 0xfa11);
   const auto faults = collapse_faults(nl);
   const MisrConfig cfg{.width = 24, .window = 10};
-  SignatureCapture scap(nl, cfg, 4);
-  ResponseCapture rcap(nl, 4);
-  const MisrCompactor compactor(cfg, 4);
+  SignatureCapture scap(nl, cfg);
+  ResponseCapture rcap(nl);
+  const MisrCompactor compactor(cfg);
   const ResponseMatrix good = rcap.capture_good(pats);
 
   for (std::size_t fi = 0; fi < faults.size(); fi += 97) {
@@ -515,9 +505,9 @@ TEST(SignatureDiagnoseTest, RejectsMismatchedLog) {
   const Netlist nl = map_to_nand_nor_inv(make_s27());
   const auto faults = collapse_faults(nl);
   const auto pats = random_patterns(nl, 32, 5);
-  SignatureCapture cap(nl, MisrConfig{}, 1);
+  SignatureCapture cap(nl, MisrConfig{});
   SignatureLog log = cap.inject(pats, faults[0]);
-  ScanSession session(Netlist(nl), diag_flow_options({.block_words = 1}));
+  ScanSession session{Netlist(nl)};
   session.bind_patterns(pats);
 
   SignatureLog wrong_count = log;
@@ -537,7 +527,7 @@ TEST(SignatureDiagnoseTest, CleanLogScoresEverythingAsUndetected) {
   const Netlist nl = map_to_nand_nor_inv(make_s27());
   const auto faults = collapse_faults(nl);
   const auto pats = random_patterns(nl, 48, 3);
-  SignatureCapture cap(nl, MisrConfig{.window = 16}, 4);
+  SignatureCapture cap(nl, MisrConfig{.window = 16});
   cap.bind(pats);
   SignatureLog clean;
   clean.circuit = nl.name();
@@ -550,7 +540,7 @@ TEST(SignatureDiagnoseTest, CleanLogScoresEverythingAsUndetected) {
       diagnose_once(nl, pats, clean, DiagnosisOptions{.cone_pruning = false});
   ASSERT_EQ(res.ranked.size(), faults.size());
   EXPECT_EQ(res.num_failing_windows, 0u);
-  FaultSimulator fsim(nl, FaultSimOptions{.block_words = 1});
+  FaultSimulator fsim(nl);
   const FaultSimResult det = fsim.run(pats, faults);
   for (const CandidateScore& sc : res.ranked) {
     EXPECT_EQ(sc.exact(), !det.detected[sc.fault_index])
@@ -558,33 +548,44 @@ TEST(SignatureDiagnoseTest, CleanLogScoresEverythingAsUndetected) {
   }
 }
 
-// Pattern sets beyond the good-block cache exercise the streaming
-// re-simulation path; rankings must match the cached path bit-for-bit.
+// Pattern sets beyond the good-block cache cap exercise the streaming
+// re-simulation path; rankings must match the cached path bit-for-bit. A
+// session always caches kDefaultMaxCachedBlocks, so the engine borrows a
+// context's points and cones and a cache bound at each cap.
 TEST(SignatureDiagnoseTest, StreamingGoodMachineMatchesCachedPath) {
   const Netlist nl = map_to_nand_nor_inv(make_s27());
   const auto faults = collapse_faults(nl);
-  // 260 blocks at W=1 (over the 256-block cache cap), 5 blocks at W=8.
-  const auto pats = random_patterns(nl, 260 * 64, 0xb10c);
-  SignatureCapture cap(nl, MisrConfig{.window = 128}, 4);
+  // 10 sweep blocks, the last one ragged.
+  const auto pats = random_patterns(nl, 9 * kSweepLanes + 40, 0xb10c);
+  SignatureCapture cap(nl, MisrConfig{.window = 128});
   const SignatureLog log = cap.inject(pats, faults[2]);
   ASSERT_GT(log.num_failing_windows(), 0u);
 
-  const auto ctx = std::make_shared<const DesignContext>(Netlist(nl));
+  const DesignContext ctx{Netlist(nl)};
+  ThreadPool pool(1);
   DiagnosisResult ref;
   bool have_ref = false;
-  for (int words : {1, 8}) {
-    const DiagnosisResult res = diagnose_once(
-        ctx, pats, log,
-        DiagnosisOptions{.block_words = words, .cone_pruning = false});
+  for (std::size_t cap_blocks : {GoodBlockCache::kDefaultMaxCachedBlocks,
+                                 std::size_t{4}}) {
+    GoodBlockCache goods;
+    goods.bind(ctx.netlist(), pats, cap_blocks);
+    ASSERT_EQ(goods.num_blocks(), 10u);
+    ASSERT_EQ(goods.cached(), cap_blocks >= goods.num_blocks());
+    SignatureDiagnoser d(ctx.netlist(), DiagnosisOptions{.cone_pruning = false},
+                         pool, ctx.points(), ctx.cones(), goods);
+    const DiagnosisResult res =
+        d.diagnose(pats, faults, log, cap.mask(), cap.expected());
     EXPECT_EQ(res.rank_of(faults[2]), 1u);
     if (!have_ref) {
       ref = res;
       have_ref = true;
       continue;
     }
+    EXPECT_GT(goods.streamed_reads(), 0u);
     ASSERT_EQ(res.ranked.size(), ref.ranked.size());
     for (std::size_t i = 0; i < ref.ranked.size(); ++i) {
-      ASSERT_EQ(res.ranked[i].fault, ref.ranked[i].fault) << "W=" << words;
+      ASSERT_EQ(res.ranked[i].fault, ref.ranked[i].fault)
+          << "cap=" << cap_blocks;
       ASSERT_EQ(res.ranked[i].tfsf, ref.ranked[i].tfsf);
       ASSERT_EQ(res.ranked[i].tfsp, ref.ranked[i].tfsp);
       ASSERT_EQ(res.ranked[i].tpsf, ref.ranked[i].tpsf);
@@ -605,7 +606,7 @@ TEST(SignatureDiagnoseTest, DiagnosesThroughXMasking) {
     }
   }
   const auto faults = collapse_faults(nl);
-  SignatureCapture cap(nl, MisrConfig{.window = 8}, 4);
+  SignatureCapture cap(nl, MisrConfig{.window = 8});
   cap.bind(pats);
   ASSERT_TRUE(cap.mask().any_masked());
 
@@ -631,7 +632,7 @@ TEST(SignatureDiagnoseTest, DiagnosesThroughXMasking) {
 // faults, diagnose from the MISR-compacted signature log (default
 // width/window), and require the injected fault to rank #1 (ties share a
 // rank) in >= 95% of injections. Rankings must be bit-identical across
-// (block_words, num_threads) in {1,4} x {1,4}.
+// num_threads in {1, 4}.
 TEST(CompactDiagnoseAcceptance, AllProfilesRankInjectedFaultFirst) {
   for (const SynthProfile& profile : iscas89_profiles()) {
     const Netlist nl = map_to_nand_nor_inv(make_iscas89_like(profile.name));
@@ -640,7 +641,7 @@ TEST(CompactDiagnoseAcceptance, AllProfilesRankInjectedFaultFirst) {
     const auto pats =
         random_patterns(nl, num_patterns, 0xacce97 + profile.seed);
 
-    FaultSimulator fsim(nl, FaultSimOptions{.block_words = 4});
+    FaultSimulator fsim(nl);
     const FaultSimResult det = fsim.run(pats, faults);
     std::vector<std::size_t> detected;
     for (std::size_t fi = 0; fi < faults.size(); ++fi) {
@@ -655,12 +656,11 @@ TEST(CompactDiagnoseAcceptance, AllProfilesRankInjectedFaultFirst) {
       sample.push_back(detected[i]);
     }
 
-    SignatureCapture cap(nl, MisrConfig{}, 4);  // default width/window
+    SignatureCapture cap(nl, MisrConfig{});  // default width/window
     // All hardware threads: rankings are bit-identical across thread
     // counts (verified below), so this only buys wall-clock.
     const auto ctx = std::make_shared<const DesignContext>(Netlist(nl));
-    ScanSession session(
-        ctx, diag_flow_options({.block_words = 4, .num_threads = 0}));
+    ScanSession session(ctx, diag_flow_options({.num_threads = 0}));
     session.bind_patterns(pats);
     int trials = 0;
     int rank1 = 0;
@@ -683,24 +683,21 @@ TEST(CompactDiagnoseAcceptance, AllProfilesRankInjectedFaultFirst) {
       const SignatureLog log = cap.inject(pats, faults[fi]);
       DiagnosisResult ref;
       bool have_ref = false;
-      for (int words : {1, 4}) {
-        for (int threads : {1, 4}) {
-          const DiagnosisResult res = diagnose_once(
-              ctx, pats, log,
-              DiagnosisOptions{.block_words = words, .num_threads = threads});
-          if (!have_ref) {
-            ref = res;
-            have_ref = true;
-            continue;
-          }
-          ASSERT_EQ(res.ranked.size(), ref.ranked.size()) << profile.name;
-          for (std::size_t i = 0; i < ref.ranked.size(); ++i) {
-            ASSERT_EQ(res.ranked[i].fault, ref.ranked[i].fault)
-                << profile.name << " W=" << words << " T=" << threads;
-            ASSERT_EQ(res.ranked[i].tfsf, ref.ranked[i].tfsf);
-            ASSERT_EQ(res.ranked[i].tfsp, ref.ranked[i].tfsp);
-            ASSERT_EQ(res.ranked[i].tpsf, ref.ranked[i].tpsf);
-          }
+      for (int threads : {1, 4}) {
+        const DiagnosisResult res = diagnose_once(
+            ctx, pats, log, DiagnosisOptions{.num_threads = threads});
+        if (!have_ref) {
+          ref = res;
+          have_ref = true;
+          continue;
+        }
+        ASSERT_EQ(res.ranked.size(), ref.ranked.size()) << profile.name;
+        for (std::size_t i = 0; i < ref.ranked.size(); ++i) {
+          ASSERT_EQ(res.ranked[i].fault, ref.ranked[i].fault)
+              << profile.name << " T=" << threads;
+          ASSERT_EQ(res.ranked[i].tfsf, ref.ranked[i].tfsf);
+          ASSERT_EQ(res.ranked[i].tfsp, ref.ranked[i].tfsp);
+          ASSERT_EQ(res.ranked[i].tpsf, ref.ranked[i].tpsf);
         }
       }
     }

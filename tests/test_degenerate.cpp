@@ -70,7 +70,7 @@ Netlist all_dff_netlist() {
 /// Per-pattern scalar fault simulation: does injecting `f` change any
 /// observable value (PO or DFF D capture) under `pat`?
 bool scalar_detects(const Netlist& nl, const TestPattern& pat, const Fault& f) {
-  ResponseCapture cap(nl, 1);
+  ResponseCapture cap(nl);
   const std::vector<TestPattern> one{pat};
   return !cap.inject(one, f).failures.empty();
 }
@@ -86,8 +86,8 @@ class DegenerateNetlistTest : public ::testing::TestWithParam<int> {
   }
 };
 
-// Fault simulation: every (block width, thread count) configuration must
-// agree with per-pattern scalar injection on every collapsed fault.
+// Fault simulation: every thread count must agree with per-pattern
+// scalar injection on every collapsed fault.
 TEST_P(DegenerateNetlistTest, FaultSimulatorMatchesScalarInjection) {
   const Netlist nl = make();
   const auto faults = collapse_faults(nl);
@@ -107,17 +107,14 @@ TEST_P(DegenerateNetlistTest, FaultSimulatorMatchesScalarInjection) {
     }
   }
 
-  for (int words : {1, 4}) {
-    for (int threads : {1, 4}) {
-      FaultSimulator fsim(
-          nl, FaultSimOptions{.block_words = words, .num_threads = threads});
-      const FaultSimResult res = fsim.run(pats, faults);
-      for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-        EXPECT_EQ(res.detected[fi], expect[fi])
-            << faults[fi].to_string(nl) << " W=" << words << " T=" << threads;
-        EXPECT_EQ(res.detecting_pattern[fi], expect_first[fi])
-            << faults[fi].to_string(nl);
-      }
+  for (int threads : {1, 4}) {
+    FaultSimulator fsim(nl, FaultSimOptions{.num_threads = threads});
+    const FaultSimResult res = fsim.run(pats, faults);
+    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
+      EXPECT_EQ(res.detected[fi], expect[fi])
+          << faults[fi].to_string(nl) << " T=" << threads;
+      EXPECT_EQ(res.detecting_pattern[fi], expect_first[fi])
+          << faults[fi].to_string(nl);
     }
   }
 }
@@ -157,8 +154,8 @@ TEST_P(DegenerateNetlistTest, DiagnosisRanksInjectedFaultFirst) {
   const Netlist nl = make();
   const auto faults = collapse_faults(nl);
   const auto pats = random_patterns(nl, 48, 0xd1a + GetParam());
-  ResponseCapture cap(nl, 4);
-  SignatureCapture scap(nl, MisrConfig{.width = 16, .window = 8}, 4);
+  ResponseCapture cap(nl);
+  SignatureCapture scap(nl, MisrConfig{.width = 16, .window = 8});
   const auto ctx = std::make_shared<const DesignContext>(Netlist(nl));
 
   int diagnosed = 0;
@@ -169,22 +166,18 @@ TEST_P(DegenerateNetlistTest, DiagnosisRanksInjectedFaultFirst) {
         << f.to_string(nl);
     if (log.failures.empty()) continue;
     ++diagnosed;
-    for (int words : {1, 4}) {
-      for (int threads : {1, 4}) {
-        const DiagnosisOptions opts{.block_words = words,
-                                    .num_threads = threads};
-        const DiagnosisResult res = diagnose_once(ctx, pats, log, opts);
-        EXPECT_EQ(res.rank_of(f), 1u)
-            << f.to_string(nl) << " W=" << words << " T=" << threads;
-        ASSERT_FALSE(res.ranked.empty());
-        EXPECT_TRUE(res.ranked[0].exact());
+    for (int threads : {1, 4}) {
+      const DiagnosisOptions opts{.num_threads = threads};
+      const DiagnosisResult res = diagnose_once(ctx, pats, log, opts);
+      EXPECT_EQ(res.rank_of(f), 1u) << f.to_string(nl) << " T=" << threads;
+      ASSERT_FALSE(res.ranked.empty());
+      EXPECT_TRUE(res.ranked[0].exact());
 
-        const DiagnosisResult sres = diagnose_once(ctx, pats, slog, opts);
-        EXPECT_EQ(sres.rank_of(f), 1u)
-            << "compacted " << f.to_string(nl) << " W=" << words;
-        ASSERT_FALSE(sres.ranked.empty());
-        EXPECT_TRUE(sres.ranked[0].exact());
-      }
+      const DiagnosisResult sres = diagnose_once(ctx, pats, slog, opts);
+      EXPECT_EQ(sres.rank_of(f), 1u)
+          << "compacted " << f.to_string(nl) << " T=" << threads;
+      ASSERT_FALSE(sres.ranked.empty());
+      EXPECT_TRUE(sres.ranked[0].exact());
     }
   }
   EXPECT_GT(diagnosed, 0);

@@ -3,8 +3,8 @@
 // The acceptance criterion for the subsystem: injecting any detected
 // collapsed fault and diagnosing from its synthetic failure log must rank
 // that fault #1 (ties share a rank -- candidates indistinguishable under
-// the applied patterns), with bit-identical rankings across every
-// (block width, thread count) configuration.
+// the applied patterns), with bit-identical rankings across thread
+// counts.
 
 #include <gtest/gtest.h>
 
@@ -63,33 +63,34 @@ TEST(ObservationPointsTest, IndexSpaceCoversPosAndCells) {
 
 // ---------- good-machine signatures -----------------------------------------
 
-// Signature bits must equal the scalar per-pattern responses, regardless
-// of block width.
-TEST(ResponseCaptureTest, GoodSignaturesMatchScalarSimAllWidths) {
+// Signature bits must equal the single-word packed simulator's lanes for
+// every pattern, and the invalid lanes of the ragged final word must stay
+// zero.
+TEST(ResponseCaptureTest, GoodSignaturesMatchPackedSim) {
   const Netlist nl = map_to_nand_nor_inv(make_iscas89_like("s344"));
   const auto pats = random_patterns(nl, 100, 0xd1a6);
-  const ResponseCapture ref_cap(nl, 1);
-  ResponseCapture cap1(nl, 1);
-  const ResponseMatrix ref = cap1.capture_good(pats);
-  ASSERT_EQ(ref.num_points, ref_cap.points().size());
-  ASSERT_EQ(ref.num_patterns, pats.size());
+  ResponseCapture cap(nl);
+  const ResponseMatrix m = cap.capture_good(pats);
+  const ObservationPoints& ops = cap.points();
+  ASSERT_EQ(m.num_points, ops.size());
+  ASSERT_EQ(m.num_patterns, pats.size());
 
-  for (int words : {2, 4, 8}) {
-    ResponseCapture cap(nl, words);
-    const ResponseMatrix m = cap.capture_good(pats);
-    EXPECT_EQ(m.words, ref.words) << "W=" << words;
-  }
-
-  // Spot-check against PackedSimulator lanes.
   PackedSimulator sim(nl);
-  load_pattern_block(nl, pats, 0, sim);
-  sim.eval();
-  const ObservationPoints& ops = cap1.points();
-  for (std::size_t op = 0; op < ops.size(); ++op) {
-    for (std::size_t p = 0; p < 64; ++p) {
-      const bool expect = (sim.value(ops.observed_gate(op)) >> p) & 1;
-      EXPECT_EQ(ref.bit(op, p), expect);
+  for (std::size_t base = 0; base < pats.size(); base += 64) {
+    load_pattern_block(nl, pats, base, sim);
+    sim.eval();
+    const std::size_t batch = std::min<std::size_t>(64, pats.size() - base);
+    for (std::size_t op = 0; op < ops.size(); ++op) {
+      for (std::size_t p = 0; p < batch; ++p) {
+        const bool expect = (sim.value(ops.observed_gate(op)) >> p) & 1;
+        EXPECT_EQ(m.bit(op, base + p), expect) << "op " << op << " p " << p;
+      }
     }
+  }
+  const std::size_t last = m.words_per_point() - 1;
+  const PatternWord invalid = ~((PatternWord{1} << (pats.size() % 64)) - 1);
+  for (std::size_t op = 0; op < ops.size(); ++op) {
+    EXPECT_EQ(m.row(op)[last] & invalid, 0u) << "op " << op;
   }
 }
 
@@ -101,43 +102,39 @@ TEST(ResponseCaptureTest, InjectMatchesBruteForce) {
   const Netlist nl = map_to_nand_nor_inv(make_iscas89_like("s344"));
   const auto pats = random_patterns(nl, 70, 0xfa11);
   const auto faults = collapse_faults(nl);
-  ResponseCapture cap(nl, 4);
-  ResponseCapture cap_w1(nl, 1);
+  ResponseCapture cap(nl);
 
   // A spread of faults, including DFF-related sites.
   for (std::size_t fi = 0; fi < faults.size(); fi += 97) {
     const Fault& f = faults[fi];
     const FailureLog log = cap.inject(pats, f);
-    EXPECT_EQ(cap_w1.inject(pats, f).failures, log.failures)
-        << "W=1 vs W=4 for " << f.to_string(nl);
 
-    // Brute force via single-lane packed sim with the fault applied as a
-    // one-pattern block.
+    // Brute force via packed sim with the fault applied to a one-pattern
+    // block (lane 0 only).
     std::vector<Failure> expect;
     FaultConeEvaluator ev;
-    ev.init(nl, 1);
-    BlockSimulator good(nl, 1);
+    ev.init(nl);
+    BlockSimulator good(nl, kSweepWords);
     const ObservationPoints& ops = cap.points();
     for (std::size_t p = 0; p < pats.size(); ++p) {
       load_pattern_block(nl, std::span(pats).subspan(p, 1), 0, good);
       good.eval();
-      const PackedBlock<1> mask = lane_validity_mask<1>(1);
+      const PackedBlock<kSweepWords> mask = lane_validity_mask<kSweepWords>(1);
       const bool d_branch = f.pin >= 0 && nl.type(f.gate) == GateType::Dff;
-      ev.propagate<1>(good, f, mask, ops.observable(),
-                      [&](GateId gate, const PatternWord* diff) {
-                        if ((diff[0] & 1) == 0) return;
-                        if (d_branch && gate == f.gate) {
-                          expect.push_back(
-                              {static_cast<std::uint32_t>(p),
-                               static_cast<std::uint32_t>(
-                                   ops.point_of_dff(gate))});
-                        } else {
-                          for (std::uint32_t op : ops.points_of_gate(gate)) {
-                            expect.push_back(
-                                {static_cast<std::uint32_t>(p), op});
-                          }
-                        }
-                      });
+      ev.propagate(good, f, mask, ops.observable(),
+                   [&](GateId gate, const PatternWord* diff) {
+                     if ((diff[0] & 1) == 0) return;
+                     if (d_branch && gate == f.gate) {
+                       expect.push_back(
+                           {static_cast<std::uint32_t>(p),
+                            static_cast<std::uint32_t>(
+                                ops.point_of_dff(gate))});
+                     } else {
+                       for (std::uint32_t op : ops.points_of_gate(gate)) {
+                         expect.push_back({static_cast<std::uint32_t>(p), op});
+                       }
+                     }
+                   });
     }
     std::sort(expect.begin(), expect.end());
     EXPECT_EQ(log.failures, expect) << f.to_string(nl);
@@ -159,7 +156,7 @@ TEST(ResponseCaptureTest, DffStemFaultReportsAtConsumingPoints) {
   const GateId q1 = nl.find("q1");
   const GateId q2 = nl.find("q2");
 
-  ResponseCapture cap(nl, 1);
+  ResponseCapture cap(nl);
   const ObservationPoints& ops = cap.points();
   const std::size_t po_q1 = 0;  // outputs() order: q1, q2
   const std::size_t cap_q1 = ops.point_of_dff(q1);
@@ -186,7 +183,7 @@ TEST(ResponseCaptureTest, DffStemFaultReportsAtConsumingPoints) {
 
   // And diagnosis from the stem log scores the stem fault as exact.
   const DiagnosisResult res =
-      diagnose_once(nl, pats, stem, DiagnosisOptions{.block_words = 1});
+      diagnose_once(nl, pats, stem, DiagnosisOptions{});
   EXPECT_EQ(res.rank_of(Fault{q1, -1, false}), 1u);
   ASSERT_FALSE(res.ranked.empty());
   EXPECT_TRUE(res.ranked[0].exact());
@@ -210,7 +207,7 @@ TEST(FailureLogTest, SaveLoadRoundTrip) {
   const Netlist nl = map_to_nand_nor_inv(make_iscas89_like("s344"));
   const auto pats = random_patterns(nl, 40, 0x10c);
   const auto faults = collapse_faults(nl);
-  ResponseCapture cap(nl, 4);
+  ResponseCapture cap(nl);
   FailureLog log = cap.inject(pats, faults[7]);
   ASSERT_FALSE(log.failures.empty());
 
@@ -266,7 +263,7 @@ TEST(FailureLogTest, MalformedLogsNameTheOffendingLine) {
 // logs at diagnose() time (see test_session.cpp).
 TEST(FailureLogTest, LoadChecksPointRangeWhenOpsGiven) {
   const Netlist nl = map_to_nand_nor_inv(make_iscas89_like("s344"));
-  ResponseCapture cap(nl, 4);
+  ResponseCapture cap(nl);
   const std::size_t num_ops = cap.points().size();
   std::stringstream ok(strprintf("patterns 4\nfail 1 %zu\nend 1\n",
                                  num_ops - 1));
@@ -288,7 +285,7 @@ TEST(FailureLogTest, NamedRecordsRoundTrip) {
   const Netlist nl = map_to_nand_nor_inv(make_iscas89_like("s344"));
   const auto pats = random_patterns(nl, 40, 0x10c);
   const auto faults = collapse_faults(nl);
-  ResponseCapture cap(nl, 4);
+  ResponseCapture cap(nl);
   FailureLog log = cap.inject(pats, faults[7]);
   ASSERT_FALSE(log.failures.empty());
 
@@ -381,7 +378,7 @@ TEST(DiagnoseTest, EarlyExitPreservesTheWinner) {
   const Netlist nl = map_to_nand_nor_inv(make_iscas89_like("s382"));
   const auto faults = collapse_faults(nl);
   const auto pats = random_patterns(nl, 96, 0xe4e);
-  ResponseCapture cap(nl, 4);
+  ResponseCapture cap(nl);
   const auto ctx = std::make_shared<const DesignContext>(Netlist(nl));
   ScanSession fast(ctx, diag_flow_options({.score_early_exit = true}));
   ScanSession full(ctx, diag_flow_options({.score_early_exit = false}));
@@ -430,12 +427,12 @@ TEST(DiagnoseTest, InjectedFaultRanksFirstOnS344) {
   const Netlist nl = map_to_nand_nor_inv(make_iscas89_like("s344"));
   const auto faults = collapse_faults(nl);
   const auto pats = random_patterns(nl, 128, 0xd1a60);
-  ResponseCapture cap(nl, 4);
+  ResponseCapture cap(nl);
   ScanSession session{Netlist(nl)};
   session.bind_patterns(pats);
 
   // First fault-sim pass to find detected faults.
-  FaultSimulator fsim(nl, FaultSimOptions{.block_words = 4});
+  FaultSimulator fsim(nl);
   const FaultSimResult det = fsim.run(pats, faults);
   ASSERT_GT(det.num_detected, 0u);
 
@@ -460,7 +457,7 @@ TEST(DiagnoseTest, PruningNeverDropsTheInjectedFault) {
   const Netlist nl = map_to_nand_nor_inv(make_iscas89_like("s382"));
   const auto faults = collapse_faults(nl);
   const auto pats = random_patterns(nl, 96, 0xabcd);
-  ResponseCapture cap(nl, 4);
+  ResponseCapture cap(nl);
   const auto ctx = std::make_shared<const DesignContext>(Netlist(nl));
   ScanSession pruned(ctx, diag_flow_options({.cone_pruning = true}));
   ScanSession full(ctx, diag_flow_options({.cone_pruning = false}));
@@ -492,7 +489,7 @@ TEST(DiagnoseTest, EmptyLogScoresEverythingAsUndetected) {
       diagnose_once(nl, pats, log, DiagnosisOptions{.cone_pruning = false});
   ASSERT_EQ(res.ranked.size(), faults.size());
   // Exact matches are exactly the faults this pattern set cannot detect.
-  FaultSimulator fsim(nl, FaultSimOptions{.block_words = 1});
+  FaultSimulator fsim(nl);
   const FaultSimResult det = fsim.run(pats, faults);
   for (const CandidateScore& sc : res.ranked) {
     EXPECT_EQ(sc.exact(), !det.detected[sc.fault_index])
@@ -500,18 +497,17 @@ TEST(DiagnoseTest, EmptyLogScoresEverythingAsUndetected) {
   }
 }
 
-// A pattern set spanning more than 64 blocks at W=1, under a 64-block
-// cache cap, exercises the re-simulating (uncached) good-machine path of
-// the round loop; rankings must still be bit-identical to a wide-block
-// run that caches every block. A session always caches 256 blocks, so
-// the engine borrows a context's points and cones and a cache bound at
-// the smaller cap.
+// A pattern set spanning more blocks than a small cache cap exercises the
+// re-simulating (streamed) good-machine path of the round loop; rankings
+// must still be bit-identical to a run that caches every block. A session
+// always caches kDefaultMaxCachedBlocks, so the engine borrows a
+// context's points and cones and a cache bound at each cap.
 TEST(DiagnoseTest, ManyBlockPatternSetsMatchCachedPath) {
   const Netlist nl = map_to_nand_nor_inv(make_iscas89_like("s344"));
   const auto faults = collapse_faults(nl);
   ASSERT_GT(faults.size(), 64u);  // several scoring rounds
-  const auto pats = random_patterns(nl, 70 * 64 + 17, 0xb10c);
-  ResponseCapture cap(nl, 4);
+  const auto pats = random_patterns(nl, 17 * kSweepLanes + 17, 0xb10c);
+  ResponseCapture cap(nl);
   const FailureLog log = cap.inject(pats, faults[3]);
   ASSERT_FALSE(log.failures.empty());
 
@@ -519,12 +515,14 @@ TEST(DiagnoseTest, ManyBlockPatternSetsMatchCachedPath) {
   ThreadPool pool(1);
   DiagnosisResult ref;
   bool have_ref = false;
-  for (int words : {1, 8}) {
+  for (std::size_t cap_blocks : {GoodBlockCache::kDefaultMaxCachedBlocks,
+                                 std::size_t{4}}) {
     GoodBlockCache goods;
-    goods.bind(ctx.netlist(), pats, words, /*max_cached_blocks=*/64);
-    Diagnoser d(ctx.netlist(),
-                DiagnosisOptions{.block_words = words, .cone_pruning = false},
-                pool, ctx.points(), ctx.cones(), goods);
+    goods.bind(ctx.netlist(), pats, cap_blocks);
+    ASSERT_EQ(goods.num_blocks(), 18u);
+    ASSERT_EQ(goods.cached(), cap_blocks >= goods.num_blocks());
+    Diagnoser d(ctx.netlist(), DiagnosisOptions{.cone_pruning = false}, pool,
+                ctx.points(), ctx.cones(), goods);
     const DiagnosisResult res = d.diagnose(pats, faults, log);
     EXPECT_EQ(res.rank_of(faults[3]), 1u);
     if (!have_ref) {
@@ -532,9 +530,11 @@ TEST(DiagnoseTest, ManyBlockPatternSetsMatchCachedPath) {
       have_ref = true;
       continue;
     }
+    EXPECT_GT(goods.streamed_reads(), 0u);
     ASSERT_EQ(res.ranked.size(), ref.ranked.size());
     for (std::size_t i = 0; i < ref.ranked.size(); ++i) {
-      ASSERT_EQ(res.ranked[i].fault, ref.ranked[i].fault) << "W=" << words;
+      ASSERT_EQ(res.ranked[i].fault, ref.ranked[i].fault)
+          << "cap=" << cap_blocks;
       ASSERT_EQ(res.ranked[i].tfsf, ref.ranked[i].tfsf);
       ASSERT_EQ(res.ranked[i].tpsf, ref.ranked[i].tpsf);
       ASSERT_EQ(res.ranked[i].dropped, ref.ranked[i].dropped);
@@ -553,8 +553,7 @@ struct TrialStats {
 // For every benchgen profile: inject >= 100 sampled detected collapsed
 // faults, diagnose from the synthetic log, and require the injected fault
 // (ties share a rank) to place #1 in >= 95% of trials and in the top-5
-// always. Rankings must be bit-identical across
-// (block_words, num_threads) in {1,4} x {1,4}.
+// always. Rankings must be bit-identical across num_threads in {1, 4}.
 TEST(DiagnoseAcceptance, AllProfilesRankInjectedFaultFirst) {
   for (const SynthProfile& profile : iscas89_profiles()) {
     const Netlist nl = map_to_nand_nor_inv(make_iscas89_like(profile.name));
@@ -562,7 +561,7 @@ TEST(DiagnoseAcceptance, AllProfilesRankInjectedFaultFirst) {
     const int num_patterns = 96;
     const auto pats = random_patterns(nl, num_patterns, 0xacce97 + profile.seed);
 
-    FaultSimulator fsim(nl, FaultSimOptions{.block_words = 4});
+    FaultSimulator fsim(nl);
     const FaultSimResult det = fsim.run(pats, faults);
     std::vector<std::size_t> detected;
     for (std::size_t fi = 0; fi < faults.size(); ++fi) {
@@ -578,10 +577,9 @@ TEST(DiagnoseAcceptance, AllProfilesRankInjectedFaultFirst) {
       sample.push_back(detected[i]);
     }
 
-    ResponseCapture cap(nl, 4);
+    ResponseCapture cap(nl);
     const auto ctx = std::make_shared<const DesignContext>(Netlist(nl));
-    ScanSession session(
-        ctx, diag_flow_options({.block_words = 4, .num_threads = 1}));
+    ScanSession session(ctx, diag_flow_options({.num_threads = 1}));
     session.bind_patterns(pats);
     TrialStats stats;
     for (std::size_t fi : sample) {
@@ -605,24 +603,21 @@ TEST(DiagnoseAcceptance, AllProfilesRankInjectedFaultFirst) {
       const FailureLog log = cap.inject(pats, faults[fi]);
       DiagnosisResult ref;
       bool have_ref = false;
-      for (int words : {1, 4}) {
-        for (int threads : {1, 4}) {
-          const DiagnosisResult res = diagnose_once(
-              ctx, pats, log,
-              DiagnosisOptions{.block_words = words, .num_threads = threads});
-          if (!have_ref) {
-            ref = res;
-            have_ref = true;
-            continue;
-          }
-          ASSERT_EQ(res.ranked.size(), ref.ranked.size()) << profile.name;
-          for (std::size_t i = 0; i < ref.ranked.size(); ++i) {
-            ASSERT_EQ(res.ranked[i].fault, ref.ranked[i].fault)
-                << profile.name << " W=" << words << " T=" << threads;
-            ASSERT_EQ(res.ranked[i].tfsf, ref.ranked[i].tfsf);
-            ASSERT_EQ(res.ranked[i].tfsp, ref.ranked[i].tfsp);
-            ASSERT_EQ(res.ranked[i].tpsf, ref.ranked[i].tpsf);
-          }
+      for (int threads : {1, 4}) {
+        const DiagnosisResult res = diagnose_once(
+            ctx, pats, log, DiagnosisOptions{.num_threads = threads});
+        if (!have_ref) {
+          ref = res;
+          have_ref = true;
+          continue;
+        }
+        ASSERT_EQ(res.ranked.size(), ref.ranked.size()) << profile.name;
+        for (std::size_t i = 0; i < ref.ranked.size(); ++i) {
+          ASSERT_EQ(res.ranked[i].fault, ref.ranked[i].fault)
+              << profile.name << " T=" << threads;
+          ASSERT_EQ(res.ranked[i].tfsf, ref.ranked[i].tfsf);
+          ASSERT_EQ(res.ranked[i].tfsp, ref.ranked[i].tfsp);
+          ASSERT_EQ(res.ranked[i].tpsf, ref.ranked[i].tpsf);
         }
       }
     }

@@ -82,7 +82,7 @@ TEST(FaultCollapse, CollapsedAndUncollapsedDetectionIdentical) {
     for (int round = 0; round < 2; ++round) {
       const auto pats =
           random_patterns(nl, 80, 0xc011a95e + profile.seed + round);
-      FaultSimulator fsim(nl, FaultSimOptions{.block_words = 4});
+      FaultSimulator fsim(nl);
       const FaultSimResult full = fsim.run(pats, uncollapsed);
       const FaultSimResult coll = fsim.run(pats, collapsed);
 

@@ -1,16 +1,13 @@
 // Golden lock on the Table-I flow: ScanSession::run_flow on the small
 // benchgen profiles (s344-s713) must reproduce these FlowResult figures
-// exactly, at every (fault-sim block words, threads) configuration in
-// {1,4}^2.
+// exactly, at every thread count in {1, 4}.
 //
 // The lock guards behaviour-preserving rewrites of the flow's engines
 // (scan-shift power evaluation, ATPG, observability, fill): such a
 // rewrite must keep every double bit-identical. A change that is meant to
 // move results re-records the table and explains the difference. No
-// configuration changes a result -- ATPG batches are a fixed 256
-// patterns, and the observability and fill engines choose their own
-// block width -- so one row per profile serves all four. A short PODEM
-// budget keeps the lock fast.
+// thread count changes a result, so one row per profile serves both. A
+// short PODEM budget keeps the lock fast.
 //
 // Regenerate a row by printing the same fields with "%.17g", which
 // round-trips every double exactly.
@@ -87,15 +84,13 @@ void expect_power(const char* structure, const ScanPowerResult& got,
 }
 
 class GoldenFlowTest
-    : public ::testing::TestWithParam<std::tuple<std::size_t, int, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::size_t, int>> {};
 
 TEST_P(GoldenFlowTest, RunFlowMatchesLockedFigures) {
   const GoldenFlow& g = kGolden[std::get<0>(GetParam())];
-  const int words = std::get<1>(GetParam());
-  const int threads = std::get<2>(GetParam());
+  const int threads = std::get<1>(GetParam());
   FlowOptions opts;
   opts.tpg.podem_backtrack_limit = kPodemBacktrackLimit;
-  opts.tpg.fault_sim.block_words = words;
   opts.tpg.fault_sim.num_threads = threads;
   opts.observability.num_threads = threads;
   opts.fill.num_threads = threads;
@@ -113,12 +108,11 @@ TEST_P(GoldenFlowTest, RunFlowMatchesLockedFigures) {
 INSTANTIATE_TEST_SUITE_P(
     SmallProfiles, GoldenFlowTest,
     ::testing::Combine(::testing::Range<std::size_t>(0, std::size(kGolden)),
-                       ::testing::Values(1, 4), ::testing::Values(1, 4)),
+                       ::testing::Values(1, 4)),
     [](const ::testing::TestParamInfo<GoldenFlowTest::ParamType>& info) {
       const GoldenFlow& g = kGolden[std::get<0>(info.param)];
-      return std::string(g.profile) + "_W" +
-             std::to_string(std::get<1>(info.param)) + "_T" +
-             std::to_string(std::get<2>(info.param));
+      return std::string(g.profile) + "_T" +
+             std::to_string(std::get<1>(info.param));
     });
 
 }  // namespace

@@ -35,19 +35,18 @@ std::vector<TestPattern> random_patterns(const Netlist& nl, std::size_t n,
 /// cache bound at cap 0, which streams every block (the contract both
 /// diagnosers rely on).
 void expect_boundary(const Netlist& nl,
-                     const std::vector<TestPattern>& patterns, int words,
+                     const std::vector<TestPattern>& patterns,
                      std::size_t cap, bool expect_cached) {
   GoodBlockCache cache;
-  cache.bind(nl, patterns, words, cap);
-  const std::size_t lanes = static_cast<std::size_t>(words) * 64;
-  const std::size_t nblocks = (patterns.size() + lanes - 1) / lanes;
+  cache.bind(nl, patterns, cap);
+  const std::size_t nblocks = (patterns.size() + kSweepLanes - 1) / kSweepLanes;
   ASSERT_EQ(cache.num_blocks(), nblocks);
   EXPECT_EQ(cache.cached(), expect_cached)
       << nblocks << " blocks vs cap " << cap;
   EXPECT_EQ(cache.blocks_cached(), expect_cached ? nblocks : 0u);
 
   GoodBlockCache streamed;
-  streamed.bind(nl, patterns, words, 0);
+  streamed.bind(nl, patterns, 0);
   ASSERT_FALSE(streamed.cached());
 
   // Bit-identity across the boundary: compare full value storage of
@@ -68,45 +67,39 @@ void expect_boundary(const Netlist& nl,
 
 TEST(GoodBlockCacheTest, SmallCapBoundary) {
   const Netlist nl = make_s27();
-  const int words = 1;  // 64-pattern blocks
+  const std::size_t n = kSweepLanes;  // patterns per block
   const std::size_t cap = 4;
   // cap-1, cap, cap+1 whole blocks, plus a partial final block straddling
   // the cap (cap blocks where the last holds a single pattern).
-  expect_boundary(nl, random_patterns(nl, 64 * (cap - 1), 0xb10c), words, cap,
+  expect_boundary(nl, random_patterns(nl, n * (cap - 1), 0xb10c), cap, true);
+  expect_boundary(nl, random_patterns(nl, n * cap, 0xb10c), cap, true);
+  expect_boundary(nl, random_patterns(nl, n * cap + 1, 0xb10c), cap, false);
+  expect_boundary(nl, random_patterns(nl, n * (cap + 1), 0xb10c), cap, false);
+  expect_boundary(nl, random_patterns(nl, n * (cap - 1) + 1, 0xb10c), cap,
                   true);
-  expect_boundary(nl, random_patterns(nl, 64 * cap, 0xb10c), words, cap,
-                  true);
-  expect_boundary(nl, random_patterns(nl, 64 * cap + 1, 0xb10c), words, cap,
-                  false);
-  expect_boundary(nl, random_patterns(nl, 64 * (cap + 1), 0xb10c), words, cap,
-                  false);
-  expect_boundary(nl, random_patterns(nl, 64 * (cap - 1) + 1, 0xb10c), words,
-                  cap, true);
 }
 
 TEST(GoodBlockCacheTest, DefaultCapBoundary) {
   const Netlist nl = make_s27();
-  const int words = 1;
+  const std::size_t n = kSweepLanes;
   const std::size_t cap = GoodBlockCache::kDefaultMaxCachedBlocks;
-  // s27 is tiny, so even 257 * 64 patterns simulate in well under a
-  // second; the three shapes bracket the real default boundary.
-  expect_boundary(nl, random_patterns(nl, 64 * (cap - 1) + 7, 0xcafe), words,
-                  cap, true);
-  expect_boundary(nl, random_patterns(nl, 64 * cap, 0xcafe), words, cap,
+  // s27 is tiny, so even 257 blocks simulate in well under a second; the
+  // three shapes bracket the real default boundary.
+  expect_boundary(nl, random_patterns(nl, n * (cap - 1) + 7, 0xcafe), cap,
                   true);
-  expect_boundary(nl, random_patterns(nl, 64 * cap + 1, 0xcafe), words, cap,
-                  false);
+  expect_boundary(nl, random_patterns(nl, n * cap, 0xcafe), cap, true);
+  expect_boundary(nl, random_patterns(nl, n * cap + 1, 0xcafe), cap, false);
 }
 
-TEST(GoodBlockCacheTest, WideBlocksPartialFinal) {
-  // W=4 (256-lane blocks) with a ragged final block: the padded lanes
+TEST(GoodBlockCacheTest, PartialFinalBlock) {
+  // A ragged final block ending inside its second word: the padded lanes
   // must not leak into the comparison (storage holds them identically on
   // both paths because load_pattern_block fills them the same way).
   const Netlist nl = make_s27();
   const std::size_t cap = 2;
-  expect_boundary(nl, random_patterns(nl, 256 + 96 + 3, 0x5eed), 4, cap,
+  expect_boundary(nl, random_patterns(nl, kSweepLanes + 96 + 3, 0x5eed), cap,
                   true);
-  expect_boundary(nl, random_patterns(nl, 3 * 256 - 1, 0x5eed), 4, cap,
+  expect_boundary(nl, random_patterns(nl, 3 * kSweepLanes - 1, 0x5eed), cap,
                   false);
 }
 

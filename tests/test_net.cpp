@@ -5,8 +5,8 @@
 // House rule under test, extended across the wire: a diagnosis response
 // carried over TCP must be byte-identical to the in-process
 // ScanSession::diagnose() result serialized through the same
-// result_json(), for mixed full/compacted evidence at every
-// (block_words, num_threads) in {1,4} x {1,4}. The suite runs under
+// result_json(), for mixed full/compacted evidence at every num_threads
+// in {1, 4}. The suite runs under
 // TSan in CI (ctest -R test_net) -- the accept loop, per-connection
 // readers, shutdown drain and the queue dispatcher all cross threads.
 
@@ -94,9 +94,8 @@ Dut make_dut(const std::string& name) {
   return d;
 }
 
-FlowOptions make_opts(int block_words, int threads) {
+FlowOptions make_opts(int threads) {
   FlowOptions o;
-  o.diag.block_words = block_words;
   o.diag.num_threads = threads;
   return o;
 }
@@ -185,7 +184,7 @@ TEST(JsonFieldTest, ExtractsFlatStringAndIntegerFields) {
 
 TEST(QueueShutdownTest, DestructionPoisonsPendingJobsWithTypedError) {
   const Dut dut = make_dut("s344");
-  const FlowOptions opts = make_opts(4, 1);
+  const FlowOptions opts = make_opts(1);
   const auto pats = random_patterns(dut.nl, 48, 7);
   ScanSession inj(dut.nl, opts);
   inj.bind_patterns(pats);
@@ -224,7 +223,7 @@ TEST(QueueShutdownTest, DestructionPoisonsPendingJobsWithTypedError) {
 
 TEST(QueueAdmissionTest, OpenWithIdenticalPatternsIsANoOpMidTraffic) {
   const Dut dut = make_dut("s344");
-  const FlowOptions opts = make_opts(4, 1);
+  const FlowOptions opts = make_opts(1);
   const auto pats = random_patterns(dut.nl, 48, 7);
   ScanSession inj(dut.nl, opts);
   inj.bind_patterns(pats);
@@ -252,7 +251,7 @@ TEST(QueueAdmissionTest, OpenWithIdenticalPatternsIsANoOpMidTraffic) {
 // window in which open() still saw the design busy.
 TEST(QueueAdmissionTest, RebindRightAfterEveryResultIsAccepted) {
   const Dut dut = make_dut("s27");
-  const FlowOptions opts = make_opts(1, 1);
+  const FlowOptions opts = make_opts(1);
   const std::vector<TestPattern> pats[2] = {random_patterns(dut.nl, 16, 1),
                                             random_patterns(dut.nl, 16, 2)};
   ScanSession inj(dut.nl, opts);
@@ -272,7 +271,7 @@ TEST(QueueAdmissionTest, RebindRightAfterEveryResultIsAccepted) {
 
 TEST(QueueAdmissionTest, RejectPolicyThrowsTypedOverloadWithRetryHint) {
   const Dut dut = make_dut("s344");
-  const FlowOptions opts = make_opts(4, 1);
+  const FlowOptions opts = make_opts(1);
   const auto pats = random_patterns(dut.nl, 96, 7);
   ScanSession inj(dut.nl, opts);
   inj.bind_patterns(pats);
@@ -321,7 +320,7 @@ TEST(QueueAdmissionTest, RejectPolicyThrowsTypedOverloadWithRetryHint) {
 
 TEST(QueueAdmissionTest, BlockPolicyParksSubmittersAndLosesNothing) {
   const Dut dut = make_dut("s344");
-  const FlowOptions opts = make_opts(4, 1);
+  const FlowOptions opts = make_opts(1);
   const auto pats = random_patterns(dut.nl, 48, 7);
   ScanSession ref(dut.nl, opts);
   ref.bind_patterns(pats);
@@ -363,7 +362,7 @@ TEST(QueueAdmissionTest, BlockPolicyParksSubmittersAndLosesNothing) {
 TEST(QueueAdmissionTest, RoundRobinDispatchAvoidsHeadOfLineBlocking) {
   const Dut a = make_dut("s344");
   const Dut b = make_dut("s27");
-  const FlowOptions opts = make_opts(4, 1);
+  const FlowOptions opts = make_opts(1);
   const auto pats_a = random_patterns(a.nl, 96, 7);
   const auto pats_b = random_patterns(b.nl, 32, 7);
   ScanSession inj_a(a.nl, opts);
@@ -556,63 +555,60 @@ struct RawWire {
 
 TEST(NetServerTest, TcpResultsByteIdenticalToInProcessAcrossConfigs) {
   const Dut dut = make_dut("s344");
-  const int grid[] = {1, 4};
-  for (int bw : grid) {
-    for (int th : grid) {
-      SCOPED_TRACE("W=" + std::to_string(bw) + " T=" + std::to_string(th));
-      const FlowOptions opts = make_opts(bw, th);
-      const auto pats = random_patterns(dut.nl, 64, 11);
+  for (int th : {1, 4}) {
+    SCOPED_TRACE("T=" + std::to_string(th));
+    const FlowOptions opts = make_opts(th);
+    const auto pats = random_patterns(dut.nl, 64, 11);
 
-      // In-process reference: sequential session + the shared serializer.
-      ScanSession ref(dut.nl, opts);
-      ref.bind_patterns(pats);
-      const Fault& f_log = dut.faults[5];
-      const Fault& f_sig = dut.faults[42 % dut.faults.size()];
-      const Fault& f_inj = dut.faults[77 % dut.faults.size()];
-      const std::string flog_path = temp_path("id.flog");
-      const std::string slog_path = temp_path("id.slog");
-      save_failure_log_file(flog_path, ref.inject(f_log));
-      save_signature_log_file(slog_path, ref.inject_compacted(f_sig));
-      const std::string inj_str = f_inj.to_string(dut.nl);
+    // In-process reference: sequential session + the shared serializer.
+    ScanSession ref(dut.nl, opts);
+    ref.bind_patterns(pats);
+    const Fault& f_log = dut.faults[5];
+    const Fault& f_sig = dut.faults[42 % dut.faults.size()];
+    const Fault& f_inj = dut.faults[77 % dut.faults.size()];
+    const std::string flog_path = temp_path("id.flog");
+    const std::string slog_path = temp_path("id.slog");
+    save_failure_log_file(flog_path, ref.inject(f_log));
+    save_signature_log_file(slog_path, ref.inject_compacted(f_sig));
+    const std::string inj_str = f_inj.to_string(dut.nl);
 
-      std::vector<std::string> expected;
-      expected.push_back(net::result_json(
-          ref.diagnose(ref.inject(f_log)), dut.nl, dut.nl.name(),
-          "log " + flog_path, pats.size(), 5));
-      expected.push_back(net::result_json(
-          ref.diagnose(ref.inject_compacted(f_sig)), dut.nl, dut.nl.name(),
-          "signature-log " + slog_path, pats.size(), 5));
-      expected.push_back(net::result_json(
-          ref.diagnose(ref.inject(f_inj)), dut.nl, dut.nl.name(),
-          "inject " + inj_str, pats.size(), 5));
-      expected.push_back(net::result_json(
-          ref.diagnose(ref.inject(dut.faults[9])), dut.nl, dut.nl.name(),
-          "inject-index 9", pats.size(), 5));
+    std::vector<std::string> expected;
+    expected.push_back(net::result_json(
+        ref.diagnose(ref.inject(f_log)), dut.nl, dut.nl.name(),
+        "log " + flog_path, pats.size(), 5));
+    expected.push_back(net::result_json(
+        ref.diagnose(ref.inject_compacted(f_sig)), dut.nl, dut.nl.name(),
+        "signature-log " + slog_path, pats.size(), 5));
+    expected.push_back(net::result_json(
+        ref.diagnose(ref.inject(f_inj)), dut.nl, dut.nl.name(),
+        "inject " + inj_str, pats.size(), 5));
+    expected.push_back(net::result_json(
+        ref.diagnose(ref.inject(dut.faults[9])), dut.nl, dut.nl.name(),
+        "inject-index 9", pats.size(), 5));
 
-      // The same traffic over loopback TCP.
-      DiagnosisQueue queue;
-      net::NetServer::Options nopts;
-      nopts.service.flow = opts;
-      net::NetServer server(queue, nullptr, nopts);
-      DiagClient client("127.0.0.1", server.port());
-      EXPECT_EQ(net::json_string_field(client.design(dut.bench_path), "ok"),
-                std::optional<std::string>("design"));
-      EXPECT_EQ(net::json_u64_field(client.patterns(pats.size(), 11),
-                                    "num_patterns"),
-                std::optional<std::uint64_t>(pats.size()));
-      client.submit("log " + flog_path);
-      client.submit("signature-log " + slog_path);
-      client.submit("inject " + inj_str);
-      client.submit("inject-index 9");
-      EXPECT_EQ(client.queued(), 4u);
-      const std::vector<std::string> got = client.flush();
-      ASSERT_EQ(got.size(), expected.size());
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i], expected[i]) << "result " << i;
-      }
-      client.quit();
-      server.shutdown();
+    // The same traffic over loopback TCP.
+    DiagnosisQueue queue;
+    net::NetServer::Options nopts;
+    nopts.service.flow = opts;
+    net::NetServer server(queue, nullptr, nopts);
+    DiagClient client("127.0.0.1", server.port());
+    EXPECT_EQ(net::json_string_field(client.design(dut.bench_path), "ok"),
+              std::optional<std::string>("design"));
+    EXPECT_EQ(net::json_u64_field(client.patterns(pats.size(), 11),
+                                  "num_patterns"),
+              std::optional<std::uint64_t>(pats.size()));
+    client.submit("log " + flog_path);
+    client.submit("signature-log " + slog_path);
+    client.submit("inject " + inj_str);
+    client.submit("inject-index 9");
+    EXPECT_EQ(client.queued(), 4u);
+    const std::vector<std::string> got = client.flush();
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], expected[i]) << "result " << i;
     }
+    client.quit();
+    server.shutdown();
   }
 }
 
@@ -685,6 +681,47 @@ TEST(NetServerTest, FramingHardeningOverTcp) {
   server.shutdown();
 }
 
+// A `patterns` count above what a session caches (65,536 = 256 blocks of
+// 256 patterns) is refused before anything is allocated: one error frame
+// with the line number, and the connection keeps serving -- the next
+// command, exactly at the limit, is accepted.
+TEST(NetServerTest, OversizedPatternCountIsRefused) {
+  const Dut dut = make_dut("s27");
+  DiagnosisQueue queue;
+  net::NetServer server(queue, nullptr, {});
+  RawWire w(server.port());
+  w.send("design " + dut.bench_path + "\n");
+  auto resp = w.read_line();
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_EQ(net::json_string_field(*resp, "ok"),
+            std::optional<std::string>("design"));
+  std::uint64_t line = 1;
+  for (const char* n : {"65537", "18446744073709551615"}) {
+    w.send(std::string("patterns ") + n + " 7\n");
+    ++line;
+    resp = w.read_line();
+    ASSERT_TRUE(resp.has_value());
+    const std::optional<std::string> err =
+        net::json_string_field(*resp, "error");
+    ASSERT_TRUE(err.has_value()) << *resp;
+    EXPECT_NE(err->find(std::string("patterns count ") + n +
+                        " exceeds the limit of 65536"),
+              std::string::npos)
+        << *err;
+    EXPECT_EQ(net::json_u64_field(*resp, "line"),
+              std::optional<std::uint64_t>(line));
+  }
+  w.send("patterns 65536 7\n");
+  resp = w.read_line();
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_EQ(net::json_string_field(*resp, "ok"),
+            std::optional<std::string>("patterns"))
+      << *resp;
+  EXPECT_EQ(net::json_u64_field(*resp, "num_patterns"),
+            std::optional<std::uint64_t>(65536));
+  server.shutdown();
+}
+
 TEST(NetServerTest, ConnectionCapRejectsExcessClients) {
   DiagnosisQueue queue;
   Telemetry telem;
@@ -719,7 +756,7 @@ TEST(NetServerTest, ConnectionCapRejectsExcessClients) {
 
 TEST(NetServerTest, OverloadFloodBackoffClientCompletesEverything) {
   const Dut dut = make_dut("s344");
-  const FlowOptions opts = make_opts(4, 1);
+  const FlowOptions opts = make_opts(1);
   const auto pats = random_patterns(dut.nl, 96, 7);
   ScanSession ref(dut.nl, opts);
   ref.bind_patterns(pats);
@@ -793,7 +830,7 @@ TEST(NetServerTest, OverloadFloodBackoffClientCompletesEverything) {
 
 TEST(NetServerTest, GracefulShutdownDrainsAndAnswersPendingWork) {
   const Dut dut = make_dut("s344");
-  const FlowOptions opts = make_opts(4, 1);
+  const FlowOptions opts = make_opts(1);
   const auto pats = random_patterns(dut.nl, 64, 7);
   ScanSession ref(dut.nl, opts);
   ref.bind_patterns(pats);
@@ -843,7 +880,7 @@ TEST(NetServerTest, GracefulShutdownDrainsAndAnswersPendingWork) {
 
 TEST(NetServerTest, StatsExposesQueueDepthAndNetCounters) {
   const Dut dut = make_dut("s344");
-  const FlowOptions opts = make_opts(4, 1);
+  const FlowOptions opts = make_opts(1);
   const auto pats = random_patterns(dut.nl, 96, 7);
   ScanSession inj(dut.nl, opts);
   inj.bind_patterns(pats);

@@ -136,13 +136,14 @@ void expect_error_naming(Fn&& fn, const std::string& needle) {
 TEST(BlockSim, RejectsInvalidWidth) {
   const Netlist nl = map_to_nand_nor_inv(make_s27());
   EXPECT_THROW(BlockSimulator(nl, 0), Error);
-  EXPECT_THROW(FaultSimulator(nl, FaultSimOptions{.block_words = 5}), Error);
-  // 16 and 32 were the retired wide backend's widths.
-  for (int w : {16, 32, 3}) {
+  // 8, 16 and 32 are retired widths; the message lists kBlockWords.
+  for (int w : {8, 16, 32, 3}) {
+    const std::string set =
+        "words must be 1, 2 or 4 (got " + std::to_string(w) + ")";
     expect_error_naming([&] { BlockSimulator sim(nl, w); },
-                        "BlockSimulator: words must be");
+                        "BlockSimulator: " + set);
     expect_error_naming([&] { TernaryBlockSimulator sim(nl, w); },
-                        "TernaryBlockSimulator: words must be");
+                        "TernaryBlockSimulator: " + set);
   }
 }
 
@@ -157,32 +158,49 @@ void expect_identical_results(const FaultSimResult& a, const FaultSimResult& b,
 }
 
 // Detection set, first-detecting-pattern indices and per-pattern counts
-// must not depend on block width or thread count.
+// must not depend on thread count, and must equal an oracle that never
+// crosses a block: one single-pattern run per pattern, where a fault's
+// detecting pattern is the lowest index whose run detects it. 600
+// patterns span three sweep blocks, the last one ragged (88 lanes).
 TEST(FaultSimConfig, AllConfigurationsBitIdentical) {
   const Netlist nl = map_to_nand_nor_inv(make_iscas89_like("s382"));
   const auto faults = collapse_faults(nl);
   Rng rng(97);
   std::vector<TestPattern> pats;
-  for (int i = 0; i < 193; ++i) pats.push_back(random_pattern(nl, rng));
+  for (int i = 0; i < 600; ++i) pats.push_back(random_pattern(nl, rng));
+  ASSERT_GT(pats.size(), 2 * kSweepLanes);
+  ASSERT_NE(pats.size() % kSweepLanes, 0u);
 
-  FaultSimulator reference(nl, FaultSimOptions{.block_words = 1, .num_threads = 1});
-  const FaultSimResult ref = reference.run(pats, faults);
-  EXPECT_GT(ref.num_detected, 0u);
+  FaultSimResult oracle;
+  oracle.detected.assign(faults.size(), false);
+  oracle.detecting_pattern.assign(faults.size(), FaultSimResult::kNotDetected);
+  oracle.new_detects_per_pattern.assign(pats.size(), 0);
+  FaultSimulator single(nl);
+  for (std::size_t p = 0; p < pats.size(); ++p) {
+    const FaultSimResult one =
+        single.run(std::span<const TestPattern>(&pats[p], 1), faults);
+    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
+      if (!one.detected[fi] || oracle.detected[fi]) continue;
+      oracle.detected[fi] = true;
+      oracle.detecting_pattern[fi] = p;
+      ++oracle.new_detects_per_pattern[p];
+      ++oracle.num_detected;
+    }
+  }
+  EXPECT_GT(oracle.num_detected, 0u);
+  std::size_t past_first_block = 0;
+  for (std::size_t p : oracle.detecting_pattern) {
+    if (p != FaultSimResult::kNotDetected && p >= kSweepLanes) {
+      ++past_first_block;
+    }
+  }
+  EXPECT_GT(past_first_block, 0u) << "no detection crosses a block boundary";
 
-  const FaultSimOptions configs[] = {
-      {.block_words = 2, .num_threads = 1},
-      {.block_words = 4, .num_threads = 1},
-      {.block_words = 8, .num_threads = 1},
-      {.block_words = 4, .num_threads = 2},
-      {.block_words = 4, .num_threads = 4},
-      {.block_words = 1, .num_threads = 3},
-  };
-  for (const FaultSimOptions& opts : configs) {
-    FaultSimulator fsim(nl, opts);
+  for (int threads : {1, 2, 3, 4}) {
+    FaultSimulator fsim(nl, FaultSimOptions{.num_threads = threads});
     const FaultSimResult res = fsim.run(pats, faults);
-    const std::string what = "W=" + std::to_string(opts.block_words) +
-                             " T=" + std::to_string(opts.num_threads);
-    expect_identical_results(ref, res, what.c_str());
+    const std::string what = "T=" + std::to_string(threads);
+    expect_identical_results(oracle, res, what.c_str());
   }
 }
 
@@ -197,8 +215,8 @@ TEST(FaultSimConfig, InitialDetectedRespectedInParallel) {
   std::vector<bool> initial(faults.size(), false);
   for (std::size_t i = 0; i < initial.size(); i += 2) initial[i] = true;
 
-  FaultSimulator serial(nl, FaultSimOptions{.block_words = 1, .num_threads = 1});
-  FaultSimulator parallel(nl, FaultSimOptions{.block_words = 4, .num_threads = 4});
+  FaultSimulator serial(nl, FaultSimOptions{.num_threads = 1});
+  FaultSimulator parallel(nl, FaultSimOptions{.num_threads = 4});
   const FaultSimResult a = serial.run(pats, faults, &initial);
   const FaultSimResult b = parallel.run(pats, faults, &initial);
   expect_identical_results(a, b, "initial-detected");
@@ -214,7 +232,7 @@ TEST(FaultSimConfig, AllFaultsInitiallyDetectedShortCircuits) {
   std::vector<TestPattern> pats;
   for (int i = 0; i < 8; ++i) pats.push_back(random_pattern(nl, rng));
   std::vector<bool> all(faults.size(), true);
-  FaultSimulator fsim(nl, FaultSimOptions{.block_words = 4, .num_threads = 2});
+  FaultSimulator fsim(nl, FaultSimOptions{.num_threads = 2});
   const FaultSimResult res = fsim.run(pats, faults, &all);
   EXPECT_EQ(res.num_detected, 0u);
   for (std::size_t p = 0; p < pats.size(); ++p) {

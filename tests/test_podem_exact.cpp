@@ -264,19 +264,15 @@ void expect_same_tests(const TestSet& got, const TestSet& want,
 TEST(PodemExact, GenerateTestsMatchesReferenceAcrossConfigs) {
   for (const char* name : {"s27", "s344"}) {
     const Netlist nl = map_to_nand_nor_inv(make_circuit(name));
-    for (const int w : {1, 4}) {
-      TpgOptions opts;
-      opts.fault_sim.block_words = w;
-      // Fault simulation is bit-identical across thread counts, so one
-      // single-threaded reference per block width serves both.
-      opts.fault_sim.num_threads = 1;
-      const TestSet want = oracle::reference_generate_tests(nl, opts);
-      for (const int t : {1, 4}) {
-        opts.fault_sim.num_threads = t;
-        expect_same_tests(generate_tests(nl, opts), want,
-                          std::string(name) + " W=" + std::to_string(w) +
-                              " T=" + std::to_string(t));
-      }
+    TpgOptions opts;
+    // Fault simulation is bit-identical across thread counts, so one
+    // single-threaded reference serves both.
+    opts.fault_sim.num_threads = 1;
+    const TestSet want = oracle::reference_generate_tests(nl, opts);
+    for (const int t : {1, 4}) {
+      opts.fault_sim.num_threads = t;
+      expect_same_tests(generate_tests(nl, opts), want,
+                        std::string(name) + " T=" + std::to_string(t));
     }
   }
 }

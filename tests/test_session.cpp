@@ -1,14 +1,13 @@
 // ScanSession: the stateful service API.
 //
 // Three property groups:
-//  1. Option validation at construction -- bad MISR configurations, block
-//     widths, thread counts and empty pattern sets throw actionable
-//     errors naming the knob, instead of failing deep inside the engines.
+//  1. Option validation at construction -- bad MISR configurations,
+//     thread counts and empty pattern sets throw actionable errors naming
+//     the knob, instead of failing deep inside the engines.
 //  2. Session-reuse determinism -- for every benchgen profile, results
 //     from one long-lived session (repeated + interleaved full/compacted
 //     diagnosis, observability and fill calls) are bit-identical to fresh
-//     one-shot sessions and engines, across (block_words, num_threads)
-//     in {1,4}x{1,4}.
+//     one-shot sessions and engines, across num_threads in {1, 4}.
 //  3. diagnose_batch -- mixed-evidence batches come back in input order,
 //     bit-identical to sequential diagnose() calls, including under a
 //     concurrent (4-worker) pool; this test is the ThreadSanitizer hook
@@ -16,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -127,22 +128,6 @@ TEST(SessionValidationTest, RejectsBadMisrConfig) {
   expect_ctor_error(nl, opts, "misr.poly");
 }
 
-// 16 and 32 were the widths of the retired wide backend: every width
-// knob refuses them like any other width outside the set.
-TEST(SessionValidationTest, RejectsBadBlockWords) {
-  const Netlist nl = map_to_nand_nor_inv(make_s27());
-  for (int w : {0, 3, 5, 7, 16, 32}) {
-    FlowOptions opts;
-    opts.diag.block_words = w;
-    expect_ctor_error(nl, opts, "diag.block_words must be");
-    expect_ctor_error(nl, opts, "(got " + std::to_string(w) + ")");
-
-    opts = FlowOptions{};
-    opts.tpg.fault_sim.block_words = w;
-    expect_ctor_error(nl, opts, "tpg.fault_sim.block_words must be");
-  }
-}
-
 TEST(SessionValidationTest, RejectsBadThreadAndSampleCounts) {
   const Netlist nl = map_to_nand_nor_inv(make_s27());
   FlowOptions opts;
@@ -213,8 +198,8 @@ TEST(SessionDiagnoseTest, EvidenceDispatchMatchesOneShotEngines) {
   session.bind_patterns(pats);
   ASSERT_EQ(session.faults().size(), faults.size());
 
-  ResponseCapture cap(nl, opts.diag.block_words);
-  SignatureCapture scap(nl, opts.misr, opts.diag.block_words);
+  ResponseCapture cap(nl);
+  SignatureCapture scap(nl, opts.misr);
 
   int compared = 0;
   for (std::size_t fi = 5; fi < faults.size() && compared < 6; fi += 53) {
@@ -245,7 +230,7 @@ TEST(SessionDiagnoseTest, RebindInvalidatesPatternKeyedCaches) {
   const auto pats_b = random_patterns(nl, 80, 0xbbbb);
 
   ScanSession session{Netlist(nl)};
-  ResponseCapture cap(nl, 4);
+  ResponseCapture cap(nl);
 
   const Fault f = faults[17];
   for (const auto* pats : {&pats_a, &pats_b, &pats_a}) {
@@ -257,58 +242,91 @@ TEST(SessionDiagnoseTest, RebindInvalidatesPatternKeyedCaches) {
   }
 }
 
-// Past the 256-block good-machine cache cap both scorers replay blocks
-// through streaming simulators; their results must equal scoring from
-// cached blocks. s27 bound to 64*256+1 patterns spans 257 blocks at W=1
-// (streamed) and 65 at W=4 (cached). Each thread count reaches a
-// different streaming scratch: the caller's for pool-parallel scoring and
-// the noise-recovery stages, each worker's for the compacted sweep and
-// the batch fan-out. Fault-pair logs drive the union rescore and the
+// Past the good-machine cache cap both scorers replay blocks through
+// streaming simulators; their results must equal scoring from cached
+// blocks. A session always caches kDefaultMaxCachedBlocks blocks, so both
+// sides are the session's engines built on its context: one over a cache
+// whose small cap streams the 10 blocks of the pattern set, one over a
+// cache that holds them all. Each thread count reaches a different
+// streaming scratch: the caller's for pool-parallel scoring and the
+// noise-recovery stages, each worker's for the compacted sweep and the
+// batch fan-out. Fault-pair logs drive the union rescore and the
 // multiplet cover over streamed blocks.
 TEST(SessionDiagnoseTest, StreamedGoodMachineMatchesCached) {
   const Netlist nl = map_to_nand_nor_inv(make_s27());
-  const auto pats = random_patterns(nl, 64 * 256 + 1, 0x57e4);
+  const auto pats =
+      random_patterns(nl, static_cast<int>(9 * kSweepLanes + 1), 0x57e4);
   const auto ctx = std::make_shared<const DesignContext>(Netlist(nl));
   const auto& faults = ctx->faults();
-  for (int threads : {1, 4}) {
-    ScanSession streamed(ctx, diag_flow_options({.block_words = 1,
-                                                 .num_threads = threads}));
-    ScanSession cached(ctx, diag_flow_options({.block_words = 4,
-                                               .num_threads = threads}));
-    streamed.bind_patterns(pats);
-    cached.bind_patterns(pats);
+  ScanSession tester(ctx);
+  tester.bind_patterns(pats);
+  SignatureCapture scap(nl, tester.options().misr);
+  scap.bind(pats);
 
-    std::vector<Evidence> batch;
+  /// Both diagnosers over one good-block cache bound at `cap` blocks.
+  struct Engines {
+    Engines(const DesignContext& c, std::span<const TestPattern> p,
+            std::size_t cap, int threads)
+        : pool(threads) {
+      goods.bind(c.netlist(), p, cap);
+      const DiagnosisOptions dopts{.num_threads = threads};
+      diag = std::make_unique<Diagnoser>(c.netlist(), dopts, pool,
+                                         c.points(), c.cones(), goods);
+      sdiag = std::make_unique<SignatureDiagnoser>(
+          c.netlist(), dopts, pool, c.points(), c.cones(), goods);
+    }
+    ThreadPool pool;
+    GoodBlockCache goods;
+    std::unique_ptr<Diagnoser> diag;
+    std::unique_ptr<SignatureDiagnoser> sdiag;
+  };
+
+  for (int threads : {1, 4}) {
+    Engines streamed(*ctx, pats, 2, threads);
+    Engines cached(*ctx, pats, GoodBlockCache::kDefaultMaxCachedBlocks,
+                   threads);
+    ASSERT_EQ(streamed.goods.num_blocks(), 10u);
+    ASSERT_FALSE(streamed.goods.cached());
+    ASSERT_TRUE(cached.goods.cached());
+    const auto full = [&](Engines& e, const FailureLog& log) {
+      return e.diag->diagnose(pats, faults, log);
+    };
+    const auto compact = [&](Engines& e, const SignatureLog& log) {
+      return e.sdiag->diagnose(pats, faults, log, scap.mask(),
+                               scap.expected());
+    };
+
+    std::vector<FailureLog> batch;
     int compared = 0;
     bool any_multiplets = false;
     for (std::size_t fi = 1; fi < faults.size() && compared < 4; fi += 7) {
       const Fault f = faults[fi];
-      const FailureLog log = cached.inject(f);
-      const SignatureLog slog = cached.inject_compacted(f);
+      const FailureLog log = tester.inject(f);
+      const SignatureLog slog = tester.inject_compacted(f);
       if (log.failures.empty()) continue;
       const Fault pair[2] = {f, faults[(fi + 11) % faults.size()]};
-      const FailureLog plog = cached.inject(pair);
+      const FailureLog plog = tester.inject(pair);
       ++compared;
       const std::string tag =
           f.to_string(nl) + " T=" + std::to_string(threads);
-      expect_same_result(streamed.diagnose(Evidence(log)),
-                         cached.diagnose(Evidence(log)), tag + " full");
-      expect_same_result(streamed.diagnose(Evidence(slog)),
-                         cached.diagnose(Evidence(slog)), tag + " compact");
-      const DiagnosisResult pres = streamed.diagnose(Evidence(plog));
+      expect_same_result(full(streamed, log), full(cached, log),
+                         tag + " full");
+      expect_same_result(compact(streamed, slog), compact(cached, slog),
+                         tag + " compact");
+      const DiagnosisResult pres = full(streamed, plog);
       any_multiplets |= !pres.multiplets.empty();
-      expect_same_result(pres, cached.diagnose(Evidence(plog)),
-                         tag + " pair");
-      batch.emplace_back(log);
-      batch.emplace_back(slog);
-      batch.emplace_back(plog);
+      expect_same_result(pres, full(cached, plog), tag + " pair");
+      batch.push_back(log);
+      batch.push_back(plog);
     }
     EXPECT_EQ(compared, 4);
     EXPECT_TRUE(any_multiplets)
         << "no fault-pair log reached the multiplet cover";
 
-    const auto sresults = streamed.diagnose_batch(batch);
-    const auto cresults = cached.diagnose_batch(batch);
+    std::vector<const FailureLog*> logs;
+    for (const FailureLog& log : batch) logs.push_back(&log);
+    const auto sresults = streamed.diag->diagnose_batch(pats, faults, logs);
+    const auto cresults = cached.diag->diagnose_batch(pats, faults, logs);
     ASSERT_EQ(sresults.size(), batch.size());
     ASSERT_EQ(cresults.size(), batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -317,11 +335,8 @@ TEST(SessionDiagnoseTest, StreamedGoodMachineMatchesCached) {
                              " T=" + std::to_string(threads));
     }
 
-    const auto streamed_reads = [](ScanSession& s) {
-      return s.metrics().counter(CounterId::kGoodCacheStreamedReads);
-    };
-    EXPECT_GT(streamed_reads(streamed), 0u);
-    EXPECT_EQ(streamed_reads(cached), 0u);
+    EXPECT_GT(streamed.goods.streamed_reads(), 0u);
+    EXPECT_EQ(cached.goods.streamed_reads(), 0u);
   }
 }
 
@@ -336,7 +351,7 @@ TEST(BorrowedEngineTest, StaleGoodBlockCacheIsRejected) {
   const auto& faults = ctx.faults();
   ThreadPool pool(1);
   GoodBlockCache goods;
-  goods.bind(ctx.netlist(), pats_a, DiagnosisOptions{}.block_words);
+  goods.bind(ctx.netlist(), pats_a);
   Diagnoser diag(ctx.netlist(), {}, pool, ctx.points(), ctx.cones(), goods);
   SignatureDiagnoser sdiag(ctx.netlist(), {}, pool, ctx.points(),
                            ctx.cones(), goods);
@@ -353,8 +368,8 @@ TEST(BorrowedEngineTest, StaleGoodBlockCacheIsRejected) {
     }
   };
 
-  ResponseCapture cap(nl, 4);
-  SignatureCapture scap(nl, MisrConfig{.window = 8}, 4);
+  ResponseCapture cap(nl);
+  SignatureCapture scap(nl, MisrConfig{.window = 8});
   const Fault f = faults[1];
   EXPECT_NO_THROW(diag.diagnose(pats_a, faults, cap.inject(pats_a, f)));
   const FailureLog log_b = cap.inject(pats_b, f);
@@ -371,13 +386,13 @@ TEST(BorrowedEngineTest, StaleGoodBlockCacheIsRejected) {
 
 // ---------- session-reuse determinism acceptance -----------------------------
 
-// For every benchgen profile and every (block_words, num_threads) in
-// {1,4}x{1,4}: one long-lived session serves repeated and interleaved
+// For every benchgen profile and every num_threads in {1, 4}: one
+// long-lived session serves repeated and interleaved
 // full-response diagnosis, compacted diagnosis, observability and
 // don't-care fill calls; every result must be bit-identical to the
 // corresponding one-shot call (a fresh tenant session for diagnosis, the
 // engine itself otherwise), and the diagnosis rankings must also be
-// bit-identical across all four configurations.
+// bit-identical across both configurations.
 TEST(SessionReuseAcceptance, InterleavedCallsMatchOneShotOnAllProfiles) {
   for (const SynthProfile& profile : iscas89_profiles()) {
     const Netlist nl = map_to_nand_nor_inv(make_iscas89_like(profile.name));
@@ -385,7 +400,7 @@ TEST(SessionReuseAcceptance, InterleavedCallsMatchOneShotOnAllProfiles) {
     const auto pats = random_patterns(nl, 48, 0x5e5510 + profile.seed);
 
     // Two detected faults per profile: one early, one late.
-    FaultSimulator fsim(nl, FaultSimOptions{.block_words = 4});
+    FaultSimulator fsim(nl);
     const FaultSimResult det = fsim.run(pats, faults);
     std::vector<std::size_t> sample;
     for (std::size_t fi = 0; fi < faults.size() && sample.size() < 1; ++fi) {
@@ -398,9 +413,8 @@ TEST(SessionReuseAcceptance, InterleavedCallsMatchOneShotOnAllProfiles) {
     const Fault f0 = faults[sample[0]];
     const Fault f1 = faults[sample[1]];
 
-    // One-shot logs (shared across configurations; injection itself is
-    // width-independent, which ResponseCaptureTest already guards).
-    ResponseCapture cap(nl, 4);
+    // One-shot logs, shared across configurations.
+    ResponseCapture cap(nl);
     const FailureLog log0 = cap.inject(pats, f0);
     const FailureLog log1 = cap.inject(pats, f1);
 
@@ -410,77 +424,72 @@ TEST(SessionReuseAcceptance, InterleavedCallsMatchOneShotOnAllProfiles) {
 
     DiagnosisResult ref_full, ref_compact;
     bool have_ref = false;
-    for (int words : {1, 4}) {
-      for (int threads : {1, 4}) {
-        FlowOptions opts;
-        opts.diag.block_words = words;
-        opts.diag.num_threads = threads;
-        opts.misr.window = 16;  // 3 windows over 48 patterns
-        opts.observability.samples = 64;
-        opts.observability.num_threads = threads;
-        opts.fill.trials = 8;
+    for (int threads : {1, 4}) {
+      FlowOptions opts;
+      opts.diag.num_threads = threads;
+      opts.misr.window = 16;  // 3 windows over 48 patterns
+      opts.observability.samples = 64;
+      opts.observability.num_threads = threads;
+      opts.fill.trials = 8;
 
-        ScanSession session(Netlist(nl), opts);
-        session.bind_patterns(pats);
-        SignatureCapture scap(nl, opts.misr, words);
-        const SignatureLog slog0 = scap.inject(pats, f0);
-        const SignatureLog slog1 = scap.inject(pats, f1);
+      ScanSession session(Netlist(nl), opts);
+      session.bind_patterns(pats);
+      SignatureCapture scap(nl, opts.misr);
+      const SignatureLog slog0 = scap.inject(pats, f0);
+      const SignatureLog slog1 = scap.inject(pats, f1);
 
-        const std::string tag =
-            profile.name + " W=" + std::to_string(words) +
-            " T=" + std::to_string(threads);
+      const std::string tag = profile.name + " T=" + std::to_string(threads);
 
-        // Interleave every engine through the one session, repeating the
-        // first diagnosis at the end: reuse must never change a result.
-        const DiagnosisResult full_a = session.diagnose(Evidence(log0));
-        const DiagnosisResult compact_a = session.diagnose(Evidence(slog1));
-        const std::vector<double> obs = session.observability().values();
-        std::vector<Logic> pi(nl.inputs().size(), Logic::X);
-        std::vector<Logic> mux(nl.dffs().size(), Logic::X);
-        const FillResult fill = session.fill(pi, mux, eligible);
-        const DiagnosisResult full_b = session.diagnose(Evidence(log1));
-        const DiagnosisResult compact_b = session.diagnose(Evidence(slog0));
-        const DiagnosisResult full_a2 = session.diagnose(Evidence(log0));
-        expect_same_result(full_a, full_a2, tag + " repeat");
+      // Interleave every engine through the one session, repeating the
+      // first diagnosis at the end: reuse must never change a result.
+      const DiagnosisResult full_a = session.diagnose(Evidence(log0));
+      const DiagnosisResult compact_a = session.diagnose(Evidence(slog1));
+      const std::vector<double> obs = session.observability().values();
+      std::vector<Logic> pi(nl.inputs().size(), Logic::X);
+      std::vector<Logic> mux(nl.dffs().size(), Logic::X);
+      const FillResult fill = session.fill(pi, mux, eligible);
+      const DiagnosisResult full_b = session.diagnose(Evidence(log1));
+      const DiagnosisResult compact_b = session.diagnose(Evidence(slog0));
+      const DiagnosisResult full_a2 = session.diagnose(Evidence(log0));
+      expect_same_result(full_a, full_a2, tag + " repeat");
 
-        // One-shot references with identical options.
-        expect_same_result(full_a, diagnose_once(ctx, pats, log0, opts.diag),
-                           tag + " full0");
-        expect_same_result(full_b, diagnose_once(ctx, pats, log1, opts.diag),
-                           tag + " full1");
-        expect_same_result(compact_a,
-                           diagnose_once(ctx, pats, slog1, opts.diag),
-                           tag + " compact1");
-        expect_same_result(compact_b,
-                           diagnose_once(ctx, pats, slog0, opts.diag),
-                           tag + " compact0");
+      // One-shot references with identical options.
+      expect_same_result(full_a, diagnose_once(ctx, pats, log0, opts.diag),
+                         tag + " full0");
+      expect_same_result(full_b, diagnose_once(ctx, pats, log1, opts.diag),
+                         tag + " full1");
+      expect_same_result(compact_a,
+                         diagnose_once(ctx, pats, slog1, opts.diag),
+                         tag + " compact1");
+      expect_same_result(compact_b,
+                         diagnose_once(ctx, pats, slog0, opts.diag),
+                         tag + " compact0");
 
-        const LeakageObservability obs_ref(nl, session.leakage_model(),
-                                           opts.observability);
-        ASSERT_EQ(obs.size(), obs_ref.values().size()) << tag;
-        for (std::size_t g = 0; g < obs.size(); ++g) {
-          ASSERT_EQ(obs[g], obs_ref.values()[g]) << tag << " gate " << g;
-        }
+      const LeakageObservability obs_ref(nl, session.leakage_model(),
+                                         opts.observability);
+      ASSERT_EQ(obs.size(), obs_ref.values().size()) << tag;
+      for (std::size_t g = 0; g < obs.size(); ++g) {
+        ASSERT_EQ(obs[g], obs_ref.values()[g]) << tag << " gate " << g;
+      }
 
-        std::vector<Logic> pi_ref(nl.inputs().size(), Logic::X);
-        std::vector<Logic> mux_ref(nl.dffs().size(), Logic::X);
-        const FillResult fill_ref = fill_dont_cares_min_leakage(
-            nl, session.leakage_model(), pi_ref, mux_ref, eligible, opts.fill);
-        EXPECT_EQ(fill.best_leakage_na, fill_ref.best_leakage_na) << tag;
-        EXPECT_EQ(pi, pi_ref) << tag;
-        EXPECT_EQ(mux, mux_ref) << tag;
+      std::vector<Logic> pi_ref(nl.inputs().size(), Logic::X);
+      std::vector<Logic> mux_ref(nl.dffs().size(), Logic::X);
+      const FillResult fill_ref = fill_dont_cares_min_leakage(
+          nl, session.leakage_model(), pi_ref, mux_ref, eligible, opts.fill);
+      EXPECT_EQ(fill.best_leakage_na, fill_ref.best_leakage_na) << tag;
+      EXPECT_EQ(pi, pi_ref) << tag;
+      EXPECT_EQ(mux, mux_ref) << tag;
 
-        // Rankings are additionally bit-identical across configurations.
-        EXPECT_GE(full_a.rank_of(f0), 1u) << tag;
-        if (!have_ref) {
-          ref_full = full_a;
-          ref_compact = compact_a;
-          have_ref = true;
-        } else {
-          expect_same_result(full_a, ref_full, tag + " cross-config full");
-          expect_same_result(compact_a, ref_compact,
-                             tag + " cross-config compact");
-        }
+      // Rankings are additionally bit-identical across configurations.
+      EXPECT_GE(full_a.rank_of(f0), 1u) << tag;
+      if (!have_ref) {
+        ref_full = full_a;
+        ref_compact = compact_a;
+        have_ref = true;
+      } else {
+        expect_same_result(full_a, ref_full, tag + " cross-config full");
+        expect_same_result(compact_a, ref_compact,
+                           tag + " cross-config compact");
       }
     }
   }
@@ -546,15 +555,17 @@ TEST(SessionBatchTest, ConcurrentMixedBatchMatchesSequential) {
 }
 
 // Batch scoring must also agree past the good-block cache cap (streaming
-// path): many single-word blocks force per-worker streaming simulators.
+// path): more blocks than the cap force per-worker streaming simulators.
 TEST(SessionBatchTest, StreamingBatchMatchesSequential) {
   const Netlist nl = map_to_nand_nor_inv(make_iscas89_like("s344"));
   const auto faults = collapse_faults(nl);
-  // > 256 blocks at W=1.
-  const auto pats = random_patterns(nl, 300 * 64 + 9, 0x57e0);
+  const auto pats = random_patterns(
+      nl,
+      static_cast<int>(GoodBlockCache::kDefaultMaxCachedBlocks * kSweepLanes +
+                       9),
+      0x57e0);
 
   FlowOptions opts;
-  opts.diag.block_words = 1;
   opts.diag.num_threads = 4;
   ScanSession session(Netlist(nl), opts);
   session.bind_patterns(pats);
@@ -576,6 +587,7 @@ TEST(SessionBatchTest, StreamingBatchMatchesSequential) {
                        "streaming batch entry " + std::to_string(i));
     EXPECT_EQ(batch[i].rank_of(injected[i]), 1u);
   }
+  EXPECT_GT(session.metrics().counter(CounterId::kGoodCacheStreamedReads), 0u);
 }
 
 }  // namespace

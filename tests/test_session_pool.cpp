@@ -2,7 +2,7 @@
 // eviction and the DiagnosisQueue, under concurrency.
 //
 // House rule under test: every diagnosis is bit-identical across
-// (block_words, num_threads) AND across tenancy -- N threads sharing one
+// num_threads AND across tenancy -- N threads sharing one
 // published DesignContext through a SessionPool must return byte-equal
 // results to isolated per-tenant sequential sessions, even while the
 // pool evicts contexts mid-flight. The suite runs under TSan in CI
@@ -57,9 +57,8 @@ void expect_same_result(const DiagnosisResult& a, const DiagnosisResult& b,
   }
 }
 
-FlowOptions make_opts(int block_words, int threads) {
+FlowOptions make_opts(int threads) {
   FlowOptions o;
-  o.diag.block_words = block_words;
   o.diag.num_threads = threads;
   return o;
 }
@@ -100,14 +99,14 @@ Fixture make_fixture(const std::string& name, int num_patterns,
 
 TEST(DesignContextTest, ValidatesOptionsLikeASession) {
   const Netlist nl = map_to_nand_nor_inv(make_s27());
-  for (int w : {16, 32, 3}) {
+  for (int t : {-1, -4}) {
     FlowOptions opts;
-    opts.diag.block_words = w;
+    opts.diag.num_threads = t;
     try {
       DesignContext ctx(nl, opts);
-      FAIL() << "expected Error for block_words=" << w;
+      FAIL() << "expected Error for num_threads=" << t;
     } catch (const Error& e) {
-      EXPECT_NE(std::string(e.what()).find("diag.block_words"),
+      EXPECT_NE(std::string(e.what()).find("diag.num_threads"),
                 std::string::npos);
       EXPECT_NE(std::string(e.what()).find("DesignContext"),
                 std::string::npos);
@@ -126,7 +125,7 @@ TEST(DesignContextTest, HashDistinguishesDesignsAndIsStable) {
 }
 
 TEST(DesignContextTest, TenantSessionMatchesOwningSession) {
-  const FlowOptions opts = make_opts(4, 2);
+  const FlowOptions opts = make_opts(2);
   Fixture fx = make_fixture("s344", 72, 0xc1a0, opts);
   auto ctx = std::make_shared<const DesignContext>(Netlist(fx.nl), opts);
   ScanSession tenant(ctx, opts);
@@ -138,7 +137,6 @@ TEST(DesignContextTest, TenantSessionMatchesOwningSession) {
   }
   // The one-argument form inherits the context's options.
   ScanSession inherited(ctx);
-  EXPECT_EQ(inherited.options().diag.block_words, 4);
   EXPECT_EQ(inherited.options().diag.num_threads, 2);
 }
 
@@ -180,9 +178,8 @@ TEST(DesignContextTest, TenantRejectsForeignLeakageParams) {
 // racing into their first diagnosis over one fresh, unwarmed context must
 // each get the owning session's exact results (TSan covers the build).
 TEST(DesignContextTest, ConcurrentFirstUseOfUnwarmedContext) {
-  for (const auto& [words, threads] : {std::pair{1, 1}, {4, 1}, {1, 4},
-                                       {4, 4}}) {
-    const FlowOptions opts = make_opts(words, threads);
+  for (int threads : {1, 4}) {
+    const FlowOptions opts = make_opts(threads);
     const Fixture fx = make_fixture("s344", 64, 0xc0de, opts);
     auto ctx = std::make_shared<const DesignContext>(Netlist(fx.nl), opts);
     constexpr int kTenants = 4;
@@ -196,8 +193,7 @@ TEST(DesignContextTest, ConcurrentFirstUseOfUnwarmedContext) {
         for (std::size_t i = 0; i < fx.evidence.size(); ++i) {
           expect_same_result(tenant.diagnose(fx.evidence[i]), fx.reference[i],
                              "tenant " + std::to_string(k) + " log " +
-                                 std::to_string(i) + " W" +
-                                 std::to_string(words) + " T" +
+                                 std::to_string(i) + " T" +
                                  std::to_string(threads));
         }
       });
@@ -236,12 +232,11 @@ TEST(SessionPoolTest, RejectsZeroCapacity) {
 // The acceptance test: N client threads x M designs hammer one
 // SessionPool with mixed full/compacted evidence while eviction churns
 // contexts mid-flight (capacity < M); every result must be byte-equal to
-// the isolated per-tenant sequential reference, at every (W, T).
-TEST(SessionPoolTest, ConcurrentTenantsMatchSequentialAtEveryWT) {
+// the isolated per-tenant sequential reference, at every thread count.
+TEST(SessionPoolTest, ConcurrentTenantsMatchSequentialAtEveryThreadCount) {
   const char* kDesigns[] = {"s27", "s344", "s382"};
-  for (const auto& [words, threads] : {std::pair{1, 1}, {4, 1}, {1, 4},
-                                       {4, 4}}) {
-    const FlowOptions opts = make_opts(words, threads);
+  for (int threads : {1, 4}) {
+    const FlowOptions opts = make_opts(threads);
     std::vector<Fixture> fx;
     for (int d = 0; d < 3; ++d) {
       fx.push_back(make_fixture(kDesigns[d], 48 + 16 * d,
@@ -264,8 +259,7 @@ TEST(SessionPoolTest, ConcurrentTenantsMatchSequentialAtEveryWT) {
             expect_same_result(tenant.diagnose(f.evidence[i]),
                                f.reference[i],
                                f.nl.name() + " client " + std::to_string(c) +
-                                   " W" + std::to_string(words) + " T" +
-                                   std::to_string(threads));
+                                   " T" + std::to_string(threads));
           }
         }
       });
@@ -277,7 +271,7 @@ TEST(SessionPoolTest, ConcurrentTenantsMatchSequentialAtEveryWT) {
 // ---------- DiagnosisQueue --------------------------------------------------
 
 TEST(DiagnosisQueueTest, SubmitMatchesSequentialAcrossDesigns) {
-  const FlowOptions opts = make_opts(4, 2);
+  const FlowOptions opts = make_opts(2);
   std::vector<Fixture> fx;
   fx.push_back(make_fixture("s27", 40, 0x9a9a, opts));
   fx.push_back(make_fixture("s344", 64, 0x7b7b, opts));
@@ -316,7 +310,7 @@ TEST(DiagnosisQueueTest, SubmitMatchesSequentialAcrossDesigns) {
 }
 
 TEST(DiagnosisQueueTest, BadLogPoisonsOnlyItsOwnFuture) {
-  const FlowOptions opts = make_opts(1, 1);
+  const FlowOptions opts = make_opts(1);
   Fixture fx = make_fixture("s27", 32, 0xbad, opts);
 
   DiagnosisQueue queue;

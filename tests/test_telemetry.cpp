@@ -3,11 +3,10 @@
 // Four property groups:
 //  1. Registry mechanics -- shard merge, gauges, histogram bucketing,
 //     reset, and text/JSON serialization.
-//  2. Counter determinism -- semantic counters are invariant across every
-//     (block_words, num_threads) in {1,4}x{1,4}; work counters are
-//     invariant across thread counts at fixed block_words. `_us` counters
-//     and pool counters carry no guarantee and are excluded. PODEM's
-//     verdict counters also match generate_tests()' TestSet.
+//  2. Counter determinism -- semantic and work counters are invariant
+//     across num_threads in {1, 4}. `_us` counters and pool counters carry
+//     no guarantee and are excluded. PODEM's verdict counters also match
+//     generate_tests()' TestSet.
 //  3. Exactness -- the registry deltas around a full-response query, a
 //     compacted query and a multi-log batch equal the DiagnosisResult::stats
 //     fields of those queries (same single measurement feeds both).
@@ -182,11 +181,9 @@ struct ConfigRun {
 };
 
 ConfigRun run_config(const Netlist& nl, const std::vector<TestPattern>& pats,
-                     int block_words, int num_threads) {
+                     int num_threads) {
   FlowOptions opts;
-  opts.diag.block_words = block_words;
   opts.diag.num_threads = num_threads;
-  opts.tpg.fault_sim.block_words = block_words;
   opts.tpg.fault_sim.num_threads = num_threads;
   ScanSession session(Netlist(nl), opts);
   session.bind_patterns(pats);
@@ -198,7 +195,7 @@ ConfigRun run_config(const Netlist& nl, const std::vector<TestPattern>& pats,
   return out;
 }
 
-/// Semantic counters: invariant across every configuration.
+/// Semantic counters (queries, candidates, cache verdicts).
 const CounterId kSemanticCounters[] = {
     CounterId::kDiagQueries,        CounterId::kDiagCandidates,
     CounterId::kDiagDropped,        CounterId::kDiagUnionFallbacks,
@@ -212,7 +209,7 @@ const CounterId kSemanticCounters[] = {
     CounterId::kSessionCompactStateMisses, CounterId::kSessionFlowRuns,
 };
 
-/// Work counters: invariant across thread counts at fixed block_words.
+/// Work counters (sweeps, blocks, block reads).
 const CounterId kWorkCounters[] = {
     CounterId::kSweepCalls,        CounterId::kSweepUnexcited,
     CounterId::kSweepConeGates,    CounterId::kSweepActiveGates,
@@ -220,14 +217,13 @@ const CounterId kWorkCounters[] = {
     CounterId::kGoodCacheCachedReads, CounterId::kGoodCacheStreamedReads,
 };
 
-TEST(TelemetryDeterminismTest, CountersStableAcrossBlockWordsAndThreads) {
+TEST(TelemetryDeterminismTest, CountersStableAcrossThreads) {
   const Netlist nl = map_to_nand_nor_inv(make_iscas89_like("s344"));
   const auto pats = random_patterns(nl, 96, 0x7e1e);
 
-  struct Cfg { int w, t; };
-  const Cfg cfgs[] = {{1, 1}, {1, 4}, {4, 1}, {4, 4}};
+  const int threads[] = {1, 4};
   std::vector<ConfigRun> runs;
-  for (const Cfg& c : cfgs) runs.push_back(run_config(nl, pats, c.w, c.t));
+  for (int t : threads) runs.push_back(run_config(nl, pats, t));
 
   // The engine contract first: rankings bit-identical everywhere.
   for (std::size_t i = 1; i < runs.size(); ++i) {
@@ -237,35 +233,26 @@ TEST(TelemetryDeterminismTest, CountersStableAcrossBlockWordsAndThreads) {
                         std::to_string(i));
   }
 
-  // Semantic counters: equal across all four configurations.
-  for (const CounterId id : kSemanticCounters) {
-    for (std::size_t i = 1; i < runs.size(); ++i) {
-      EXPECT_EQ(runs[0].snap.counter(id), runs[i].snap.counter(id))
-          << counter_name(id) << " differs at config (" << cfgs[i].w << ","
-          << cfgs[i].t << ")";
+  for (const auto& ids : {std::span<const CounterId>(kSemanticCounters),
+                          std::span<const CounterId>(kWorkCounters)}) {
+    for (const CounterId id : ids) {
+      for (std::size_t i = 1; i < runs.size(); ++i) {
+        EXPECT_EQ(runs[0].snap.counter(id), runs[i].snap.counter(id))
+            << counter_name(id) << " differs at T=" << threads[i];
+      }
     }
   }
   EXPECT_EQ(runs[0].snap.counter(CounterId::kDiagQueries), 1u);
   EXPECT_EQ(runs[0].snap.counter(CounterId::kCompactQueries), 1u);
   EXPECT_EQ(runs[0].snap.counter(CounterId::kSessionPatternBinds), 1u);
-
-  // Work counters: equal across thread counts at fixed block_words.
-  const std::pair<std::size_t, std::size_t> same_w[] = {{0, 1}, {2, 3}};
-  for (const auto& [a, b] : same_w) {
-    for (const CounterId id : kWorkCounters) {
-      EXPECT_EQ(runs[a].snap.counter(id), runs[b].snap.counter(id))
-          << counter_name(id) << " differs across threads at W="
-          << cfgs[a].w;
-    }
-  }
   EXPECT_GT(runs[0].snap.counter(CounterId::kSweepCalls), 0u);
 }
 
 // ---------- PODEM counters of generate_tests --------------------------------
 
-/// generate_tests() batches a fixed number of patterns whatever the block
-/// width, so the same faults reach PODEM in the same order at every
-/// (W, T) and each of these counters is invariant across configurations.
+/// generate_tests() batches a fixed number of patterns, so the same faults
+/// reach PODEM in the same order at every thread count and each of these
+/// counters is invariant across configurations.
 const CounterId kPodemCounters[] = {
     CounterId::kPodemUntestable, CounterId::kPodemAborted,
     CounterId::kPodemCalls,      CounterId::kPodemDecisions,
@@ -274,18 +261,15 @@ const CounterId kPodemCounters[] = {
 
 TEST(TelemetryPodemTest, CountersMatchTestSetAndStayStableAcrossConfigs) {
   const Netlist nl = map_to_nand_nor_inv(make_iscas89_like("s344"));
-  struct Cfg { int w, t; };
-  const Cfg cfgs[] = {{1, 1}, {1, 4}, {4, 1}, {4, 4}};
+  const int threads[] = {1, 4};
   std::vector<MetricsSnapshot> snaps;
-  for (const Cfg& c : cfgs) {
+  for (int t : threads) {
     FlowOptions opts;
-    opts.tpg.fault_sim.block_words = c.w;
-    opts.tpg.fault_sim.num_threads = c.t;
+    opts.tpg.fault_sim.num_threads = t;
     ScanSession session(Netlist(nl), opts);
     const TestSet& ts = session.tests();
     const MetricsSnapshot snap = session.metrics();
-    const std::string at =
-        " at (" + std::to_string(c.w) + "," + std::to_string(c.t) + ")";
+    const std::string at = " at T=" + std::to_string(t);
     // Semantic counters against the TestSet's own accounting.
     EXPECT_EQ(snap.counter(CounterId::kPodemUntestable), ts.untestable_faults)
         << at;
@@ -304,8 +288,7 @@ TEST(TelemetryPodemTest, CountersMatchTestSetAndStayStableAcrossConfigs) {
   for (const CounterId id : kPodemCounters) {
     for (std::size_t i = 1; i < snaps.size(); ++i) {
       EXPECT_EQ(snaps[0].counter(id), snaps[i].counter(id))
-          << counter_name(id) << " differs at config (" << cfgs[i].w << ","
-          << cfgs[i].t << ")";
+          << counter_name(id) << " differs at T=" << threads[i];
     }
   }
 }
@@ -498,7 +481,7 @@ TEST(TelemetryNeutralityTest, RankingsIdenticalWithAndWithoutScope) {
   const Netlist nl = map_to_nand_nor_inv(make_iscas89_like("s344"));
   const auto pats = random_patterns(nl, 96, 0xacc3);
   const auto faults = collapse_faults(nl);
-  ResponseCapture cap(nl, 4);
+  ResponseCapture cap(nl);
   const FailureLog log = cap.inject(pats, faults[faults.size() / 3]);
   ASSERT_FALSE(log.failures.empty());
 
@@ -507,7 +490,7 @@ TEST(TelemetryNeutralityTest, RankingsIdenticalWithAndWithoutScope) {
   const DesignContext ctx{Netlist(nl)};
   ThreadPool pool(1);
   GoodBlockCache goods;
-  goods.bind(ctx.netlist(), pats, DiagnosisOptions{}.block_words);
+  goods.bind(ctx.netlist(), pats);
 
   DiagnosisOptions off;
   off.telemetry = nullptr;
