@@ -718,8 +718,11 @@ BENCHMARK(BM_TestGeneration)->Unit(benchmark::kMillisecond);
 
 // PODEM on every collapsed fault of a profile at the production backtrack
 // limit (4000), one engine reused across faults as generate_tests() does.
-// Most of the time goes to faults that end untestable or aborted, so the
-// figure of merit is ns_per_backtrack: wall time over backtracks.
+// Most of the time goes to faults that end untestable or aborted. The
+// figures of merit are the time per profile and the backtrack count; the
+// X-path check changes how many backtracks a fault takes, so
+// ns_per_backtrack (wall time over backtracks) only compares engines that
+// run the same search.
 void BM_Podem(benchmark::State& state, const std::string& profile) {
   const Netlist& nl = circuit(profile);
   const std::vector<Fault> faults = collapse_faults(nl);

@@ -118,6 +118,7 @@ Podem::Podem(const Netlist& nl, PodemOptions opts,
   good_.resize(n);
   faulty_.resize(n);
   cone_stamp_.assign(n, 0);
+  xpath_mark_.assign(n, 0);
   queued_.assign(n, 0);
   buckets_.resize(static_cast<std::size_t>(nl.depth()) + 1);
   start_fault();  // the fault-free all-X state justify() builds on
@@ -304,6 +305,41 @@ void Podem::collect_frontier() {
   }
 }
 
+bool Podem::xpath_open() {
+  // Values only refine under extension (X becomes 0 or 1, never back), so
+  // a gate whose good and faulty values are both known can never pass a
+  // new effect. Any detecting extension therefore propagates the effect
+  // from some frontier gate to an observation point through gates that
+  // are still open in one machine; without such a path no leaf below
+  // this node detects the fault.
+  if (++xpath_stamp_ == 0) {  // wrapped: forget every old mark
+    std::fill(xpath_mark_.begin(), xpath_mark_.end(), 0);
+    xpath_stamp_ = 1;
+  }
+  xpath_stack_.clear();
+  for (GateId g : frontier_) {  // frontier gates are open by definition
+    if (observed_[g]) return true;
+    xpath_mark_[g] = xpath_stamp_;
+    xpath_stack_.push_back(g);
+  }
+  while (!xpath_stack_.empty()) {
+    const GateId g = xpath_stack_.back();
+    xpath_stack_.pop_back();
+    // Fanouts of a cone gate are cone gates, except the DFFs the effect
+    // stops at (their D driver is an observation point).
+    for (GateId f : nl_->fanout_span(g)) {
+      if (types_[f] == GateType::Dff || xpath_mark_[f] == xpath_stamp_) {
+        continue;
+      }
+      if (is_known(good_[f]) && is_known(faulty_[f])) continue;
+      if (observed_[f]) return true;
+      xpath_mark_[f] = xpath_stamp_;
+      xpath_stack_.push_back(f);
+    }
+  }
+  return false;
+}
+
 std::optional<std::pair<GateId, bool>> Podem::objective() const {
   // Phase 1: excite the fault.
   if (!activated()) {
@@ -426,6 +462,7 @@ PodemResult Podem::generate(const Fault& fault) {
   backtracks_ = 0;
   num_decisions_ = 0;
   implied_gates_ = 0;
+  xpath_prunes_ = 0;
   start_fault();
 
   PodemResult res;
@@ -434,6 +471,7 @@ PodemResult Podem::generate(const Fault& fault) {
     res.backtracks = backtracks_;
     res.decisions = num_decisions_;
     res.implied_gates = implied_gates_;
+    res.xpath_prunes = xpath_prunes_;
     return res;
   };
   for (;;) {
@@ -446,11 +484,16 @@ PodemResult Podem::generate(const Fault& fault) {
       return finish(PodemStatus::Aborted);
     }
     // The frontier matters only once the fault is excited; objective()
-    // reads the one collected here.
+    // reads the one collected here. A frontier that can no longer reach
+    // an observation point is as dead as an empty one.
     bool dead = activation_impossible();
     if (!dead && activated() && !dff_pin_fault_) {
       collect_frontier();
       dead = frontier_.empty();
+      if (!dead && !xpath_open()) {
+        dead = true;
+        ++xpath_prunes_;
+      }
     }
     std::pair<GateId, Logic> pick{kInvalidGate, Logic::X};
     if (!dead) {

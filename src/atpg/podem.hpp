@@ -32,6 +32,16 @@
 // (justify()'s fault-free machine has an empty cone), and the D-frontier
 // and detection checks scan only the cone and its observation points
 // (POs and DFF D drivers).
+//
+// generate() backtracks at a node whose D-frontier is empty or has no
+// X-path (Goel's X-path check): no path of gates still X in the good or
+// the faulty machine leads from a frontier gate to an observation point.
+// Values only refine as the assignment grows, so no leaf below such a
+// node detects the fault; skipping its subtree leaves the search order
+// otherwise unchanged. Where the unpruned search finishes within its
+// budget the verdict and pattern are the same, reached with no more
+// backtracks or decisions; a fault that exhausted the budget may now
+// finish. justify() has no fault effect and no such check.
 
 #include <cstdint>
 #include <limits>
@@ -61,6 +71,7 @@ struct PodemResult {
   int backtracks = 0;
   int decisions = 0;    ///< source assignments made by backtrace (not flips)
   std::uint64_t implied_gates = 0;  ///< gate evaluations made by implication
+  int xpath_prunes = 0;  ///< dead ends found by the X-path check alone
 };
 
 class Podem {
@@ -123,6 +134,9 @@ class Podem {
   /// Fills frontier_ with the gates that can still propagate the fault
   /// effect, deepest first (ties by lowest id).
   void collect_frontier();
+  /// True when some frontier gate reaches a cone observation point
+  /// through gates whose good or faulty value is still X.
+  bool xpath_open();
   /// Objective (line, value) to pursue next; nullopt = dead end.
   std::optional<std::pair<GateId, bool>> objective() const;
   /// Maps an objective to an unassigned decision point through lines
@@ -171,10 +185,14 @@ class Podem {
   int backtracks_ = 0;
   int num_decisions_ = 0;
   std::uint64_t implied_gates_ = 0;
+  int xpath_prunes_ = 0;
 
   // Scratch reused across calls.
   std::vector<GateId> frontier_;
   std::vector<GateId> candidates_;
+  std::vector<GateId> xpath_stack_;
+  std::vector<std::uint32_t> xpath_mark_;  ///< == xpath_stamp_: visited
+  std::uint32_t xpath_stamp_ = 0;
 };
 
 }  // namespace scanpower

@@ -51,8 +51,13 @@ void eval_ternary(const Netlist& nl, PatternWord* p1, PatternWord* p0,
   }
 }
 
+// The shift and gather below use the all-lanes-masked forms with a zero
+// pass-through. With every lane enabled they compute exactly what the
+// unmasked forms do, but GCC's headers build the unmasked ones on an
+// undefined pass-through vector, which GCC 12 flags as uninitialized.
 void leak_gather(const double* table, unsigned base, const PatternWord* src,
                  int k, double* leak64) {
+  constexpr __mmask8 kAll = 0xFF;
   const __m512i lane0 = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7);
   const __m512i one = _mm512_set1_epi64(1);
   const __m512i vbase = _mm512_set1_epi64(static_cast<long long>(base));
@@ -60,12 +65,14 @@ void leak_gather(const double* table, unsigned base, const PatternWord* src,
     const __m512i lanes = _mm512_add_epi64(lane0, _mm512_set1_epi64(i));
     __m512i idx = vbase;
     for (int j = 0; j < k; ++j) {
-      __m512i bits = _mm512_srlv_epi64(
-          _mm512_set1_epi64(static_cast<long long>(src[j])), lanes);
+      __m512i bits = _mm512_maskz_srlv_epi64(
+          kAll, _mm512_set1_epi64(static_cast<long long>(src[j])), lanes);
       bits = _mm512_and_si512(bits, one);
-      idx = _mm512_or_si512(idx, _mm512_slli_epi64(bits, j));
+      idx = _mm512_or_si512(
+          idx, _mm512_maskz_slli_epi64(kAll, bits, static_cast<unsigned>(j)));
     }
-    const __m512d vals = _mm512_i64gather_pd(idx, table, 8);
+    const __m512d vals = _mm512_mask_i64gather_pd(_mm512_setzero_pd(), kAll,
+                                                  idx, table, 8);
     _mm512_storeu_pd(leak64 + i,
                      _mm512_add_pd(_mm512_loadu_pd(leak64 + i), vals));
   }

@@ -73,15 +73,26 @@ TestSet generate_tests(const Netlist& nl, const TpgOptions& opts) {
     for (TestPattern& p : batch) ts.patterns.push_back(std::move(p));
     batch.clear();
   };
+  Telemetry* telem = opts.fault_sim.telemetry;
   std::uint64_t podem_calls = 0, podem_decisions = 0, podem_backtracks = 0,
-                podem_implied_gates = 0;
+                podem_implied_gates = 0, podem_xpath_prunes = 0;
   for (std::size_t fi = 0; fi < faults.size(); ++fi) {
     if (detected[fi]) continue;
+    const std::uint64_t t0 = telem != nullptr ? telemetry_now_us() : 0;
     const PodemResult pr = podem.generate(faults[fi]);
+    if (telem != nullptr) {
+      const HistId h = pr.status == PodemStatus::Detected
+                           ? HistId::kPodemDetectedUs
+                       : pr.status == PodemStatus::Untestable
+                           ? HistId::kPodemUntestableUs
+                           : HistId::kPodemAbortedUs;
+      telem->metrics.record_hist(h, telemetry_now_us() - t0);
+    }
     ++podem_calls;
     podem_decisions += static_cast<std::uint64_t>(pr.decisions);
     podem_backtracks += static_cast<std::uint64_t>(pr.backtracks);
     podem_implied_gates += pr.implied_gates;
+    podem_xpath_prunes += static_cast<std::uint64_t>(pr.xpath_prunes);
     if (pr.status == PodemStatus::Untestable) {
       ts.untestable_faults++;
       continue;
@@ -96,13 +107,13 @@ TestSet generate_tests(const Netlist& nl, const TpgOptions& opts) {
     if (batch.size() == kTpgBatchPatterns) flush_batch();
   }
   flush_batch();
-  Telemetry* telem = opts.fault_sim.telemetry;
   SP_TELEM_ADD(telem, 0, CounterId::kPodemCalls, podem_calls);
   SP_TELEM_ADD(telem, 0, CounterId::kPodemDecisions, podem_decisions);
   SP_TELEM_ADD(telem, 0, CounterId::kPodemBacktracks, podem_backtracks);
   SP_TELEM_ADD(telem, 0, CounterId::kPodemUntestable, ts.untestable_faults);
   SP_TELEM_ADD(telem, 0, CounterId::kPodemAborted, ts.aborted_faults);
   SP_TELEM_ADD(telem, 0, CounterId::kPodemImpliedGates, podem_implied_gates);
+  SP_TELEM_ADD(telem, 0, CounterId::kPodemXpathPrunes, podem_xpath_prunes);
   SP_LOG_INFO(strprintf(
       "tpg[%s]: after PODEM %zu/%zu faults (%zu untestable, %zu aborted), "
       "%zu patterns",

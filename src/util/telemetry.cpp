@@ -25,6 +25,7 @@ constexpr const char* kCounterNames[kNumCounters] = {
     "atpg.podem_untestable",
     "atpg.podem_aborted",
     "atpg.podem_implied_gates",
+    "atpg.podem_xpath_prunes",
     "backend.blocks_scalar",
     "backend.blocks_avx2",
     "backend.blocks_avx512",
@@ -90,6 +91,9 @@ constexpr const char* kHistNames[kNumHists] = {
     "diag.latency_us",
     "compact_diag.latency_us",
     "net.request_us",
+    "atpg.podem_detected_us",
+    "atpg.podem_untestable_us",
+    "atpg.podem_aborted_us",
 };
 
 }  // namespace

@@ -56,6 +56,7 @@ enum class CounterId : int {
   kPodemUntestable,    ///< faults proven untestable
   kPodemAborted,       ///< faults that hit the backtrack limit
   kPodemImpliedGates,  ///< gate evaluations by event-driven implication
+  kPodemXpathPrunes,   ///< dead ends found by the X-path check alone
   // kernel-backend attribution: fault-sim blocks swept per backend (work
   // counters; which one advances depends on the resolved backend)
   kBackendBlocksScalar,
@@ -134,6 +135,10 @@ enum class HistId : int {
   kDiagnoseUs = 0,     ///< full-response diagnose() latency
   kCompactDiagnoseUs,  ///< compacted diagnose() latency
   kNetRequestUs,       ///< per-command handling latency at the server
+  // Podem::generate() latency in generate_tests, one histogram per verdict
+  kPodemDetectedUs,
+  kPodemUntestableUs,
+  kPodemAbortedUs,
   kCount
 };
 

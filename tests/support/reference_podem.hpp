@@ -3,10 +3,12 @@
 // oracle for the event-driven one. After every decision it re-simulates
 // the whole good and faulty machines in topological order and rescans the
 // whole circuit for the D-frontier. Its search decisions (objective,
-// backtrace, backtrack) are the production engine's, so the two must
-// agree on status, pattern and backtrack count for every fault. Also
-// carries a copy of generate_tests() driven by this engine. Header-only
-// because every tests/*.cpp builds into its own executable.
+// backtrace, backtrack) are the production engine's, minus the X-path
+// dead-end check: this is the unpruned search, which the production
+// engine must match in status and pattern wherever this one finishes,
+// with no more backtracks or decisions (tests/test_podem_exact.cpp).
+// Also carries a copy of generate_tests() driven by this engine.
+// Header-only because every tests/*.cpp builds into its own executable.
 
 #include <algorithm>
 #include <optional>
@@ -26,9 +28,9 @@
 
 namespace scanpower::oracle {
 
-/// Same contract as Podem(nl, opts).generate(fault) for status, pattern,
-/// backtracks and decisions (implied_gates stays 0: there is no event
-/// count in a full re-simulation).
+/// Podem(nl, opts).generate(fault) without the X-path check: same
+/// status and pattern where this search finishes, at least as many
+/// backtracks and decisions (implied_gates and xpath_prunes stay 0).
 class ReferencePodem {
  public:
   explicit ReferencePodem(const Netlist& nl, PodemOptions opts = {})

@@ -54,22 +54,22 @@ const GoldenFlow kGolden[] = {
      {1.0728564861032331e-07, 41.64376386965229, 1.9766024999999531e-07, 52865.339, 1764},
      {1.1033812648893944e-07, 42.297590166156404, 2.0004975000000475e-07, 53387.928518518514, 1764},
      {5.1439617413499617e-08, 38.819602776077154, 1.1356199999999765e-07, 47017.218888888907, 1764}},
-    {"s444", 79, 0.76718403547671843, 14,
-     {1.1310796275633325e-07, 46.696689890958339, 1.8901349999999882e-07, 58788.728148148177, 1659},
-     {1.0697641420386022e-07, 46.395304735744425, 1.815615000000012e-07, 58763.403074074085, 1659},
-     {2.3675046893847988e-08, 36.437099879023421, 5.4026999999997655e-08, 42149.4777777778, 1659}},
-    {"s510", 73, 0.46455938697318006, 5,
-     {7.2742772883295247e-08, 54.327247632800656, 1.8536849999999885e-07, 70054.619000000006, 438},
-     {2.6997327803203673e-08, 50.667337358904099, 4.53195000000006e-08, 57366.638259259293, 438},
-     {5.9041493135011145e-09, 44.776706294063935, 8.6872500000001114e-09, 50002.210111111141, 438}},
-    {"s641", 166, 0.66774891774891776, 15,
-     {1.0877467649857288e-07, 92.925754772162122, 3.3240375000000004e-07, 114331.70592592581, 3154},
-     {5.1679207421503307e-08, 89.252200087772167, 1.0293075000000944e-07, 103231.04974074065, 3154},
-     {1.3370504043768042e-08, 75.988330116678284, 3.3189750000000299e-08, 84640.247777777724, 3154}},
-    {"s713", 151, 0.61773858921161828, 14,
-     {1.3334701255230085e-07, 98.725135274485467, 3.1509000000000005e-07, 122830.91614814795, 2869},
-     {7.6286177039748972e-08, 95.813404504182586, 1.3500674999999058e-07, 110984.02848148126, 2869},
-     {1.3909165794979271e-08, 80.513288811746136, 2.7479250000002363e-08, 90113.111222222098, 2869}},
+    {"s444", 79, 0.77161862527716185, 14,
+     {1.1324643953558524e-07, 46.734856335684064, 1.8575324999999766e-07, 58788.728148148177, 1659},
+     {1.0651948235826304e-07, 46.362208472292565, 1.8095399999999528e-07, 58763.403074074085, 1659},
+     {2.3516808655006025e-08, 36.426200517359774, 5.4067500000000004e-08, 42149.4777777778, 1659}},
+    {"s510", 74, 0.46839080459770116, 5,
+     {7.1363148419864606e-08, 54.32716014962466, 1.9035000000000003e-07, 68259.057407407425, 444},
+     {2.6097176072234763e-08, 50.665123092792804, 4.53195000000006e-08, 57366.638259259293, 444},
+     {5.7457432279909422e-09, 44.77593540405406, 8.6872500000001114e-09, 50002.210111111141, 444}},
+    {"s641", 179, 0.67478354978354982, 15,
+     {1.1063733419117648e-07, 93.201071374134685, 3.5761500000000002e-07, 115032.06948148138, 3401},
+     {5.2410025588235168e-08, 89.256693440341209, 1.047127499999953e-07, 103231.04974074065, 3401},
+     {1.3460014191176718e-08, 75.989704453102902, 3.3189750000000299e-08, 84640.247777777724, 3401}},
+    {"s713", 167, 0.62863070539419086, 14,
+     {1.3150974353719995e-07, 98.726363284903812, 3.2033475000000475e-07, 121242.87111111094, 3173},
+     {7.484242315573769e-08, 95.832973776509988, 1.3500674999999058e-07, 110694.60514814792, 3173},
+     {1.3604680327869047e-08, 80.51808143564422, 2.7479250000002363e-08, 90113.111222222098, 3173}},
 };
 // clang-format on
 

@@ -1,13 +1,24 @@
-// Exactness of the event-driven PODEM engine: for every fault checked,
-// Podem must return the same status, pattern and backtrack and decision
-// counts as the full-imply oracle in support/reference_podem.hpp. Covers
-// every benchgen profile (s27 and s344 on all collapsed faults at the
-// production backtrack limit; the larger ones on a fixed fault sample at
-// a short limit), the raw pre-techmap netlists, seeded random netlists
+// Exactness of the event-driven PODEM engine against the full-imply
+// oracle in support/reference_podem.hpp. The oracle is the unpruned
+// search; Podem adds the X-path dead-end check, which skips subtrees that
+// hold no detecting leaf, so it reaches the oracle's first solution with
+// fewer backtracks. The contract, for every fault checked:
+//  - where the oracle returns Detected or Untestable, Podem returns the
+//    same status and pattern, with backtracks and decisions no greater
+//    than the oracle's;
+//  - where the oracle aborts, a Detected pattern must detect the fault by
+//    fault simulation (X bits filled all-0 and all-1), and an Untestable
+//    verdict must be confirmed by the oracle at kConfirmLimit backtracks
+//    (tests/test_podem_verdicts.cpp checks verdicts exhaustively);
+//  - the prune fires: over every collapsed s344 fault Podem takes
+//    strictly fewer backtracks than the oracle.
+// Covers every benchgen profile (s27 and s344 on all collapsed faults at
+// the production backtrack limit; the larger ones on a fixed fault sample
+// at a short limit), the raw pre-techmap netlists, seeded random netlists
 // over every gate type (XOR/XNOR/MUX/BUF and constants included), a
-// hand-built netlist with PI/DFF outputs and DFF pin faults,
-// both backtrace directives, and generate_tests() across block widths and
-// thread counts.
+// hand-built netlist with PI/DFF outputs and DFF pin faults, both
+// backtrace directives, and generate_tests() across thread counts, whose
+// test sets must equal the oracle's where no fault aborts.
 
 #include <gtest/gtest.h>
 
@@ -18,10 +29,11 @@
 
 #include "atpg/backtrace_directive.hpp"
 #include "atpg/fault.hpp"
+#include "atpg/fault_sim.hpp"
 #include "atpg/podem.hpp"
 #include "atpg/tpg.hpp"
 #include "benchgen/benchgen.hpp"
-#include "netlist/builder.hpp"
+#include "support/podem_cases.hpp"
 #include "support/random_netlist.hpp"
 #include "support/reference_podem.hpp"
 #include "techmap/techmap.hpp"
@@ -29,6 +41,10 @@
 
 namespace scanpower {
 namespace {
+
+/// An Untestable verdict where the oracle aborted must be confirmed by
+/// the oracle at this budget.
+constexpr int kConfirmLimit = 100000;
 
 const char* status_name(PodemStatus s) {
   switch (s) {
@@ -39,23 +55,47 @@ const char* status_name(PodemStatus s) {
   return "?";
 }
 
-/// Runs both engines on every fault of `faults`; returns the number of
-/// mismatching faults (each one also reported as a test failure).
-int compare_engines(const Netlist& nl, const std::vector<Fault>& faults,
-                    const PodemOptions& opts) {
+/// Per-call totals of compare_engines().
+struct Comparison {
+  int mismatches = 0;         ///< faults breaking the contract
+  int oracle_aborts = 0;      ///< faults the oracle gave up on
+  std::uint64_t backtracks = 0;            ///< Podem's, over all faults
+  std::uint64_t reference_backtracks = 0;  ///< the oracle's
+};
+
+/// Runs both engines on every fault of `faults` and checks the contract
+/// in the header comment; each mismatching fault is also reported as a
+/// test failure.
+Comparison compare_engines(const Netlist& nl, const std::vector<Fault>& faults,
+                           const PodemOptions& opts) {
   Podem podem(nl, opts);
   oracle::ReferencePodem reference(nl, opts);
-  int mismatches = 0;
+  PodemOptions confirm_opts = opts;
+  confirm_opts.backtrack_limit = kConfirmLimit;
+  oracle::ReferencePodem confirm(nl, confirm_opts);
+  FaultSimulator fsim(nl);
+  Comparison c;
   for (const Fault& f : faults) {
     const PodemResult got = podem.generate(f);
     const PodemResult want = reference.generate(f);
-    const bool same = got.status == want.status &&
-                      got.pattern.pi == want.pattern.pi &&
-                      got.pattern.ppi == want.pattern.ppi &&
-                      got.backtracks == want.backtracks &&
-                      got.decisions == want.decisions;
-    if (!same) {
-      ++mismatches;
+    c.backtracks += static_cast<std::uint64_t>(got.backtracks);
+    c.reference_backtracks += static_cast<std::uint64_t>(want.backtracks);
+    bool ok = true;
+    if (want.status != PodemStatus::Aborted) {
+      ok = got.status == want.status && got.pattern.pi == want.pattern.pi &&
+           got.pattern.ppi == want.pattern.ppi &&
+           got.backtracks <= want.backtracks &&
+           got.decisions <= want.decisions;
+    } else {
+      ++c.oracle_aborts;
+      if (got.status == PodemStatus::Detected) {
+        ok = pattern_detects(fsim, got.pattern, f);
+      } else if (got.status == PodemStatus::Untestable) {
+        ok = confirm.generate(f).status == PodemStatus::Untestable;
+      }
+    }
+    if (!ok) {
+      ++c.mismatches;
       ADD_FAILURE() << nl.name() << " " << f.to_string(nl) << ": got "
                     << status_name(got.status) << " "
                     << got.pattern.to_string() << " bt " << got.backtracks
@@ -64,9 +104,9 @@ int compare_engines(const Netlist& nl, const std::vector<Fault>& faults,
                     << want.pattern.to_string() << " bt " << want.backtracks
                     << " dec " << want.decisions;
     }
-    if (mismatches >= 5) break;  // enough to diagnose
+    if (c.mismatches >= 5) break;  // enough to diagnose
   }
-  return mismatches;
+  return c;
 }
 
 /// Every fault when `max_faults` is 0, else an evenly strided sample.
@@ -80,16 +120,6 @@ std::vector<Fault> sample(const std::vector<Fault>& all,
     out.push_back(all[i]);
   }
   return out;
-}
-
-/// Every uncollapsed fault plus both pin faults of every DFF's D pin.
-std::vector<Fault> every_fault_with_dff_pins(const Netlist& nl) {
-  std::vector<Fault> faults = enumerate_faults(nl);
-  for (GateId ff : nl.dffs()) {
-    faults.push_back({ff, 0, false});
-    faults.push_back({ff, 0, true});
-  }
-  return faults;
 }
 
 /// Per-gate observabilities with many ties, so the directive's id
@@ -112,8 +142,13 @@ PodemOptions limit(int backtracks) {
 TEST(PodemExact, AllCollapsedFaultsAtProductionLimit) {
   for (const char* name : {"s27", "s344"}) {
     const Netlist nl = map_to_nand_nor_inv(make_circuit(name));
-    EXPECT_EQ(compare_engines(nl, collapse_faults(nl), limit(4000)), 0)
-        << name;
+    const Comparison c = compare_engines(nl, collapse_faults(nl), limit(4000));
+    EXPECT_EQ(c.mismatches, 0) << name;
+    EXPECT_EQ(c.oracle_aborts, 0) << name;
+    if (std::string(name) == "s344") {
+      EXPECT_LT(c.backtracks, c.reference_backtracks)
+          << "the X-path check never pruned";
+    }
   }
 }
 
@@ -129,7 +164,8 @@ TEST_P(PodemExactProfile, FaultSampleAtShortLimit) {
   const std::size_t max_faults =
       std::clamp<std::size_t>(30000 / nl.num_gates(), 6, 40);
   EXPECT_EQ(
-      compare_engines(nl, sample(collapse_faults(nl), max_faults), limit(30)),
+      compare_engines(nl, sample(collapse_faults(nl), max_faults), limit(30))
+          .mismatches,
       0);
 }
 
@@ -149,8 +185,10 @@ INSTANTIATE_TEST_SUITE_P(Benchgen, PodemExactProfile,
 TEST(PodemExact, RawPreTechmapNetlists) {
   for (const char* name : {"s344", "s382", "s1494"}) {
     const Netlist nl = make_iscas89_like(name);
-    EXPECT_EQ(compare_engines(nl, sample(collapse_faults(nl), 60), limit(60)),
-              0)
+    EXPECT_EQ(
+        compare_engines(nl, sample(collapse_faults(nl), 60), limit(60))
+            .mismatches,
+        0)
         << name;
   }
 }
@@ -166,52 +204,25 @@ TEST(PodemExact, RandomMixedGateNetlists) {
                       t == GateType::Mux || t == GateType::Buf;
     }
     const std::vector<Fault> faults = every_fault_with_dff_pins(nl);
-    EXPECT_EQ(compare_engines(nl, faults, limit(300)), 0) << nl.name();
-    EXPECT_EQ(compare_engines(nl, faults, limit(3)), 0) << nl.name();
+    EXPECT_EQ(compare_engines(nl, faults, limit(300)).mismatches, 0)
+        << nl.name();
+    EXPECT_EQ(compare_engines(nl, faults, limit(3)).mismatches, 0)
+        << nl.name();
   }
   EXPECT_GT(parity_gates, 0);
-}
-
-/// Constants feeding logic (one beside a deep pin), a PI that is also a
-/// PO, a DFF that is also a PO, DFFs fed directly by a PI and by another
-/// DFF, XOR/MUX/BUF side logic.
-Netlist corner_netlist() {
-  NetlistBuilder b("corners");
-  b.add_input("a");
-  b.add_input("b");
-  b.add_input("c");
-  b.add_input("s");
-  b.add_gate(GateType::Const0, "zero", {});
-  b.add_gate(GateType::Const1, "one", {});
-  b.add_gate(GateType::Dff, "q1", {"a"});   // D driven by a PI
-  b.add_gate(GateType::Dff, "q2", {"q1"});  // D driven by a DFF
-  b.add_gate(GateType::Dff, "q3", {"m"});
-  b.add_gate(GateType::And, "g1", {"a", "one"});
-  b.add_gate(GateType::Or, "g2", {"b", "zero"});
-  b.add_gate(GateType::And, "g3", {"c", "zero"});  // constant 0
-  b.add_gate(GateType::Xor, "x1", {"g1", "q2"});
-  b.add_gate(GateType::Xnor, "x2", {"g2", "q3"});
-  b.add_gate(GateType::Mux, "m", {"s", "x1", "x2"});
-  b.add_gate(GateType::Buf, "bf", {"m"});
-  b.add_gate(GateType::Nor, "n1", {"bf", "g3"});
-  b.add_gate(GateType::Nand, "n2", {"n1", "x1", "c"});
-  b.add_gate(GateType::And, "n3", {"one", "n2"});  // constant beside a deep pin
-  b.add_output("a");   // PI that is also a PO
-  b.add_output("q2");  // DFF that is also a PO
-  b.add_output("n3");
-  b.add_output("g3");
-  return b.link();
 }
 
 TEST(PodemExact, ConstantsSourceObservationsAndDffPins) {
   const Netlist nl = corner_netlist();
   const std::vector<Fault> faults = every_fault_with_dff_pins(nl);
-  EXPECT_EQ(compare_engines(nl, faults, limit(4000)), 0);
-  EXPECT_EQ(compare_engines(nl, faults, limit(1)), 0);
+  EXPECT_EQ(compare_engines(nl, faults, limit(4000)).mismatches, 0);
+  EXPECT_EQ(compare_engines(nl, faults, limit(1)).mismatches, 0);
   // s27's DFF pin faults and PI stem faults on a real circuit.
   const Netlist s27 = make_s27();
-  EXPECT_EQ(compare_engines(s27, every_fault_with_dff_pins(s27), limit(4000)),
-            0);
+  EXPECT_EQ(
+      compare_engines(s27, every_fault_with_dff_pins(s27), limit(4000))
+          .mismatches,
+      0);
 }
 
 TEST(PodemExact, ObservabilityDirective) {
@@ -220,15 +231,19 @@ TEST(PodemExact, ObservabilityDirective) {
   const ObservabilityDirective corner_dir(corner_obs);
   PodemOptions opts = limit(4000);
   opts.directive = &corner_dir;
-  EXPECT_EQ(compare_engines(corners, every_fault_with_dff_pins(corners), opts),
-            0);
+  EXPECT_EQ(
+      compare_engines(corners, every_fault_with_dff_pins(corners), opts)
+          .mismatches,
+      0);
 
   for (const char* name : {"s27", "s344"}) {
     const Netlist nl = map_to_nand_nor_inv(make_circuit(name));
     const std::vector<double> obs = tied_observabilities(nl, 0x0b5);
     const ObservabilityDirective dir(obs);
     opts.directive = &dir;
-    EXPECT_EQ(compare_engines(nl, sample(collapse_faults(nl), 300), opts), 0)
+    EXPECT_EQ(
+        compare_engines(nl, sample(collapse_faults(nl), 300), opts).mismatches,
+        0)
         << name;
   }
   const Netlist raw = make_iscas89_like("s382");
@@ -236,7 +251,9 @@ TEST(PodemExact, ObservabilityDirective) {
   const ObservabilityDirective raw_dir(raw_obs);
   opts = limit(200);
   opts.directive = &raw_dir;
-  EXPECT_EQ(compare_engines(raw, sample(collapse_faults(raw), 80), opts), 0);
+  EXPECT_EQ(
+      compare_engines(raw, sample(collapse_faults(raw), 80), opts).mismatches,
+      0);
 }
 
 /// One engine instance serves many faults: state left by an aborted or
@@ -245,7 +262,7 @@ TEST(PodemExact, EngineReuseAcrossFaultOrders) {
   const Netlist nl = map_to_nand_nor_inv(make_circuit("s344"));
   const std::vector<Fault> faults = sample(collapse_faults(nl), 300);
   const std::vector<Fault> reversed(faults.rbegin(), faults.rend());
-  EXPECT_EQ(compare_engines(nl, reversed, limit(30)), 0);
+  EXPECT_EQ(compare_engines(nl, reversed, limit(30)).mismatches, 0);
 }
 
 void expect_same_tests(const TestSet& got, const TestSet& want,

@@ -257,38 +257,66 @@ const CounterId kPodemCounters[] = {
     CounterId::kPodemUntestable, CounterId::kPodemAborted,
     CounterId::kPodemCalls,      CounterId::kPodemDecisions,
     CounterId::kPodemBacktracks, CounterId::kPodemImpliedGates,
+    CounterId::kPodemXpathPrunes,
 };
 
+/// At the production backtrack limit s344 has no aborts; a short limit
+/// fills the aborted histogram too.
 TEST(TelemetryPodemTest, CountersMatchTestSetAndStayStableAcrossConfigs) {
   const Netlist nl = map_to_nand_nor_inv(make_iscas89_like("s344"));
   const int threads[] = {1, 4};
-  std::vector<MetricsSnapshot> snaps;
-  for (int t : threads) {
-    FlowOptions opts;
-    opts.tpg.fault_sim.num_threads = t;
-    ScanSession session(Netlist(nl), opts);
-    const TestSet& ts = session.tests();
-    const MetricsSnapshot snap = session.metrics();
-    const std::string at = " at T=" + std::to_string(t);
-    // Semantic counters against the TestSet's own accounting.
-    EXPECT_EQ(snap.counter(CounterId::kPodemUntestable), ts.untestable_faults)
-        << at;
-    EXPECT_EQ(snap.counter(CounterId::kPodemAborted), ts.aborted_faults) << at;
-    EXPECT_GT(snap.counter(CounterId::kPodemCalls),
-              ts.untestable_faults + ts.aborted_faults)
-        << "some PODEM calls must produce patterns" << at;
-    EXPECT_LE(snap.counter(CounterId::kPodemCalls), ts.total_faults) << at;
-    EXPECT_GE(snap.counter(CounterId::kPodemDecisions),
-              snap.counter(CounterId::kPodemBacktracks))
-        << "every backtrack flips an earlier decision" << at;
-    EXPECT_GT(snap.counter(CounterId::kPodemImpliedGates), 0u) << at;
-    snaps.push_back(snap);
-  }
-  EXPECT_GT(snaps[0].counter(CounterId::kPodemUntestable), 0u);
-  for (const CounterId id : kPodemCounters) {
-    for (std::size_t i = 1; i < snaps.size(); ++i) {
-      EXPECT_EQ(snaps[0].counter(id), snaps[i].counter(id))
-          << counter_name(id) << " differs at T=" << threads[i];
+  for (const int limit : {4000, 20}) {
+    std::vector<MetricsSnapshot> snaps;
+    for (int t : threads) {
+      FlowOptions opts;
+      opts.tpg.podem_backtrack_limit = limit;
+      opts.tpg.fault_sim.num_threads = t;
+      ScanSession session(Netlist(nl), opts);
+      const TestSet& ts = session.tests();
+      const MetricsSnapshot snap = session.metrics();
+      const std::string at =
+          " at T=" + std::to_string(t) + " limit " + std::to_string(limit);
+      // Semantic counters against the TestSet's own accounting.
+      EXPECT_EQ(snap.counter(CounterId::kPodemUntestable), ts.untestable_faults)
+          << at;
+      EXPECT_EQ(snap.counter(CounterId::kPodemAborted), ts.aborted_faults)
+          << at;
+      EXPECT_GT(snap.counter(CounterId::kPodemCalls),
+                ts.untestable_faults + ts.aborted_faults)
+          << "some PODEM calls must produce patterns" << at;
+      EXPECT_LE(snap.counter(CounterId::kPodemCalls), ts.total_faults) << at;
+      EXPECT_GE(snap.counter(CounterId::kPodemDecisions),
+                snap.counter(CounterId::kPodemBacktracks))
+          << "every backtrack flips an earlier decision" << at;
+      EXPECT_GT(snap.counter(CounterId::kPodemImpliedGates), 0u) << at;
+      // One latency sample per PODEM call, filed under its verdict.
+      const std::uint64_t calls = snap.counter(CounterId::kPodemCalls);
+      const std::uint64_t untestable =
+          snap.counter(CounterId::kPodemUntestable);
+      const std::uint64_t aborted = snap.counter(CounterId::kPodemAborted);
+      EXPECT_EQ(snap.hist_count(HistId::kPodemDetectedUs),
+                calls - untestable - aborted)
+          << at;
+      EXPECT_EQ(snap.hist_count(HistId::kPodemUntestableUs), untestable) << at;
+      EXPECT_EQ(snap.hist_count(HistId::kPodemAbortedUs), aborted) << at;
+      snaps.push_back(snap);
+    }
+    EXPECT_GT(snaps[0].counter(CounterId::kPodemUntestable), 0u);
+    EXPECT_GT(snaps[0].counter(CounterId::kPodemXpathPrunes), 0u);
+    EXPECT_EQ(snaps[0].counter(CounterId::kPodemAborted) > 0, limit == 20);
+    for (const CounterId id : kPodemCounters) {
+      for (std::size_t i = 1; i < snaps.size(); ++i) {
+        EXPECT_EQ(snaps[0].counter(id), snaps[i].counter(id))
+            << counter_name(id) << " differs at T=" << threads[i];
+      }
+    }
+    for (const HistId id : {HistId::kPodemDetectedUs,
+                            HistId::kPodemUntestableUs,
+                            HistId::kPodemAbortedUs}) {
+      for (std::size_t i = 1; i < snaps.size(); ++i) {
+        EXPECT_EQ(snaps[0].hist_count(id), snaps[i].hist_count(id))
+            << hist_name(id) << " differs at T=" << threads[i];
+      }
     }
   }
 }
